@@ -56,10 +56,9 @@ int main(int argc, char** argv) {
   // seed 1) after the measured sweep, dumped as a Chrome trace; the
   // emitted BENCH series is unaffected.
   // --transport=KIND: the backend of the serialized comparison arm
-  // (default "serialized"; "threaded" measures the mutexed wire).  The
-  // arm reruns the tree sweep on that backend, hard-fails unless it
-  // reproduces the in-proc run bit for bit, and records the codec
-  // traffic under the perf gate.
+  // (default "serialized").  The arm reruns the tree sweep on that
+  // backend, hard-fails unless it reproduces the in-proc run bit for
+  // bit, and records the codec traffic under the perf gate.
   // --faults=SPEC: the fault plan of the fault-injection arm (default
   // the CI plan below; see parse_fault_plan in dist/transport.hpp).  The
   // arm reruns the tree sweep under the plan, hard-fails if a masked

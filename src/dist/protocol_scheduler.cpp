@@ -119,14 +119,14 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
                rule.beta_coeff(inst)) <
            target * inst.profit - kEps * inst.profit;
   };
-  // Drains every member inbox, applying raise propagations to the local
-  // shards (the one message type that may be in flight at step ends).
-  // Inboxes are recycled: this runs once per step, n drains each, and
-  // the recycled slots keep the serialized backends' decode loop free of
+  // Drains every inbox holding mail, applying raise propagations to the
+  // local shards (the one message type that may be in flight at step
+  // ends).  This runs once per step, so it visits only the nodes with
+  // mail — an idle tuple's sweep is free — and the runtime recycles the
+  // inboxes, keeping the serialized backends' decode loop free of
   // steady-state allocation.
   const auto drain_and_apply = [&] {
-    for (int v = 0; v < n; ++v) {
-      std::vector<Message> inbox = st.rt.drain(v);
+    st.rt.drain_mail([&](int v, const std::vector<Message>& inbox) {
       for (const Message& m : inbox) {
         // Only raise propagations matter here.  On a *lossy* run a lost
         // winner notification can leave a dead node holding stale Luby
@@ -136,8 +136,7 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
         shard[static_cast<std::size_t>(v)].apply_raise(
             {m.data.data(), m.data.size()});
       }
-      st.rt.recycle(std::move(inbox));
-    }
+    });
   };
 
   // ---- Phase 1: raise, one fixed-length tuple at a time -------------------
@@ -263,7 +262,7 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
         st.rt.post(Message{i, u, kTagKeep, {}});
     }
     st.rt.step();
-    for (int v = 0; v < n; ++v) st.rt.recycle(st.rt.drain(v));
+    st.rt.drain_mail([](int, const std::vector<Message>&) {});
   }
 
   // Certification from the shards alone: every processor reports its own

@@ -12,9 +12,15 @@ Runtime::Runtime(int num_nodes, TransportKind transport,
                  const FaultPlan* faults)
     : num_nodes_(num_nodes),
       adjacency_(static_cast<std::size_t>(num_nodes)),
-      transport_(make_transport(transport, num_nodes, faults)) {
+      transport_(make_transport(transport, num_nodes, faults)),
+      node_flags_(static_cast<std::size_t>(num_nodes), 0) {
   TS_REQUIRE(num_nodes > 0);
   if (obs::tracing_enabled()) round_mark_ns_ = obs::trace_now_ns();
+}
+
+Runtime::~Runtime() {
+  if (idle_rounds_ > 0 && obs::tracing_enabled())
+    close_idle_stretch(obs::trace_now_ns());
 }
 
 void Runtime::connect(int a, int b) {
@@ -41,22 +47,48 @@ const std::vector<int>& Runtime::channels(int node) const {
 void Runtime::post(Message m) {
   TS_REQUIRE(valid(m.from) && valid(m.to));
   TS_REQUIRE(connected(m.from, m.to));
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++messages_sent_;
   // 16-byte header (from, to, tag, length) + 8 bytes per payload double —
   // the exact size the serialized codec produces.
   const std::int64_t bytes = message_wire_bytes(m);
-  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+  bytes_sent_ += bytes;
   if (obs::tracing_enabled()) note_post(m.tag, bytes);
+  std::uint8_t& flags = node_flags_[static_cast<std::size_t>(m.to)];
+  if (!(flags & kStaged)) {
+    flags |= kStaged;
+    staged_.push_back(m.to);
+  }
   transport_->post(std::move(m));
 }
 
 void Runtime::step() {
-  if (obs::tracing_enabled()) note_round();
+  if (obs::tracing_enabled()) {
+    // An idle round reads no clock and records nothing: it only
+    // lengthens the current idle stretch (see note_round).
+    if (messages_sent_ == mark_messages_ && round_mark_ns_ >= 0)
+      ++idle_rounds_;
+    else
+      note_round();
+  }
   ++round_;
   transport_->flush();
+  // This round's receivers now hold mail (kFaulty may still have lost
+  // it; they then drain empty).
+  for (const int v : staged_) {
+    std::uint8_t& flags = node_flags_[static_cast<std::size_t>(v)];
+    flags = static_cast<std::uint8_t>((flags & ~kStaged) | kHasMail);
+    if (!(flags & kListed)) {
+      flags |= kListed;
+      mail_.push_back(v);
+    }
+  }
+  staged_.clear();
 }
 
 void Runtime::note_post(int tag, [[maybe_unused]] std::int64_t bytes) {
+  // The first message after an idle stretch ends the stretch: its
+  // round's span starts here.
+  if (idle_rounds_ > 0) close_idle_stretch(obs::trace_now_ns());
   TRACE_HIST("wire.message_bytes", bytes);
   // Per-tag counters via the macros' cached handles: the registry map
   // is consulted once per (site, tag), not once per message.  Tag
@@ -94,11 +126,14 @@ void Runtime::note_post(int tag, [[maybe_unused]] std::int64_t bytes) {
 }
 
 void Runtime::note_round() {
-  // Close the span of the round that just elapsed (mark -> now) with the
-  // message/byte deltas it produced, then re-arm for the next one.  A
-  // mark of -1 means tracing was enabled mid-run: just arm.  The span
-  // name carries the backend ("round", "round.serialized", ...), so a
-  // trace shows which wire the rounds ran on.
+  // Close the span of the round with traffic that just elapsed (mark ->
+  // now) with the message/byte deltas it produced, then re-arm for the
+  // next one.  With the idle stretches (step() counts them, note_post
+  // closes them), every stepped round is accounted for: round spans +
+  // the idle spans' "rounds" == rounds stepped.  A mark of -1 means
+  // tracing was enabled mid-run: just arm.  The span name carries the
+  // backend ("round", "round.serialized", ...), so a trace shows which
+  // wire the rounds ran on.
   const std::int64_t now = obs::trace_now_ns();
   if (round_mark_ns_ >= 0) {
     obs::record_complete_span("wire", transport_->round_span_name(),
@@ -111,8 +146,17 @@ void Runtime::note_round() {
   mark_bytes_ = bytes_sent();
 }
 
+void Runtime::close_idle_stretch(std::int64_t end_ns) {
+  obs::record_complete_span("wire", "idle", round_mark_ns_,
+                            end_ns - round_mark_ns_, "rounds", idle_rounds_);
+  idle_rounds_ = 0;
+  round_mark_ns_ = end_ns;
+}
+
 std::vector<Message> Runtime::drain(int node) {
   TS_REQUIRE(valid(node));
+  node_flags_[static_cast<std::size_t>(node)] &=
+      static_cast<std::uint8_t>(~kHasMail);
   std::vector<Message> out;
   if (!free_list_.empty()) {
     out = std::move(free_list_.back());

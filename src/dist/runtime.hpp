@@ -26,8 +26,9 @@
 // parity tests.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/prelude.hpp"
@@ -44,6 +45,10 @@ class Runtime {
   explicit Runtime(int num_nodes,
                    TransportKind transport = TransportKind::kDefault,
                    const FaultPlan* faults = nullptr);
+  // Closes a trailing idle stretch in the trace (see note_round).
+  ~Runtime();
+  Runtime(const Runtime&) = delete;
+  Runtime& operator=(const Runtime&) = delete;
 
   // Opens the symmetric channel {a, b}.  Idempotent; a != b.
   void connect(int a, int b);
@@ -53,13 +58,13 @@ class Runtime {
   const std::vector<int>& channels(int node) const;
 
   // Queues `m` for delivery at the next round boundary.  Requires an open
-  // channel between m.from and m.to.  Safe to call from concurrent
-  // threads on the kThreadedSerialized backend (between boundaries, with
-  // no concurrent connect); single-threaded otherwise.
+  // channel between m.from and m.to.  Single-threaded, like step().
   void post(Message m);
 
   // Advances the round boundary: every message posted since the previous
   // step() becomes visible in its receiver's inbox.  Driver-side only.
+  // Costs O(messages posted since the previous step + 1): an idle round
+  // is counted, never walked.
   void step();
 
   // Removes and returns the inbox of `node` (messages delivered by past
@@ -74,14 +79,32 @@ class Runtime {
   // allocation churn is zero once buffers have grown to size.
   void recycle(std::vector<Message> inbox);
 
+  // Drains every node holding undrained mail, and only those: calls
+  // visit(node, inbox) with each such node's inbox (posting order), then
+  // recycles it.  Nodes come in the order they were first sent mail
+  // since the previous sweep.  Costs O(nodes with mail + 1), so a
+  // driver's per-tuple "drain everyone" sweep stays proportional to the
+  // traffic instead of to num_nodes().  A node whose mail was posted but
+  // lost in transit (kFaulty, retransmit budget exhausted) is visited
+  // with an empty inbox.  `visit` may post and drain, but must not
+  // step() or start another sweep.
+  template <typename Visit>
+  void drain_mail(Visit&& visit) {
+    for (const int v : mail_) {
+      std::uint8_t& flags = node_flags_[static_cast<std::size_t>(v)];
+      flags &= static_cast<std::uint8_t>(~kListed);
+      if (!(flags & kHasMail)) continue;  // drained directly meanwhile
+      std::vector<Message> inbox = drain(v);
+      visit(v, std::as_const(inbox));
+      recycle(std::move(inbox));
+    }
+    mail_.clear();
+  }
+
   int num_nodes() const { return num_nodes_; }
   int round() const { return round_; }
-  std::int64_t messages_sent() const {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
-  std::int64_t bytes_sent() const {
-    return bytes_sent_.load(std::memory_order_relaxed);
-  }
+  std::int64_t messages_sent() const { return messages_sent_; }
+  std::int64_t bytes_sent() const { return bytes_sent_; }
 
   // The resolved backend, and its codec-hit counters (zero on the
   // in-proc path; == messages_sent on the serialized paths once every
@@ -99,29 +122,38 @@ class Runtime {
   bool degraded() const { return transport_->degraded(); }
 
  private:
+  // Per-node bookkeeping of the mail sets, one byte per node.
+  static constexpr std::uint8_t kStaged = 1;   // posted to this round
+  static constexpr std::uint8_t kHasMail = 2;  // delivered, not drained
+  static constexpr std::uint8_t kListed = 4;   // on mail_
+
   bool valid(int node) const { return node >= 0 && node < num_nodes(); }
-  // Flight-recorder hooks (obs): per-tag message/byte counters and a
-  // per-round span carrying the round's message/byte deltas.  Called
-  // only while tracing is enabled; pure observation — no field of the
-  // complexity accounting depends on them.
+  // Flight-recorder hooks (obs): per-tag message/byte counters, a span
+  // per round that carried traffic, and one span per idle stretch.
+  // Called only while tracing is enabled; pure observation — no field of
+  // the complexity accounting depends on them.
   void note_post(int tag, std::int64_t bytes);
   void note_round();
+  void close_idle_stretch(std::int64_t end_ns);
 
   int num_nodes_ = 0;
   std::vector<std::vector<int>> adjacency_;   // sorted neighbor lists
   std::unique_ptr<Transport> transport_;      // the message movement
   std::vector<std::vector<Message>> free_list_;  // recycled inboxes
+  std::vector<std::uint8_t> node_flags_;      // kStaged | kHasMail | kListed
+  std::vector<int> staged_;  // nodes posted to since the last step()
+  std::vector<int> mail_;    // nodes listed for the next drain_mail()
   int round_ = 0;
-  // Relaxed atomics so concurrent posts on the threaded backend count
-  // correctly; the totals are deterministic on every backend.
-  std::atomic<std::int64_t> messages_sent_{0};
-  std::atomic<std::int64_t> bytes_sent_{0};
-  // Marks for the per-round trace spans: where the current round began
-  // and the counter values at that point (-1 = tracing was off at the
-  // last boundary, so the next boundary only re-arms).
+  std::int64_t messages_sent_ = 0;
+  std::int64_t bytes_sent_ = 0;
+  // Trace marks: where the current round (or idle stretch) began (-1 =
+  // tracing was off at the last boundary, so the next boundary only
+  // re-arms), the counter values at the last traffic round's close, and
+  // the idle rounds stepped since.
   std::int64_t round_mark_ns_ = -1;
   std::int64_t mark_messages_ = 0;
   std::int64_t mark_bytes_ = 0;
+  std::int64_t idle_rounds_ = 0;
 };
 
 }  // namespace treesched

@@ -1,10 +1,7 @@
 #include "dist/transport.hpp"
 
-#include <array>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -19,8 +16,6 @@ const char* to_string(TransportKind kind) {
       return "inproc";
     case TransportKind::kSerialized:
       return "serialized";
-    case TransportKind::kThreadedSerialized:
-      return "threaded";
     case TransportKind::kFaulty:
       return "faulty";
   }
@@ -30,11 +25,9 @@ const char* to_string(TransportKind kind) {
 TransportKind parse_transport_kind(const std::string& name) {
   if (name == "inproc") return TransportKind::kInProc;
   if (name == "serialized") return TransportKind::kSerialized;
-  if (name == "threaded" || name == "threaded-serialized")
-    return TransportKind::kThreadedSerialized;
   if (name == "faulty") return TransportKind::kFaulty;
   check_input(false, "unknown transport '" + name +
-                         "' (expected inproc|serialized|threaded|faulty)");
+                         "' (expected inproc|serialized|faulty)");
   return TransportKind::kInProc;  // unreachable
 }
 
@@ -259,47 +252,6 @@ class InProcTransport final : public Transport {
   std::vector<std::vector<Message>> inbox_;
 };
 
-// Per-destination byte buffers shared by the two serialized backends.
-struct ByteBox {
-  std::vector<std::uint8_t> staging;   // posted since the last flush
-  std::int64_t staged_count = 0;
-  std::vector<std::uint8_t> delivery;  // flushed, not yet drained
-  std::int64_t count = 0;
-};
-
-// Moves a box's staged bytes across the round boundary, retaining both
-// buffers' capacity.
-void flush_box(ByteBox& box) {
-  if (box.staged_count == 0) return;
-  box.delivery.insert(box.delivery.end(), box.staging.begin(),
-                      box.staging.end());
-  box.staging.clear();
-  box.count += box.staged_count;
-  box.staged_count = 0;
-}
-
-// Decodes a box's delivered bytes into `out`, overwriting recycled
-// Message slots in place (payload capacity included) so a steady-state
-// round needs no allocation at all.
-void drain_box(ByteBox& box, std::vector<Message>& out,
-               std::int64_t& decoded) {
-  const auto n = static_cast<std::size_t>(box.count);
-  if (out.size() > n) out.resize(n);
-  std::size_t offset = 0;
-  std::size_t i = 0;
-  while (offset < box.delivery.size()) {
-    if (i == out.size()) out.emplace_back();
-    const bool ok = decode_message(
-        {box.delivery.data(), box.delivery.size()}, offset, out[i]);
-    TS_REQUIRE(ok);  // internal buffers are always well-formed
-    ++i;
-    ++decoded;
-  }
-  TS_REQUIRE(i == n);
-  box.delivery.clear();
-  box.count = 0;
-}
-
 // Every message crosses the codec: encoded into its destination's byte
 // buffer at post, decoded back out at drain.  Single-driver, like the
 // in-proc path.
@@ -310,6 +262,8 @@ class SerializedTransport final : public Transport {
 
   void post(Message m) override {
     ByteBox& box = box_[static_cast<std::size_t>(m.to)];
+    // A box's first post of the round puts it on the flush list.
+    if (box.staged_count == 0) posted_.push_back(m.to);
     const std::size_t bytes = encode_message(m, box.staging);
     TS_DCHECK(bytes ==
               static_cast<std::size_t>(message_wire_bytes(m)));
@@ -319,11 +273,39 @@ class SerializedTransport final : public Transport {
   }
 
   void flush() override {
-    for (ByteBox& box : box_) flush_box(box);
+    // Only the boxes posted to this round: the staged bytes move behind
+    // any undrained delivery, both buffers keeping their capacity.
+    for (int to : posted_) {
+      ByteBox& box = box_[static_cast<std::size_t>(to)];
+      box.delivery.insert(box.delivery.end(), box.staging.begin(),
+                          box.staging.end());
+      box.staging.clear();
+      box.count += box.staged_count;
+      box.staged_count = 0;
+    }
+    posted_.clear();
   }
 
+  // Decodes the node's delivered bytes into `out`, overwriting recycled
+  // Message slots in place (payload capacity included) so a steady-state
+  // round needs no allocation at all.
   void drain(int node, std::vector<Message>& out) override {
-    drain_box(box_[static_cast<std::size_t>(node)], out, decoded_);
+    ByteBox& box = box_[static_cast<std::size_t>(node)];
+    const auto n = static_cast<std::size_t>(box.count);
+    if (out.size() > n) out.resize(n);
+    std::size_t offset = 0;
+    std::size_t i = 0;
+    while (offset < box.delivery.size()) {
+      if (i == out.size()) out.emplace_back();
+      const bool ok = decode_message(
+          {box.delivery.data(), box.delivery.size()}, offset, out[i]);
+      TS_REQUIRE(ok);  // internal buffers are always well-formed
+      ++i;
+      ++decoded_;
+    }
+    TS_REQUIRE(i == n);
+    box.delivery.clear();
+    box.count = 0;
   }
 
   TransportKind kind() const override { return TransportKind::kSerialized; }
@@ -332,74 +314,23 @@ class SerializedTransport final : public Transport {
   std::int64_t codec_decoded() const override { return decoded_; }
 
  private:
+  struct ByteBox {
+    std::vector<std::uint8_t> staging;   // posted since the last flush
+    std::int64_t staged_count = 0;
+    std::vector<std::uint8_t> delivery;  // flushed, not yet drained
+    std::int64_t count = 0;
+  };
+
   std::vector<ByteBox> box_;
+  std::vector<int> posted_;  // boxes with staged bytes, first-post order
   std::int64_t encoded_ = 0;
   std::int64_t decoded_ = 0;
 };
 
-// The serialized wire with each destination's staging queue behind its
-// own mutex: concurrent threads may post between round boundaries, and
-// distinct nodes' inboxes may be drained concurrently (each drain only
-// touches its own box).  flush() stays the single driver-side barrier —
-// the caller must guarantee no post is in flight across it, exactly the
-// synchronous-model discipline Runtime::step already imposes.
-class ThreadedSerializedTransport final : public Transport {
- public:
-  explicit ThreadedSerializedTransport(int num_nodes)
-      : box_(static_cast<std::size_t>(num_nodes)),
-        mutex_(std::make_unique<std::mutex[]>(
-            static_cast<std::size_t>(num_nodes))) {}
-
-  void post(Message m) override {
-    const auto to = static_cast<std::size_t>(m.to);
-    std::lock_guard<std::mutex> lock(mutex_[to]);
-    encode_message(m, box_[to].staging);
-    ++box_[to].staged_count;
-    encoded_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void flush() override {
-    for (std::size_t v = 0; v < box_.size(); ++v) {
-      std::lock_guard<std::mutex> lock(mutex_[v]);
-      flush_box(box_[v]);
-    }
-  }
-
-  void drain(int node, std::vector<Message>& out) override {
-    const auto v = static_cast<std::size_t>(node);
-    std::lock_guard<std::mutex> lock(mutex_[v]);
-    std::int64_t decoded = 0;
-    drain_box(box_[v], out, decoded);
-    decoded_.fetch_add(decoded, std::memory_order_relaxed);
-  }
-
-  TransportKind kind() const override {
-    return TransportKind::kThreadedSerialized;
-  }
-  const char* round_span_name() const override { return "round.threaded"; }
-  std::int64_t codec_encoded() const override {
-    return encoded_.load(std::memory_order_relaxed);
-  }
-  std::int64_t codec_decoded() const override {
-    return decoded_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::vector<ByteBox> box_;
-  std::unique_ptr<std::mutex[]> mutex_;  // one per destination box
-  std::atomic<std::int64_t> encoded_{0};
-  std::atomic<std::int64_t> decoded_{0};
-};
-
 std::unique_ptr<Transport> make_concrete(TransportKind kind, int num_nodes) {
-  switch (kind) {
-    case TransportKind::kSerialized:
-      return std::make_unique<SerializedTransport>(num_nodes);
-    case TransportKind::kThreadedSerialized:
-      return std::make_unique<ThreadedSerializedTransport>(num_nodes);
-    default:
-      return std::make_unique<InProcTransport>(num_nodes);
-  }
+  if (kind == TransportKind::kSerialized)
+    return std::make_unique<SerializedTransport>(num_nodes);
+  return std::make_unique<InProcTransport>(num_nodes);
 }
 
 // The unreliable channel plus the recovery layer that masks it.  Every
@@ -411,7 +342,7 @@ std::unique_ptr<Transport> make_concrete(TransportKind kind, int num_nodes) {
 // declared lost), and the surviving frames are decoded in posting order
 // into the inner backend — so whenever recovery wins, the inner backend
 // observes a byte stream identical to a fault-free run.  Single-driver,
-// like every non-threaded backend.
+// like every backend.
 class FaultyTransport final : public Transport {
  public:
   FaultyTransport(const FaultPlan& plan, int num_nodes)
@@ -436,6 +367,10 @@ class FaultyTransport final : public Transport {
 
   void post(Message m) override {
     DstBox& box = box_[static_cast<std::size_t>(m.to)];
+    if (!box.listed) {
+      box.listed = true;
+      listed_.push_back(m.to);
+    }
     FrameRef ref;
     ref.src = m.from;
     ref.seq = box.next_seq[static_cast<std::size_t>(m.from)]++;
@@ -448,8 +383,21 @@ class FaultyTransport final : public Transport {
 
   void flush() override {
     const FaultStats before = stats_;
-    for (std::size_t dst = 0; dst < box_.size(); ++dst)
-      deliver_box(static_cast<int>(dst));
+    // Visit only the listed boxes: those posted to this round and those
+    // still holding delayed originals, whose countdowns must tick every
+    // round.  A box leaves the list once it has neither.  Boxes are
+    // independent (fault draws hash their own coordinates, the inner
+    // backend keeps per-destination order), so list order is free.
+    std::size_t keep = 0;
+    for (const int dst : listed_) {
+      deliver_box(dst);
+      DstBox& box = box_[static_cast<std::size_t>(dst)];
+      if (box.inflight.empty())
+        box.listed = false;
+      else
+        listed_[keep++] = dst;
+    }
+    listed_.resize(keep);
     inner_->flush();
     TRACE_COUNTER("wire.fault.retransmits",
                   stats_.retransmits - before.retransmits);
@@ -485,6 +433,7 @@ class FaultyTransport final : public Transport {
     std::vector<FrameRef> manifest;     // this round's frames
     std::vector<std::uint32_t> next_seq;  // per-source stream position
     std::vector<int> inflight;          // delayed originals: rounds left
+    bool listed = false;                // on listed_
   };
 
   // Every fault draw hashes (seed, src, dst, seq, attempt) — replayable
@@ -636,6 +585,7 @@ class FaultyTransport final : public Transport {
   FaultPlan plan_;
   std::unique_ptr<Transport> inner_;
   std::vector<DstBox> box_;
+  std::vector<int> listed_;  // boxes with frames posted or in flight
   FaultStats stats_;
   bool degraded_ = false;
   double p_drop_ = 0.0, p_dup_ = 0.0, p_corrupt_ = 0.0, p_delay_ = 0.0;

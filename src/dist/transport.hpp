@@ -20,12 +20,6 @@
 //                        are reused across rounds; the per-message
 //                        encode/decode hits are counted so tests can
 //                        assert every message really crossed the codec.
-//   kThreadedSerialized  the serialized wire with each destination's
-//                        staging queue behind its own mutex: post() is
-//                        safe from concurrent threads between round
-//                        boundaries, and distinct nodes' delivered
-//                        buffers may be drained concurrently.  step()
-//                        remains the single driver-side barrier.
 //   kFaulty              an *unreliable* channel plus the recovery layer
 //                        that masks it: wraps any inner backend, frames
 //                        every message with a CRC32 and a per-(src,dst)
@@ -44,11 +38,16 @@
 //
 // All backends are observationally identical: same delivery order (per
 // destination, posting order), same round/message/byte counts — the
-// parity suites hold them to exact (==) agreement.  A future socket/MPI
-// backend implements this same interface; the codec below is its wire
-// format, and the kFaulty recovery sublayer (frame checksum + sequence
-// numbers + in-barrier retransmit) is the reliability contract it must
-// honor.
+// parity suites hold them to exact (==) agreement.  Every backend is
+// single-driver, and a flush() costs O(messages it moves + 1): it visits
+// only the destinations posted to since the previous flush (kFaulty also
+// the ones holding delayed frames), never every box, so the long idle
+// stretches of the protocols' fixed schedules cost next to nothing.
+//
+// A future socket/MPI backend implements this same interface; the codec
+// below is its wire format, and the kFaulty recovery sublayer (frame
+// checksum + sequence numbers + in-barrier retransmit) is the
+// reliability contract it must honor.
 #pragma once
 
 #include <cstdint>
@@ -82,14 +81,12 @@ enum class TransportKind {
   kDefault,  // resolve via TREESCHED_TRANSPORT (unset -> kInProc)
   kInProc,
   kSerialized,
-  kThreadedSerialized,
   kFaulty,
 };
 
 const char* to_string(TransportKind kind);
-// "inproc" | "serialized" | "threaded" (alias "threaded-serialized") |
-// "faulty"; throws std::invalid_argument on anything else (user-facing
-// flags).
+// "inproc" | "serialized" | "faulty"; throws std::invalid_argument,
+// naming the valid set, on anything else (user-facing flags).
 TransportKind parse_transport_kind(const std::string& name);
 // Resolves kDefault through the TREESCHED_TRANSPORT environment variable
 // (read once per process, same env-hook pattern as TREESCHED_TRACE in
@@ -216,7 +213,8 @@ class Transport {
   virtual void post(Message m) = 0;
 
   // Round boundary: everything posted since the previous flush() becomes
-  // drainable at its destination.  Driver-side only, on every backend.
+  // drainable at its destination.  Driver-side only, on every backend,
+  // and O(messages moved + 1): an idle round touches no box.
   virtual void flush() = 0;
 
   // Fills `out` with node's delivered-but-undrained messages, in posting

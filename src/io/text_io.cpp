@@ -18,6 +18,33 @@ void expect_token(std::istream& is, const std::string& expected) {
               "expected '" + expected + "', got '" + token + "'");
 }
 
+// Every read is checked before its value is used: a truncated or
+// malformed file stops at the first bad field, before any count it
+// carries can drive an allocation or a loop.
+void check_read(const std::istream& is, const char* what) {
+  check_input(static_cast<bool>(is), std::string("truncated or malformed ") +
+                                         what);
+}
+
+// An access-set size: at least one entry, at most one per network
+// (resource) — the writers emit deduplicated sets.
+std::size_t read_access_count(std::istream& is, int limit) {
+  long long count = 0;
+  is >> count;
+  check_read(is, "access count");
+  check_input(count >= 1 && count <= limit,
+              "access count " + std::to_string(count) + " out of range [1, " +
+                  std::to_string(limit) + "]");
+  return static_cast<std::size_t>(count);
+}
+
+std::vector<NetworkId> read_access(std::istream& is, int limit) {
+  std::vector<NetworkId> acc(read_access_count(is, limit));
+  for (auto& q : acc) is >> q;
+  check_read(is, "access set");
+  return acc;
+}
+
 }  // namespace
 
 void write_problem(std::ostream& os, const Problem& problem) {
@@ -55,14 +82,17 @@ Problem read_problem(std::istream& is) {
   expect_token(is, "vertices");
   VertexId n = 0;
   is >> n;
+  check_read(is, "vertex count");
   expect_token(is, "networks");
   int r = 0;
   is >> r;
+  check_read(is, "network count");
   check_input(n >= 1 && r >= 1, "bad problem header");
 
+  // No reserve from the header's counts: the vectors grow only as the
+  // file actually supplies networks and edges.
   std::vector<TreeNetwork> networks;
   std::vector<std::vector<Capacity>> capacities;
-  networks.reserve(static_cast<std::size_t>(r));
   for (int q = 0; q < r; ++q) {
     expect_token(is, "network");
     int qq = 0;
@@ -74,6 +104,7 @@ Problem read_problem(std::istream& is) {
       VertexId u = 0, v = 0;
       Capacity c = 1.0;
       is >> u >> v >> c;
+      check_read(is, "network edge");
       edges.emplace_back(u, v);
       caps.push_back(c);
     }
@@ -93,20 +124,19 @@ Problem read_problem(std::istream& is) {
   expect_token(is, "demands");
   int m = 0;
   is >> m;
+  check_read(is, "demand count");
   check_input(m >= 1, "problem needs demands");
   for (int k = 0; k < m; ++k) {
     VertexId u = 0, v = 0;
     Profit profit = 0.0;
     Height height = 1.0;
-    std::size_t acc_count = 0;
-    is >> u >> v >> profit >> height >> acc_count;
+    is >> u >> v >> profit >> height;
+    check_read(is, "demand");
+    std::vector<NetworkId> acc = read_access(is, r);
     const DemandId d = problem.add_demand(u, v, profit, height);
-    std::vector<NetworkId> acc(acc_count);
-    for (auto& q : acc) is >> q;
     problem.set_access(d, std::move(acc));
   }
   expect_token(is, "end");
-  check_input(static_cast<bool>(is), "truncated problem file");
   problem.finalize();
   return problem;
 }
@@ -136,28 +166,30 @@ LineProblem read_line_problem(std::istream& is) {
   expect_token(is, "slots");
   int slots = 0;
   is >> slots;
+  check_read(is, "slot count");
   expect_token(is, "resources");
   int resources = 0;
   is >> resources;
+  check_read(is, "resource count");
   LineProblem line(slots, resources);
 
   expect_token(is, "demands");
   int m = 0;
   is >> m;
+  check_read(is, "demand count");
+  check_input(m >= 0, "negative demand count");
   for (int k = 0; k < m; ++k) {
     int release = 0, deadline = 0, proc = 0;
     Profit profit = 0.0;
     Height height = 1.0;
-    std::size_t acc_count = 0;
-    is >> release >> deadline >> proc >> profit >> height >> acc_count;
+    is >> release >> deadline >> proc >> profit >> height;
+    check_read(is, "line demand");
+    std::vector<NetworkId> acc = read_access(is, resources);
     const DemandId d = line.add_demand(release, deadline, proc, profit,
                                        height);
-    std::vector<NetworkId> acc(acc_count);
-    for (auto& q : acc) is >> q;
     line.set_access(d, std::move(acc));
   }
   expect_token(is, "end");
-  check_input(static_cast<bool>(is), "truncated line-problem file");
   return line;
 }
 
@@ -171,12 +203,18 @@ Solution read_solution(std::istream& is) {
   int version = 0;
   is >> version;
   check_input(version == 1, "unsupported solution version");
-  std::size_t count = 0;
+  long long count = 0;
   is >> count;
+  check_read(is, "solution count");
+  check_input(count >= 0, "negative solution count");
+  // Grows with the entries actually read, never from the count alone.
   Solution solution;
-  solution.selected.resize(count);
-  for (auto& i : solution.selected) is >> i;
-  check_input(static_cast<bool>(is), "truncated solution file");
+  for (long long k = 0; k < count; ++k) {
+    InstanceId i = 0;
+    is >> i;
+    check_read(is, "solution entry");
+    solution.selected.push_back(i);
+  }
   return solution;
 }
 

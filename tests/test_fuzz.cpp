@@ -5,10 +5,13 @@
 // conflict density).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstring>
 
+#include <algorithm>
 #include <queue>
+#include <sstream>
 
 #include "common/rng.hpp"
 #include "decomp/layered.hpp"
@@ -18,11 +21,13 @@
 #include "dist/scheduler.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "framework/two_phase.hpp"
+#include "io/text_io.hpp"
 #include "online/event_stream.hpp"
 #include "online/journal.hpp"
 #include "online/online_scheduler.hpp"
 #include "online/snapshot.hpp"
 #include "test_util.hpp"
+#include "workload/line_gen.hpp"
 #include "workload/scenario.hpp"
 #include "workload/tree_gen.hpp"
 
@@ -374,10 +379,11 @@ TEST(Fuzz, MessageCodecRoundTripsRandomStreams) {
       ASSERT_EQ(out.to, m.to);
       ASSERT_EQ(out.tag, m.tag);
       ASSERT_EQ(out.data.size(), m.data.size());
-      if (!m.data.empty())
+      if (!m.data.empty()) {
         ASSERT_EQ(std::memcmp(out.data.data(), m.data.data(),
                               m.data.size() * sizeof(double)),
                   0);
+      }
       // decode(encode(m)) == m implies encode(decode(bytes)) == bytes.
       std::vector<std::uint8_t> again;
       encode_message(out, again);
@@ -437,9 +443,9 @@ TEST(Fuzz, MessageCodecSurvivesTruncationAndGarbage) {
 
 TEST(Fuzz, ProtocolTransportInvarianceOnRandomInstances) {
   // Random problems through the full wide/narrow protocol on each
-  // backend: the serialized wires must reproduce the in-proc run's
-  // selection and counters exactly while pushing every message through
-  // the codec.
+  // backend: the serialized wire and the kFaulty framing layer must
+  // reproduce the in-proc run's selection and counters exactly while
+  // pushing every message through the codec.
   Rng rng(412);
   for (int round = 0; round < 3; ++round) {
     TreeScenarioSpec spec;
@@ -458,8 +464,8 @@ TEST(Fuzz, ProtocolTransportInvarianceOnRandomInstances) {
     options.keep_stack = true;
     options.transport = TransportKind::kInProc;
     const ProtocolRunResult ref = run_height_split_protocol(p, plan, options);
-    for (const TransportKind kind : {TransportKind::kSerialized,
-                                     TransportKind::kThreadedSerialized}) {
+    for (const TransportKind kind :
+         {TransportKind::kSerialized, TransportKind::kFaulty}) {
       options.transport = kind;
       const ProtocolRunResult got =
           run_height_split_protocol(p, plan, options);
@@ -677,7 +683,9 @@ void require_replay_is_exact_prefix(const JournalImage& image,
   for (std::uint32_t b = 0; b < replay.batches.size(); ++b)
     encode_journal_record(replay.batches[b], b, again);
   ASSERT_EQ(again.size(), image.boundaries[replay.batches.size()]) << what;
-  ASSERT_EQ(std::memcmp(again.data(), image.bytes.data(), again.size()), 0)
+  // std::equal, not memcmp: an empty `again` has a null data(), which
+  // memcmp may not be passed even for a zero length.
+  ASSERT_TRUE(std::equal(again.begin(), again.end(), image.bytes.begin()))
       << what;
 }
 
@@ -771,6 +779,157 @@ TEST(Fuzz, SnapshotCodecRejectsTruncationAndBitFlips) {
     error.clear();
     ASSERT_FALSE(decode_snapshot(flipped, out, &error)) << "byte " << byte;
     ASSERT_FALSE(error.empty()) << "byte " << byte;
+  }
+}
+
+// A text file split into whitespace-separated tokens, with the byte
+// range of each and the indexes of its count fields, so a test can cut
+// the file short or rewrite one count.
+struct TextImage {
+  std::string text;
+  std::vector<std::size_t> start, end;  // token k is text[start[k], end[k])
+  std::vector<std::size_t> counts;      // tokens that are count fields
+};
+
+TextImage tokenize(std::string text) {
+  TextImage image;
+  image.text = std::move(text);
+  const std::string& t = image.text;
+  for (std::size_t at = 0; at < t.size();) {
+    if (std::isspace(static_cast<unsigned char>(t[at]))) {
+      ++at;
+      continue;
+    }
+    image.start.push_back(at);
+    while (at < t.size() && !std::isspace(static_cast<unsigned char>(t[at])))
+      ++at;
+    image.end.push_back(at);
+  }
+  return image;
+}
+
+long long token_value(const TextImage& image, std::size_t k) {
+  return std::stoll(
+      image.text.substr(image.start[k], image.end[k] - image.start[k]));
+}
+
+// Records the count fields of demand records starting at token k, each
+// `fields` tokens long before its access-set size.
+void mark_demand_counts(TextImage& image, std::size_t k, long long demands,
+                        std::size_t fields) {
+  for (long long d = 0; d < demands; ++d) {
+    image.counts.push_back(k + fields);
+    k += fields + 1 + static_cast<std::size_t>(token_value(image, k + fields));
+  }
+}
+
+// treesched-problem 1 vertices N networks R (network q (u v c)^(N-1))^R
+// demands M (u v profit height A q^A)^M end
+TextImage problem_image(const Problem& p) {
+  std::ostringstream os;
+  write_problem(os, p);
+  TextImage image = tokenize(os.str());
+  const long long n = token_value(image, 3), r = token_value(image, 5);
+  const auto demands = static_cast<std::size_t>(6 + r * (2 + 3 * (n - 1)));
+  image.counts = {3, 5, demands + 1};
+  mark_demand_counts(image, demands + 2, token_value(image, demands + 1), 4);
+  return image;
+}
+
+// treesched-line 1 slots S resources Q demands M
+// (release deadline proc profit height A q^A)^M end
+TextImage line_image(const LineProblem& line) {
+  std::ostringstream os;
+  write_line_problem(os, line);
+  TextImage image = tokenize(os.str());
+  image.counts = {7};
+  mark_demand_counts(image, 8, token_value(image, 7), 5);
+  return image;
+}
+
+// treesched-solution 1 C id^C
+TextImage solution_image(const Solution& solution) {
+  std::ostringstream os;
+  write_solution(os, solution);
+  TextImage image = tokenize(os.str());
+  image.counts = {2};
+  return image;
+}
+
+// The file parses whole; every prefix that drops its last token, and
+// every rewrite of one count field to a value no file of this size can
+// honor, ends in a check_input diagnostic — never bad_alloc, a length
+// error or an abort.
+template <typename Read>
+void expect_damage_rejected(const TextImage& image, const Read& read,
+                            Rng& rng, const std::string& what) {
+  {
+    std::istringstream is(image.text);
+    EXPECT_NO_THROW(read(is)) << what;
+  }
+  const auto rejected = [&](const std::string& text, const std::string& how) {
+    std::istringstream is(text);
+    try {
+      read(is);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("treesched: ", 0), 0u)
+          << what << ", " << how;
+      return;
+    }
+    ADD_FAILURE() << what << ": accepted " << how;
+  };
+  for (std::size_t len = 0; len <= image.start.back(); ++len)
+    rejected(image.text.substr(0, len), "prefix " + std::to_string(len));
+  const auto with = [&](std::size_t k, const std::string& value) {
+    return image.text.substr(0, image.start[k]) + value +
+           image.text.substr(image.end[k]);
+  };
+  const auto tokens = static_cast<std::uint64_t>(image.start.size());
+  for (const std::size_t k : image.counts) {
+    for (const char* value : {"99999999999", "2147483647", "-1",
+                              "-2147483648", "18446744073709551616", "x"})
+      rejected(with(k, value),
+               "count token " + std::to_string(k) + " = " + value);
+    // More entries than the whole file has tokens.
+    for (int t = 0; t < 4; ++t) {
+      const std::string value =
+          std::to_string(tokens + rng.next_below(1u << 20));
+      rejected(with(k, value),
+               "count token " + std::to_string(k) + " = " + value);
+    }
+  }
+}
+
+TEST(Fuzz, TextInputRejectsTruncationAndOversizeCounts) {
+  // The text formats are untrusted input: a damaged problem, line or
+  // solution file is rejected with a diagnostic before any count it
+  // carries drives an allocation or a loop.
+  Rng rng(419);
+  for (std::uint64_t seed = 419; seed < 422; ++seed) {
+    const std::string what = "seed " + std::to_string(seed);
+    const Problem tree =
+        testutil::small_tree_problem(seed, 16, 2, 6, HeightLaw::kBimodal);
+    expect_damage_rejected(
+        problem_image(tree), [](std::istream& is) { read_problem(is); }, rng,
+        what + " problem");
+
+    LineGenConfig cfg;
+    cfg.num_slots = 20;
+    cfg.num_resources = 3;
+    cfg.num_demands = 6;
+    cfg.max_proc_time = 5;
+    cfg.access_size = 2;
+    Rng gen(seed);
+    expect_damage_rejected(
+        line_image(make_random_line_problem(cfg, gen)),
+        [](std::istream& is) { read_line_problem(is); }, rng,
+        what + " line");
+
+    Solution solution;
+    solution.selected = {3, 1, 4, 1, 5};
+    expect_damage_rejected(
+        solution_image(solution),
+        [](std::istream& is) { read_solution(is); }, rng, what + " solution");
   }
 }
 

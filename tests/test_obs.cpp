@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "decomp/layered.hpp"
+#include "dist/runtime.hpp"
 #include "dist/scheduler.hpp"
 #include "framework/two_phase.hpp"
 #include "obs/metrics.hpp"
@@ -271,6 +273,87 @@ TEST(ObsMetrics, MisFailedStepsCounterMatchesStats) {
                 .counter("engine.mis_failed_steps")
                 .value(),
             run.stats.mis_failed_steps);
+}
+
+bool is_round_span(const obs::SpanRecord& rec) {
+  return std::string(rec.category) == "wire" &&
+         std::string(rec.name).rfind("round", 0) == 0;
+}
+
+bool is_idle_span(const obs::SpanRecord& rec) {
+  return std::string(rec.category) == "wire" &&
+         std::string(rec.name) == "idle";
+}
+
+TEST(ObsTrace, IdleRoundsCollapseIntoStretches) {
+  // A round with traffic gets its own span; a run of idle rounds gets
+  // one "idle" span whose "rounds" arg counts them, closed by the next
+  // traffic round or, for a trailing stretch, by ~Runtime.
+  TraceReset guard;
+  obs::enable_tracing();
+  {
+    Runtime rt(3);
+    rt.connect(0, 1);
+    rt.post(Message{0, 1, 0, {1.0}});
+    rt.step();
+    for (int r = 0; r < 3; ++r) rt.step();
+    rt.post(Message{1, 0, 0, {}});
+    rt.post(Message{0, 1, 0, {}});
+    rt.step();
+    for (int r = 0; r < 2; ++r) rt.step();
+  }
+  obs::disable_tracing();
+
+  std::vector<obs::SpanRecord> wire;
+  for (const obs::SpanRecord& rec : obs::collect_spans())
+    if (is_round_span(rec) || is_idle_span(rec)) wire.push_back(rec);
+  // Recording order (one thread, so per-thread sequence order).
+  std::sort(wire.begin(), wire.end(),
+            [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
+              return a.seq < b.seq;
+            });
+  ASSERT_EQ(wire.size(), 4u);
+  EXPECT_TRUE(is_round_span(wire[0]));
+  EXPECT_EQ(wire[0].arg_val[0], 1);  // messages
+  EXPECT_TRUE(is_idle_span(wire[1]));
+  EXPECT_STREQ(wire[1].arg_key[0], "rounds");
+  EXPECT_EQ(wire[1].arg_val[0], 3);
+  EXPECT_TRUE(is_round_span(wire[2]));
+  EXPECT_EQ(wire[2].arg_val[0], 2);
+  EXPECT_TRUE(is_idle_span(wire[3]));
+  EXPECT_EQ(wire[3].arg_val[0], 2);
+  // The stretches tile the timeline between the traffic rounds.
+  EXPECT_EQ(wire[1].start_ns, wire[0].start_ns + wire[0].dur_ns);
+  EXPECT_EQ(wire[2].start_ns, wire[1].start_ns + wire[1].dur_ns);
+  EXPECT_EQ(wire[3].start_ns, wire[2].start_ns + wire[2].dur_ns);
+}
+
+TEST(ObsTrace, WireSpansAccountForEveryRoundStepped) {
+  // On a whole protocol run — fixed schedule, mostly idle tuples —
+  // traffic-round spans + the idle spans' rounds == rounds stepped, and
+  // the trace keeps all of them.
+  TraceReset guard;
+  const Problem p = small_tree_problem(12, 32, 2, 18);
+  ProtocolOptions options;
+  options.epsilon = 0.25;
+  options.seed = 3;
+  obs::enable_tracing();
+  const ProtocolDistResult traced = run_tree_arbitrary_protocol(p, options);
+  obs::disable_tracing();
+
+  std::int64_t traffic = 0, idle = 0, stretches = 0;
+  for (const obs::SpanRecord& rec : obs::collect_spans()) {
+    if (is_round_span(rec)) ++traffic;
+    if (is_idle_span(rec)) {
+      idle += rec.arg_val[0];
+      ++stretches;
+    }
+  }
+  EXPECT_EQ(traffic + idle, traced.run.rounds - traced.run.combine_rounds);
+  EXPECT_GT(traffic, 0);
+  EXPECT_GT(stretches, 0);
+  EXPECT_GT(idle, traffic);  // the schedule is mostly idle
+  EXPECT_EQ(obs::trace_stats().overwritten, 0);
 }
 
 #endif  // TREESCHED_TRACING_DISABLED

@@ -53,16 +53,16 @@ bool uses_codec(TransportKind kind) {
   // suites below hold it to bit-identity) its frame-codec counters
   // equal the message counters exactly like the plain serialized wires.
   return kind == TransportKind::kSerialized ||
-         kind == TransportKind::kThreadedSerialized ||
          kind == TransportKind::kFaulty;
 }
 
-// The transport axis of the parity suite: reruns a protocol on each
-// serialized backend and holds every reported field — selection, stacks,
-// final LHS, lambda, and all round/message/byte counters, per pass and
-// total — to exact (==) equality with the reference run.  The codec
-// counters must additionally account for every charged message (each one
-// really encoded at post and decoded at drain).
+// The transport axis of the parity suite: reruns a protocol on the
+// serialized wire and on the kFaulty framing layer (with no plan, or
+// the environment's masked one) and holds every reported field —
+// selection, stacks, final LHS, lambda, and all round/message/byte
+// counters, per pass and total — to exact (==) equality with the
+// reference run.  The codec counters must additionally account for every
+// charged message (each one really encoded at post and decoded at drain).
 template <typename RunFn>
 void expect_transport_axis(const RunFn& rerun, const ProtocolRunResult& ref,
                            const std::string& what) {
@@ -73,7 +73,7 @@ void expect_transport_axis(const RunFn& rerun, const ProtocolRunResult& ref,
       << what;
   EXPECT_EQ(ref.codec_decoded, ref.codec_encoded) << what;
   for (const TransportKind kind :
-       {TransportKind::kSerialized, TransportKind::kThreadedSerialized}) {
+       {TransportKind::kSerialized, TransportKind::kFaulty}) {
     const ProtocolRunResult got = rerun(kind);
     const std::string tag = what + " transport=" + to_string(kind);
     EXPECT_EQ(got.transport, kind) << tag;

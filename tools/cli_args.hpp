@@ -112,7 +112,9 @@ inline Args parse(int argc, const char* const* argv) {
       } else if (contains(bool_flags(), name)) {
         if (eq != std::string::npos)
           throw UsageError("flag --" + name + " takes no value");
-        args.flags[name] = "1";
+        // A moved-in string, not operator=(const char*): GCC 12's
+        // -Wrestrict misfires on the latter's inlined memcpy at -O3.
+        args.flags[name] = std::string("1");
       } else {
         throw UsageError("unknown flag --" + name);
       }

@@ -12,7 +12,7 @@
 //                 nonuniform|protocol|online] [--eps=0.1] [--ps] [--seed=1]
 //                 [--decomp=ideal|balancing|rootfix] [--out=sol.txt]
 //                 [--trace=trace.json]
-//                 [--transport=inproc|serialized|threaded]
+//                 [--transport=inproc|serialized|faulty]
 //                 [--faults=drop=0.05,dup=0.02,corrupt=0.01,seed=1]
 //                 [--arrivals=poisson|bursty|diurnal] [--rate=8]
 //                 [--batches=16] [--interval=1.0] [--lifetime=8.0]
@@ -49,8 +49,9 @@
 // protocol (dist/protocol_scheduler) instead of the modeled engine, and
 // --transport picks its communication backend (dist/transport.hpp);
 // unset, the TREESCHED_TRANSPORT environment hook decides.  On the
-// serialized backends the reported bytes are real serialized sizes and
-// the codec counters show every message crossing the wire format.
+// serialized and faulty backends the reported bytes are real serialized
+// sizes and the codec counters show every message crossing the wire
+// format.
 // --faults wraps the backend in the kFaulty recovery layer (see
 // parse_fault_plan in dist/transport.hpp for the full key set) and
 // prints the fault/retransmit/dedup/corruption counters plus the
