@@ -19,16 +19,11 @@
 //    every instance is touched anyway; the two engines are near parity,
 //    with the incremental engine paying its propagation constant.
 //
-// The parallel arms sweep threads in {1, 2, 4, 8} on the persistent
-// component forest, plus a threads=4 arm on the legacy per-epoch
-// recompute (use_component_forest = false) so the series records both
-// sides of the epoch-setup ablation; every arm emits its
-// epoch_setup_ns / forest_build_ns / merge_ns breakdown (bench_f13
-// isolates the setup cost and enforces the >= 2x gate).
+// The parallel arms sweep threads in {1, 2, 4, 8}; every arm emits its
+// epoch_setup_ns / forest_build_ns / merge_ns breakdown.
 //
-// All engines produce bit-identical output (tests/test_engine_parity,
-// tests/test_component_forest), so every row below differs only in wall
-// time, never in results.
+// All engines produce bit-identical output (tests/test_engine_parity),
+// so every row below differs only in wall time, never in results.
 #include <chrono>
 #include <string>
 
@@ -48,16 +43,14 @@ struct Arm {
   const char* name;
   EngineImpl engine;
   int threads;
-  bool forest;
 };
 
 constexpr Arm kArms[] = {
-    {"central", EngineImpl::kCentralReference, 1, true},
-    {"incr-t1", EngineImpl::kIncremental, 1, true},
-    {"incr-t2", EngineImpl::kIncremental, 2, true},
-    {"incr-t4", EngineImpl::kIncremental, 4, true},
-    {"incr-t8", EngineImpl::kIncremental, 8, true},
-    {"incr-t4-legacy", EngineImpl::kIncremental, 4, false},
+    {"central", EngineImpl::kCentralReference, 1},
+    {"incr-t1", EngineImpl::kIncremental, 1},
+    {"incr-t2", EngineImpl::kIncremental, 2},
+    {"incr-t4", EngineImpl::kIncremental, 4},
+    {"incr-t8", EngineImpl::kIncremental, 8},
 };
 
 struct Measurement {
@@ -77,7 +70,6 @@ Measurement run_engine(const Problem& p, const LayeredPlan& plan,
   config.lockstep = lockstep;
   config.engine = arm.engine;
   config.threads = arm.threads;
-  config.use_component_forest = arm.forest;
   const auto start = std::chrono::steady_clock::now();
   const SolveResult run = solve_with_plan(p, plan, config);
   const auto stop = std::chrono::steady_clock::now();
@@ -144,8 +136,6 @@ int main(int argc, char** argv) {
 
   std::vector<JsonRecord> runs;
   double largest_speedup = 0.0;
-  double largest_derive_forest = 0.0, largest_build_forest = 0.0;
-  double largest_setup_legacy = 0.0;
 
   for (const bool lockstep : {true, false}) {
     Table table(std::string("F12  ") +
@@ -184,7 +174,6 @@ int main(int argc, char** argv) {
                {"engine",
                 arm.engine == EngineImpl::kCentralReference ? 0.0 : 1.0},
                {"threads", static_cast<double>(arm.threads)},
-               {"forest", arm.forest ? 1.0 : 0.0},
                {"steps", static_cast<double>(m.steps)},
                {"wall_ms", m.wall_ms},
                {"steps_per_sec", m.steps_per_sec},
@@ -198,17 +187,6 @@ int main(int argc, char** argv) {
           if (lockstep && workload == 0 && n == sizes.back() &&
               arm.engine == EngineImpl::kIncremental && arm.threads == 1)
             largest_speedup = speedup;
-          // Epoch-setup ablation readout at the largest size per
-          // workload: forest derive (+ one-time build, reported
-          // separately) vs legacy per-epoch union-find, threads=4 arms.
-          if (lockstep && n == sizes.back() && arm.threads == 4) {
-            if (arm.forest) {
-              largest_derive_forest += m.epoch_setup_ns;
-              largest_build_forest += m.forest_build_ns;
-            } else {
-              largest_setup_legacy += m.epoch_setup_ns;
-            }
-          }
         }
       }
     }
@@ -220,16 +198,6 @@ int main(int argc, char** argv) {
               "%.2fx %s\n",
               largest_speedup, largest_speedup >= 5.0 ? "(>= 5x: PASS)"
                                                       : "(< 5x: REGRESSION)");
-  if (largest_derive_forest > 0.0)
-    std::printf("largest-size per-epoch setup (line+tree, t4): legacy "
-                "union-find %.2fms vs forest derive %.2fms (%.0fx lower; "
-                "one-time forest build %.2fms, so build+derive is %.1fx "
-                "lower even unamortized)\n",
-                largest_setup_legacy * 1e-6, largest_derive_forest * 1e-6,
-                largest_setup_legacy / largest_derive_forest,
-                largest_build_forest * 1e-6,
-                largest_setup_legacy /
-                    (largest_derive_forest + largest_build_forest));
   std::printf("expected shape: lockstep speedup grows with instance count "
               "(the eliminated rescan is steps * |members| * path_len); "
               "adaptive stays near 1x because nearly every stage touches "

@@ -126,11 +126,10 @@ class LubyMis : public MisOracle {
   // than the serial single-stream run — threads >= 2 with LubyMis is
   // reproducible but not bit-identical to threads == 1 (GreedyMis is;
   // see MisOracle::component_clone).  The engine keys clones by
-  // component_stream_key(group, first member) under BOTH component
-  // decompositions — the persistent ComponentForest and the legacy
-  // per-epoch recompute — and the clone never consumes this oracle's own
-  // stream, so forest reuse (including skipping fully-satisfied
-  // components without cloning) cannot shift any component's draws.
+  // component_stream_key(group, first member) of the ComponentForest's
+  // partition, and the clone never consumes this oracle's own stream, so
+  // forest reuse (including skipping fully-satisfied components without
+  // cloning) cannot shift any component's draws.
   bool supports_component_clone() const override { return true; }
   std::unique_ptr<MisOracle> component_clone(std::uint64_t key) override;
 

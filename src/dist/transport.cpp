@@ -382,7 +382,9 @@ class FaultyTransport final : public Transport {
   }
 
   void flush() override {
-    const FaultStats before = stats_;
+    // Read only by the TRACE_COUNTERs below, which compile to nothing
+    // when tracing is compiled out.
+    [[maybe_unused]] const FaultStats before = stats_;
     // Visit only the listed boxes: those posted to this round and those
     // still holding delayed originals, whose countdowns must tick every
     // round.  A box leaves the list once it has neither.  Boxes are

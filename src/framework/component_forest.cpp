@@ -43,73 +43,28 @@ void ComponentForest::build(const Problem& problem, const LayeredPlan& plan,
       parent_[static_cast<std::size_t>(a)] = b;
   };
 
-  // Fused active/group lookup: one load per clique entry on the hot
-  // walk below (-1 = inactive).
-  group_of_.assign(static_cast<std::size_t>(n), -1);
-  for (int i = 0; i < n; ++i)
-    if (active_mask[static_cast<std::size_t>(i)])
-      group_of_[static_cast<std::size_t>(i)] =
-          plan.group[static_cast<std::size_t>(i)];
-
-  // Clique chaining, stamped per clique so the per-group scratch never
-  // needs clearing.  Conflicts only matter *within* a group (an epoch
-  // processes one group), so each per-edge / per-demand clique is
-  // chained separately per group.
-  group_last_.assign(static_cast<std::size_t>(std::max(num_groups_, 1)), -1);
-  group_stamp_.assign(static_cast<std::size_t>(std::max(num_groups_, 1)), 0);
-  int stamp = 0;
-
-  const auto chain = [&](std::span<const InstanceId> clique) {
-    ++stamp;
-    for (InstanceId i : clique) {
-      const int group = group_of_[static_cast<std::size_t>(i)];
-      if (group < 0) continue;
-      const auto g = static_cast<std::size_t>(group);
-      if (group_stamp_[g] == stamp) unite(i, group_last_[g]);
-      group_stamp_[g] = stamp;
-      group_last_[g] = i;
-    }
-  };
-
-  bool all_active = true;
-  for (int i = 0; i < n && all_active; ++i)
-    all_active = active_mask[static_cast<std::size_t>(i)] != 0;
-  if (all_active) {
-    for (DemandId d = 0; d < problem.num_demands(); ++d) {
-      const auto& sibs = problem.instances_of_demand(d);
-      chain({sibs.data(), sibs.size()});
-    }
-    // One contiguous walk over the CSR inverted index — the same cliques
-    // split_components reaches through per-member path walks, but bucket
-    // by bucket in index order.
-    for (EdgeId e = 0; e < problem.num_global_edges(); ++e)
-      chain(problem.instances_on_edge(e));
-  } else {
-    // Restricted mask (the wide/narrow split's regime): a CSR walk would
-    // touch every instance's entries just to discard the inactive ones,
-    // so walk the *active members'* paths instead — the same per-group
-    // clique chains split_components runs, but once for all groups.
-    edge_last_.assign(static_cast<std::size_t>(problem.num_global_edges()),
-                      -1);
-    edge_stamp_.assign(edge_last_.size(), 0);
-    demand_last_.assign(static_cast<std::size_t>(problem.num_demands()), -1);
-    demand_stamp_.assign(demand_last_.size(), 0);
-    int walk_stamp = 0;
-    for (int g = 0; g < num_groups_; ++g) {
-      ++walk_stamp;
-      for (InstanceId i : plan.members[static_cast<std::size_t>(g)]) {
-        if (group_of_[static_cast<std::size_t>(i)] < 0) continue;
-        const DemandInstance& inst = problem.instance(i);
-        const auto d = static_cast<std::size_t>(inst.demand);
-        if (demand_stamp_[d] == walk_stamp) unite(i, demand_last_[d]);
-        demand_stamp_[d] = walk_stamp;
-        demand_last_[d] = i;
-        for (EdgeId e : inst.edges) {
-          const auto ge = static_cast<std::size_t>(e);
-          if (edge_stamp_[ge] == walk_stamp) unite(i, edge_last_[ge]);
-          edge_stamp_[ge] = walk_stamp;
-          edge_last_[ge] = i;
-        }
+  // Clique chaining over the active members' paths, group by group:
+  // conflicts only matter *within* a group (an epoch processes one
+  // group), so each per-edge / per-demand clique is chained per group,
+  // stamped per group so the scratch never needs clearing.
+  edge_last_.assign(static_cast<std::size_t>(problem.num_global_edges()), -1);
+  edge_stamp_.assign(edge_last_.size(), 0);
+  demand_last_.assign(static_cast<std::size_t>(problem.num_demands()), -1);
+  demand_stamp_.assign(demand_last_.size(), 0);
+  for (int g = 0; g < num_groups_; ++g) {
+    const int walk_stamp = g + 1;
+    for (InstanceId i : plan.members[static_cast<std::size_t>(g)]) {
+      if (!active_mask[static_cast<std::size_t>(i)]) continue;
+      const DemandInstance& inst = problem.instance(i);
+      const auto d = static_cast<std::size_t>(inst.demand);
+      if (demand_stamp_[d] == walk_stamp) unite(i, demand_last_[d]);
+      demand_stamp_[d] = walk_stamp;
+      demand_last_[d] = i;
+      for (EdgeId e : inst.edges) {
+        const auto ge = static_cast<std::size_t>(e);
+        if (edge_stamp_[ge] == walk_stamp) unite(i, edge_last_[ge]);
+        edge_stamp_[ge] = walk_stamp;
+        edge_last_[ge] = i;
       }
     }
   }
@@ -195,7 +150,6 @@ void ComponentForest::update(const Problem& problem, const LayeredPlan& plan,
   // The problem grows by append (online arrivals materialize as new
   // instance ids past the old count); id-indexed scratch grows with it.
   parent_.resize(static_cast<std::size_t>(n), -1);
-  group_of_.resize(static_cast<std::size_t>(n), -1);
   comp_of_member_.resize(static_cast<std::size_t>(n), -1);
   comp_of_root_.resize(static_cast<std::size_t>(n), -1);
   root_stamp_.resize(static_cast<std::size_t>(n), -1);
@@ -216,7 +170,6 @@ void ComponentForest::update(const Problem& problem, const LayeredPlan& plan,
   dirty_comp_.assign(static_cast<std::size_t>(total_components()), 0);
   for (InstanceId r : removed) {
     TS_DCHECK(!active_mask[static_cast<std::size_t>(r)]);
-    group_of_[static_cast<std::size_t>(r)] = -1;
     touched_group_[static_cast<std::size_t>(
         plan.group[static_cast<std::size_t>(r)])] = 1;
     const int c = comp_of_member_[static_cast<std::size_t>(r)];
@@ -226,7 +179,6 @@ void ComponentForest::update(const Problem& problem, const LayeredPlan& plan,
   for (InstanceId a : added) {
     TS_DCHECK(active_mask[static_cast<std::size_t>(a)]);
     const int g = plan.group[static_cast<std::size_t>(a)];
-    group_of_[static_cast<std::size_t>(a)] = g;
     touched_group_[static_cast<std::size_t>(g)] = 1;
     const DemandInstance& inst = problem.instance(a);
     for (InstanceId k : problem.instances_of_demand(inst.demand)) {

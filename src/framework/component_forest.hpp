@@ -6,33 +6,30 @@
 // epoch's group into conflict-disjoint components (no raise in one
 // component can touch the LHS of another's members).  That partition
 // depends only on static data — the Problem's paths/demands, the plan's
-// group assignment and the active mask — never on the dual state, so
-// recomputing it per epoch (PR 3's split_components: a fresh union-find
-// over every per-edge clique chain, O(sum path) per epoch) repays work
-// the problem structure already fixed.  This class builds the whole
-// forest in ONE pass over the Problem's CSR edge->instances index
-// (contiguous bucket walks instead of scattered per-member path walks)
-// and stores it flat (two-level CSR: group -> components -> members),
-// so an epoch's setup drops to slicing spans + cloning oracles.
+// group assignment and the active mask — never on the dual state, so it
+// is built once: ONE walk over the active members' paths, group by
+// group, chaining every per-edge / per-demand clique into a union-find,
+// stored flat (two-level CSR: group -> components -> members).  An
+// epoch's setup is then span slicing.
 //
-// Determinism contract (what keeps forest-vs-recompute bit-exact, which
-// tests/test_component_forest.cpp enforces with ==):
+// Determinism contract (tests/test_component_forest.cpp checks every
+// group against an independent BFS with ==):
 //  * components of a group are ordered by their smallest member *rank*
-//    (rank = position among the group's active members in plan order) —
-//    exactly the order split_components's min-root union-find emits;
+//    (rank = position among the group's active members in plan order);
 //  * members within a component are in ascending rank;
-//  * hence component_ids(g, c).front() is the same "first member" the
-//    engine keys MisOracle::component_clone streams by
-//    (component_stream_key in two_phase.hpp), so randomized oracles draw
-//    identical per-component streams under either decomposition path.
+//  * hence component_ids(g, c).front() is the "first member" the engine
+//    keys MisOracle::component_clone streams by (component_stream_key in
+//    two_phase.hpp), so a randomized oracle's per-component stream does
+//    not depend on which worker or thread count runs the component.
 //
-// Lifecycle: build() once per (problem, plan, active_mask) combination;
+// Lifecycle: build() once per (problem, plan, active_mask) combination.
 // TwoPhaseEngine builds lazily on the first parallel run and invalidates
-// on restrict_to().  Within a stage the unsatisfied frontier only
-// shrinks, so components only ever split — the engine exploits that by
-// *filtering* (skipping components with no unsatisfied member at the
-// final stage target) rather than re-partitioning; the forest itself
-// never needs updating mid-run.
+// on restrict_to(); the online scheduler keeps one forest per height
+// class and revises it with update().  Within a stage the unsatisfied
+// frontier only shrinks, so components only ever split — the engine
+// exploits that by *filtering* (skipping components with no unsatisfied
+// member) rather than re-partitioning; the forest itself never needs
+// updating mid-run.
 #pragma once
 
 #include <cstdint>
@@ -118,13 +115,8 @@ class ComponentForest {
   // Union-find over instance ids (-1 = inactive), roots canonicalized to
   // the smallest member id; scratch reused across build() calls.
   std::vector<int> parent_;
-  // Per-(edge|demand) clique chaining: last active instance seen per
-  // group, stamped so no clearing is needed between cliques.
-  std::vector<int> group_last_, group_stamp_;
-  // Fused lookup for the build's hot walk: group of i, or -1 inactive.
-  std::vector<int> group_of_;
-  // Restricted-mask build: per-edge / per-demand chain scratch for the
-  // active-members path walk (stamped per group).
+  // Per-edge / per-demand clique chaining for the path walks: last
+  // active member seen, stamped per group so no clearing is needed.
   std::vector<int> edge_last_, edge_stamp_, demand_last_, demand_stamp_;
   // Root -> dense component id, stamped per group.
   std::vector<int> comp_of_root_, root_stamp_;

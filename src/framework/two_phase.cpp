@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -421,14 +420,6 @@ void TwoPhaseEngine::build_edge_positions() {
     }
   }
 
-  // Component-decomposition scratch; comp_stamp_ stays monotone across
-  // runs, so the stamp arrays never need re-clearing.
-  comp_edge_stamp_.assign(static_cast<std::size_t>(num_edges), 0);
-  comp_edge_rank_.assign(static_cast<std::size_t>(num_edges), 0);
-  comp_demand_stamp_.assign(static_cast<std::size_t>(problem_->num_demands()),
-                            0);
-  comp_demand_rank_.assign(static_cast<std::size_t>(problem_->num_demands()),
-                           0);
   rank_of_.assign(static_cast<std::size_t>(n), -1);
 }
 
@@ -526,7 +517,7 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
   if (parallel) {
     worker_scratch_.resize(
         static_cast<std::size_t>(std::max(config_.threads, 1)));
-    if (config_.use_component_forest && !forest_.built()) {
+    if (!forest_.built()) {
       const auto t0 = std::chrono::steady_clock::now();
       forest_.build(*problem_, *plan_, active_mask_);
       stats.forest_build_ns += elapsed_ns(t0);
@@ -550,8 +541,7 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
       const auto setup_start = std::chrono::steady_clock::now();
       const int comp_count = [&] {
         TRACE_SPAN1("engine", "epoch_setup", "group", g);
-        return config_.use_component_forest ? derive_components(members, g)
-                                            : split_components(members, g);
+        return derive_components(members, g);
       }();
       stats.epoch_setup_ns += elapsed_ns(setup_start);
       if (obs::tracing_enabled()) {
@@ -744,94 +734,11 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
 // by the merge in (step, member-rank) order — exactly the chronological
 // order the serial engine applies them in, which is what keeps the
 // parallel path bit-identical for decomposable (deterministic) oracles.
-//
-// Two decompositions produce the identical partition: the persistent
-// ComponentForest (default; built once per run and sliced per epoch) and
-// the legacy per-epoch union-find below (split_components, kept as the
-// recompute oracle behind SolverConfig::use_component_forest = false and
-// as bench_f13's baseline arm).
-
-int TwoPhaseEngine::split_components(const std::vector<InstanceId>& members,
-                                     int group) {
-  const int m = static_cast<int>(members.size());
-  ++comp_stamp_;
-  std::vector<int> parent(static_cast<std::size_t>(m));
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&](int x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(
-              parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-  };
-  const auto unite = [&](int a, int b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    // Min-root union keeps every root the smallest rank of its component,
-    // giving the fixed component ordering the determinism relies on.
-    if (a < b)
-      parent[static_cast<std::size_t>(b)] = a;
-    else
-      parent[static_cast<std::size_t>(a)] = b;
-  };
-  // Stamped last-seen entries: one pass over the members' paths links
-  // every clique (per-edge, per-demand) into a chain of unions.
-  for (int rank = 0; rank < m; ++rank) {
-    const InstanceId i = members[static_cast<std::size_t>(rank)];
-    rank_of_[static_cast<std::size_t>(i)] = rank;
-    const DemandInstance& inst = problem_->instance(i);
-    const auto d = static_cast<std::size_t>(inst.demand);
-    if (comp_demand_stamp_[d] == comp_stamp_)
-      unite(rank, comp_demand_rank_[d]);
-    comp_demand_stamp_[d] = comp_stamp_;
-    comp_demand_rank_[d] = rank;
-    for (EdgeId e : inst.edges) {
-      const auto ge = static_cast<std::size_t>(e);
-      if (comp_edge_stamp_[ge] == comp_stamp_)
-        unite(rank, comp_edge_rank_[ge]);
-      comp_edge_stamp_[ge] = comp_stamp_;
-      comp_edge_rank_[ge] = rank;
-    }
-  }
-
-  std::vector<int> comp_of_root(static_cast<std::size_t>(m), -1);
-  int count = 0;
-  for (int rank = 0; rank < m; ++rank) {
-    const int root = find(rank);
-    int c = comp_of_root[static_cast<std::size_t>(root)];
-    if (c < 0) {
-      c = count++;
-      comp_of_root[static_cast<std::size_t>(root)] = c;
-      if (static_cast<int>(comp_pool_.size()) < count)
-        comp_pool_.emplace_back();
-      comp_pool_[static_cast<std::size_t>(c)].owned_ranks.clear();
-      comp_pool_[static_cast<std::size_t>(c)].owned_ids.clear();
-    }
-    comp_pool_[static_cast<std::size_t>(c)].owned_ranks.push_back(rank);
-    comp_pool_[static_cast<std::size_t>(c)].owned_ids.push_back(
-        members[static_cast<std::size_t>(rank)]);
-  }
-  for (int c = 0; c < count; ++c) {
-    EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-    comp.ranks = {comp.owned_ranks.data(), comp.owned_ranks.size()};
-    comp.ids = {comp.owned_ids.data(), comp.owned_ids.size()};
-    comp.stream_key = component_stream_key(group, comp.ids.front());
-    // Eager clone, as PR 3's recompute did (the forest path clones
-    // lazily in run_component instead).
-    comp.oracle = oracle_->component_clone(comp.stream_key);
-    TS_REQUIRE(comp.oracle != nullptr);
-  }
-  return count;
-}
 
 int TwoPhaseEngine::derive_components(const std::vector<InstanceId>& members,
                                       int group) {
   // The forest already holds this epoch's partition; deriving is pure
-  // span slicing — O(|members| + #components) instead of the legacy
-  // union-find's O(sum path) clique chains.  Oracles are NOT cloned
+  // span slicing — O(|members| + #components).  Oracles are NOT cloned
   // here: run_component clones lazily once a frontier scan finds an
   // unsatisfied member (the monotone-frontier filter), so a fully
   // satisfied component costs neither a clone nor a stream.  Clone
@@ -846,7 +753,6 @@ int TwoPhaseEngine::derive_components(const std::vector<InstanceId>& members,
     comp_pool_.resize(static_cast<std::size_t>(count));
   for (int c = 0; c < count; ++c) {
     EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-    comp.ranks = forest_.component_ranks(group, c);
     comp.ids = forest_.component_ids(group, c);
     comp.stream_key = component_stream_key(group, comp.ids.front());
     comp.oracle.reset();
@@ -893,10 +799,10 @@ void TwoPhaseEngine::run_component(EpochComponent& comp,
       // A finished component simply stops recording; the merge pads the
       // lockstep schedule's idle steps when *every* component is done.
       if (unsat.empty()) break;
-      // Lazy clone (forest path): the component proved it has frontier
-      // work, so it earns its oracle now.  component_clone is
-      // concurrency-safe on the parent and derives the stream from
-      // (seed, stream_key) alone — see MisOracle's contract.
+      // Lazy clone: the component proved it has frontier work, so it
+      // earns its oracle now.  component_clone is concurrency-safe on the
+      // parent and derives the stream from (seed, stream_key) alone —
+      // see MisOracle's contract.
       if (comp.oracle == nullptr) {
         comp.oracle = oracle_->component_clone(comp.stream_key);
         TS_REQUIRE(comp.oracle != nullptr);
@@ -1191,9 +1097,17 @@ StageParams derive_stage_params(const Problem& problem,
   params.xi = xi_override > 0.0
                   ? xi_override
                   : RaiseRule::default_xi(rule, params.delta, params.h_min);
-  // Smallest b with xi^b <= eps.
-  params.stages_per_epoch = std::max(
-      1, static_cast<int>(std::ceil(std::log(epsilon) / std::log(params.xi))));
+  // Smallest b with xi^b <= eps, computed in double: heights near 0 put
+  // xi within rounding of 1, so b can exceed int or (xi == 1.0) be -inf.
+  // Running fewer stages than b would leave the class under its target
+  // slackness and the ratio bound unsound, so such a class is rejected.
+  const double stages =
+      std::ceil(std::log(epsilon) / std::log(params.xi));
+  check_input(std::isfinite(stages) &&
+                  stages <= std::numeric_limits<int>::max(),
+              "stage count ceil(log eps / log xi) overflows int: xi is "
+              "within rounding of 1 (a minimum height near 0)");
+  params.stages_per_epoch = std::max(1, static_cast<int>(stages));
   return params;
 }
 

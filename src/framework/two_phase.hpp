@@ -64,11 +64,10 @@ struct MisResult {
 };
 
 // Stream key of one parallel-epoch component: the epoch (group) and the
-// component's first member in rank order.  One derivation shared by both
-// component decompositions (the persistent ComponentForest and the
-// legacy per-epoch recompute), so MisOracle::component_clone sees the
-// same key — and randomized oracles the same per-component stream — no
-// matter which path produced the partition.
+// component's first member in rank order.  Both are fixed by the
+// problem, plan and active mask (ComponentForest's ordering contract),
+// so MisOracle::component_clone sees the same key — and randomized
+// oracles the same per-component stream — for any thread count.
 inline std::uint64_t component_stream_key(int group, InstanceId first_member) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(group))
           << 32) ^
@@ -96,14 +95,14 @@ class MisOracle {
   // supports_component_clone() false; the engine then falls back to
   // serial single-oracle execution.
   //
-  // Concurrency contract: the engine's forest path clones *lazily* from
-  // worker threads (a component only receives an oracle once its first
-  // frontier scan finds an unsatisfied member — fully satisfied
-  // components never pay for one), so component_clone must be safe to
-  // call concurrently on one parent oracle and must not mutate the
-  // parent (in particular it must not consume the parent's random
-  // stream — derive clone streams from (seed, key) instead, as LubyMis
-  // does).  All in-repo oracles satisfy this.
+  // Concurrency contract: the engine clones *lazily* from worker threads
+  // (a component only receives an oracle once its first frontier scan
+  // finds an unsatisfied member — fully satisfied components never pay
+  // for one), so component_clone must be safe to call concurrently on
+  // one parent oracle and must not mutate the parent (in particular it
+  // must not consume the parent's random stream — derive clone streams
+  // from (seed, key) instead, as LubyMis does).  All in-repo oracles
+  // satisfy this.
   virtual bool supports_component_clone() const { return false; }
   virtual std::unique_ptr<MisOracle> component_clone(std::uint64_t key) {
     (void)key;
@@ -187,14 +186,6 @@ struct SolverConfig {
   int max_steps_per_stage = 200000;
   // Phase-1 implementation (see EngineImpl above).
   EngineImpl engine = EngineImpl::kIncremental;
-  // Component decomposition of the parallel epoch path: true derives
-  // each epoch's conflict-disjoint components from the persistent
-  // ComponentForest (built once per run, filtered by the unsatisfied
-  // frontier); false re-runs the legacy per-epoch union-find
-  // (split_components) over the clique chains.  Both produce identical
-  // partitions — tests/test_component_forest.cpp compares the runs
-  // with == — the forest is just O(sum path) cheaper per epoch.
-  bool use_component_forest = true;
   // Worker threads for the incremental engine's parallel epoch execution:
   // each epoch's group is partitioned into conflict-disjoint components
   // (no raise in one component can touch the LHS of another's members —
@@ -256,14 +247,9 @@ struct SolveStats {
   // parity suites compare with == is unaffected.
   //   epoch_setup_ns   per-epoch component derivation: what the epoch
   //                    loop pays serially before workers start — forest
-  //                    span slicing, or the legacy per-epoch union-find
-  //                    + eager oracle clones when use_component_forest
-  //                    is off.  NOTE the asymmetry: on the forest path
-  //                    the frontier filtering and the (lazy) clones
-  //                    happen inside run_component on the workers, so
-  //                    they are deliberately NOT in this counter —
-  //                    bench_f13 reports what that means for the
-  //                    comparison;
+  //                    span slicing.  The frontier filtering and the
+  //                    (lazy) oracle clones happen inside run_component
+  //                    on the workers, so they are NOT in this counter;
   //   forest_build_ns  the one-time ComponentForest build of the run;
   //   merge_ns         the deterministic merge — chronological replay,
   //                    bookkeeping and the (parallel) deferred
@@ -343,19 +329,17 @@ class TwoPhaseEngine {
   };
   // One conflict-disjoint component of an epoch's group, plus the
   // decision log its worker records for the deterministic merge.  The
-  // member lists are spans (into the ComponentForest's flat storage, or
-  // into the owned_* vectors the legacy recompute fills), and the log is
-  // flat — stage s covers steps [stage_begin[s], stage_begin[s+1]) of
-  // step_rounds, step t's raises are entries
-  // [step_begin[t], step_begin[t+1]) of (rank_log, delta_log) — so a
-  // pooled component is reused across epochs without reallocating.
+  // member list is a span into the ComponentForest's flat storage, and
+  // the log is flat — stage s covers steps
+  // [stage_begin[s], stage_begin[s+1]) of step_rounds, step t's raises
+  // are entries [step_begin[t], step_begin[t+1]) of (rank_log,
+  // delta_log) — so a pooled component is reused across epochs without
+  // reallocating.
   struct EpochComponent {
-    std::span<const int> ranks;        // member ranks, ascending
-    std::span<const InstanceId> ids;   // members[rank], same order
-    // The oracle is cloned lazily on the forest path: run_component
-    // clones on first need (a frontier scan that found an unsatisfied
-    // member), so a fully satisfied component costs no clone.  The
-    // legacy recompute path clones eagerly, as PR 3 did.
+    std::span<const InstanceId> ids;   // members, ascending rank
+    // The oracle is cloned lazily: run_component clones on first need
+    // (a frontier scan that found an unsatisfied member), so a fully
+    // satisfied component costs no clone.
     std::uint64_t stream_key = 0;
     std::unique_ptr<MisOracle> oracle;
     std::vector<int> stage_begin;      // size stages + 1
@@ -366,9 +350,6 @@ class TwoPhaseEngine {
     std::vector<double> delta_log;     // parallel to rank_log
     bool mis_failed = false;    // oracle returned empty on a non-empty pool
     bool ended_short = false;   // stage ended with unsatisfied members left
-    // Backing storage of the spans on the legacy (recompute) path.
-    std::vector<int> owned_ranks;
-    std::vector<InstanceId> owned_ids;
     int steps_in_stage(int stage_index) const {
       return stage_begin[static_cast<std::size_t>(stage_index) + 1] -
              stage_begin[static_cast<std::size_t>(stage_index)];
@@ -435,13 +416,11 @@ class TwoPhaseEngine {
                       std::span<const double> increments, double& objective,
                       SolveStats& stats,
                       std::vector<InstanceId>& raised_order);
-  // Component decomposition of one epoch, into comp_pool_[0..count).
-  // split_components is the legacy per-epoch union-find;
-  // derive_components slices the persistent forest — O(|members|) span
-  // setup, no clique-chain walk.  The frontier filtering happens inside
-  // run_component: a component whose scan never finds an unsatisfied
-  // member runs zero steps and never even clones an oracle.
-  int split_components(const std::vector<InstanceId>& members, int group);
+  // Component decomposition of one epoch, into comp_pool_[0..count):
+  // O(|members|) span slicing of the persistent forest.  The frontier
+  // filtering happens inside run_component: a component whose scan never
+  // finds an unsatisfied member runs zero steps and never even clones an
+  // oracle.
   int derive_components(const std::vector<InstanceId>& members, int group);
   // Threads actually spawned for `work_items` units of parallel work:
   // SolverConfig::threads, clamped by the work available and by
@@ -492,14 +471,11 @@ class TwoPhaseEngine {
   std::vector<char> lhs_fresh_;
   std::vector<std::int64_t> edge_pos_offset_;
   std::vector<int> edge_pos_;
-  // Component decomposition scratch (stamped, no per-epoch clearing).
-  std::vector<int> comp_edge_stamp_, comp_edge_rank_;
-  std::vector<int> comp_demand_stamp_, comp_demand_rank_;
+  // Member rank within the current epoch's group, by instance id.
   std::vector<int> rank_of_;
-  int comp_stamp_ = 0;
 
-  // Persistent conflict-component forest (use_component_forest): built
-  // lazily on the first parallel run, invalidated by restrict_to().
+  // Persistent conflict-component forest: built lazily on the first
+  // parallel run, invalidated by restrict_to().
   ComponentForest forest_;
   // Epoch arenas, reused across epochs: the component pool (flat logs
   // keep their capacity), per-worker scratch, and the merge's
@@ -554,7 +530,9 @@ double target_lambda(StageMode mode, double epsilon);
 // derived — the engine's prepare() and the message-level protocol's
 // fixed schedule both call it, so the two can never run different
 // stage targets for the same instance class (which would break the
-// exact protocol-vs-engine parity the test suite enforces).
+// exact protocol-vs-engine parity the test suite enforces).  A class
+// whose b is not a finite int (h_min near 0 puts xi within rounding of
+// 1) is rejected with a check_input diagnostic.
 struct StageParams {
   bool any_active = false;
   int delta = 0;

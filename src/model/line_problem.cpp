@@ -1,6 +1,8 @@
 #include "model/line_problem.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 namespace treesched {
 
@@ -8,6 +10,13 @@ LineProblem::LineProblem(int num_slots, int num_resources)
     : num_slots_(num_slots), num_resources_(num_resources) {
   check_input(num_slots_ >= 1, "line problem needs at least one timeslot");
   check_input(num_resources_ >= 1, "line problem needs at least one resource");
+  // lower() builds num_resources_ lines of num_slots_ + 1 vertices, whose
+  // num_resources_ * num_slots_ edges Problem numbers as EdgeIds.
+  constexpr std::int64_t kIdLimit = std::numeric_limits<std::int32_t>::max();
+  check_input(std::int64_t{num_slots_} + 1 <= kIdLimit,
+              "line problem slot count overflows the vertex range");
+  check_input(std::int64_t{num_resources_} * num_slots_ <= kIdLimit,
+              "line problem resources x slots overflows the edge range");
 }
 
 DemandId LineProblem::add_demand(int release, int deadline, int proc_time,

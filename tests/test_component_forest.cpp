@@ -1,17 +1,11 @@
-// ComponentForest correctness and forest-vs-recompute engine parity.
-//
-// The persistent forest must (a) partition every group's active members
-// into exactly the connected components of the conflict graph restricted
-// to the group — checked against an independent BFS over
-// Problem::conflicting — with the engine's deterministic ordering
-// (components by first member rank, members rank-ascending), and
-// (b) drive the parallel epoch path to outputs bit-identical to the
-// legacy per-epoch recompute (SolverConfig::use_component_forest =
-// false): component partitions, raise stacks, selected sets and lambda
-// are compared with ==, across threads in {1, 4} and both tree
-// decompositions, for the deterministic greedy oracle AND the
-// randomized LubyMis (whose per-component streams key on
-// component_stream_key — identical under either decomposition path).
+// ComponentForest correctness: the persistent forest must partition
+// every group's active members into exactly the connected components of
+// the conflict graph restricted to the group — checked against an
+// independent BFS over Problem::conflicting — with the engine's
+// deterministic ordering (components by first member rank, members
+// rank-ascending), and must be rebuilt whenever the engine's active set
+// changes.  Engine-level parity of the parallel path is
+// tests/test_engine_parity.cpp's subject.
 #include "framework/component_forest.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +14,6 @@
 #include <vector>
 
 #include "decomp/layered.hpp"
-#include "dist/luby_mis.hpp"
 #include "framework/two_phase.hpp"
 #include "test_util.hpp"
 #include "workload/scenario.hpp"
@@ -28,7 +21,6 @@
 namespace treesched {
 namespace {
 
-using testutil::require_feasible;
 using testutil::small_line_problem;
 using testutil::small_tree_problem;
 
@@ -153,73 +145,11 @@ void expect_same_run(const SolveResult& a, const SolveResult& b,
   EXPECT_EQ(a.stats.mis_ok, b.stats.mis_ok) << what;
 }
 
-TEST(ComponentForest, ForestVsRecomputeBitIdenticalGreedy) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const Problem p = small_tree_problem(seed + 600, 36, 2, 20,
-                                         seed % 2 ? HeightLaw::kBimodal
-                                                  : HeightLaw::kUnit);
-    for (const DecompKind kind :
-         {DecompKind::kIdeal, DecompKind::kRootFixing}) {
-      const LayeredPlan plan = build_tree_layered_plan(p, kind);
-      for (const bool lockstep : {false, true}) {
-        for (const int threads : {1, 4}) {
-          SolverConfig forest_config;
-          forest_config.keep_stack = true;
-          forest_config.lockstep = lockstep;
-          forest_config.threads = threads;
-          forest_config.rule = p.unit_height() ? RaiseRuleKind::kUnit
-                                               : RaiseRuleKind::kNarrow;
-          forest_config.use_component_forest = true;
-          SolverConfig legacy_config = forest_config;
-          legacy_config.use_component_forest = false;
-          const SolveResult with_forest =
-              solve_with_plan(p, plan, forest_config);
-          const SolveResult with_recompute =
-              solve_with_plan(p, plan, legacy_config);
-          expect_same_run(with_forest, with_recompute,
-                          "greedy seed=" + std::to_string(seed) + " " +
-                              to_string(kind) +
-                              " lockstep=" + std::to_string(lockstep) +
-                              " threads=" + std::to_string(threads));
-          require_feasible(p, with_forest.solution);
-        }
-      }
-    }
-  }
-}
-
-TEST(ComponentForest, ForestVsRecomputeBitIdenticalLuby) {
-  // LubyMis keys its per-component streams by component_stream_key; the
-  // forest and the recompute produce the same components in the same
-  // order, so even the randomized parallel runs must coincide exactly.
-  const Problem p = small_tree_problem(777, 40, 2, 24);
-  for (const DecompKind kind :
-       {DecompKind::kIdeal, DecompKind::kRootFixing}) {
-    const LayeredPlan plan = build_tree_layered_plan(p, kind);
-    for (const int threads : {1, 4}) {
-      SolverConfig config;
-      config.keep_stack = true;
-      config.threads = threads;
-      config.use_component_forest = true;
-      LubyMis forest_oracle(p, 9);
-      const SolveResult with_forest =
-          solve_with_plan(p, plan, config, &forest_oracle);
-      config.use_component_forest = false;
-      LubyMis legacy_oracle(p, 9);
-      const SolveResult with_recompute =
-          solve_with_plan(p, plan, config, &legacy_oracle);
-      expect_same_run(with_forest, with_recompute,
-                      std::string("luby ") + to_string(kind) +
-                          " threads=" + std::to_string(threads));
-    }
-  }
-}
-
 TEST(ComponentForest, RestrictToInvalidatesAndRebuilds) {
   // One engine object, two different restrictions: the forest must be
   // rebuilt after restrict_to (a stale partition over the old active set
   // would run wrong components).  Each restricted run must match a fresh
-  // recompute-path engine bit for bit.
+  // central-reference engine bit for bit.
   const Problem p = small_tree_problem(888, 32, 2, 18,
                                        HeightLaw::kBimodal);
   const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
@@ -236,9 +166,9 @@ TEST(ComponentForest, RestrictToInvalidatesAndRebuilds) {
     reused.restrict_to(ids);
     const SolveResult got = reused.run();
 
-    SolverConfig legacy = config;
-    legacy.use_component_forest = false;
-    TwoPhaseEngine fresh(p, plan, legacy);
+    SolverConfig central = config;
+    central.engine = EngineImpl::kCentralReference;
+    TwoPhaseEngine fresh(p, plan, central);
     fresh.restrict_to(ids);
     const SolveResult want = fresh.run();
     expect_same_run(want, got,

@@ -85,15 +85,6 @@ void expect_parity(const Problem& p, const LayeredPlan& plan,
                      what + " threads=" + std::to_string(threads));
     require_feasible(p, got.solution);
   }
-  // The legacy per-epoch component recompute must coincide too — the
-  // persistent forest (the threads=4 default above) and the recompute
-  // are two implementations of one partition.
-  SolverConfig legacy = config;
-  legacy.engine = EngineImpl::kIncremental;
-  legacy.threads = 4;
-  legacy.use_component_forest = false;
-  expect_identical(ref, solve_with_plan(p, plan, legacy),
-                   what + " legacy-split threads=4");
 }
 
 TEST(EngineParity, TreeUnitAcrossLockstepAndThreads) {
@@ -231,27 +222,33 @@ TEST(EngineParity, LubyParallelIsDeterministicAndCertified) {
   // With threads >= 2, LubyMis runs per-component streams — deliberately
   // a different randomness schedule than the serial run, but fully
   // deterministic: any two parallel runs (any thread counts >= 2) agree
-  // exactly, and the run still meets the stage targets.
+  // exactly, and the run still meets the stage targets.  Both tree
+  // decompositions: their plans partition the groups differently, so
+  // the per-component streams are keyed on different components.
   const Problem p = small_tree_problem(500, 48, 2, 28);
-  const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
-  SolverConfig config;
-  config.keep_stack = true;
-  config.epsilon = 0.2;
-  SolveResult first;
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    for (const int threads : {2, 4}) {
-      SolverConfig run_config = config;
-      run_config.threads = threads;
-      LubyMis oracle(p, 9);
-      const SolveResult got = solve_with_plan(p, plan, run_config, &oracle);
-      require_feasible(p, got.solution);
-      EXPECT_GE(got.stats.lambda_observed, 1.0 - 0.2 - 1e-6);
-      if (repeat == 0 && threads == 2) {
-        first = got;
-        continue;
+  for (const DecompKind kind :
+       {DecompKind::kIdeal, DecompKind::kRootFixing}) {
+    const LayeredPlan plan = build_tree_layered_plan(p, kind);
+    SolverConfig config;
+    config.keep_stack = true;
+    config.epsilon = 0.2;
+    SolveResult first;
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      for (const int threads : {2, 4}) {
+        SolverConfig run_config = config;
+        run_config.threads = threads;
+        LubyMis oracle(p, 9);
+        const SolveResult got = solve_with_plan(p, plan, run_config, &oracle);
+        require_feasible(p, got.solution);
+        EXPECT_GE(got.stats.lambda_observed, 1.0 - 0.2 - 1e-6);
+        if (repeat == 0 && threads == 2) {
+          first = got;
+          continue;
+        }
+        expect_identical(first, got, std::string("luby-parallel ") +
+                                         to_string(kind) + " threads=" +
+                                         std::to_string(threads));
       }
-      expect_identical(first, got,
-                       "luby-parallel threads=" + std::to_string(threads));
     }
   }
 }

@@ -283,11 +283,11 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
   // forest's satisfied-component filter (components drain at wildly
   // different rates, so late steps see mostly-finished epochs).  The
   // oracle's randomness is addressed per instance, so every engine path
-  // — central, incremental serial, parallel with the forest, parallel
-  // with the legacy recompute — must still agree bit for bit.  The weak
-  // budget also starves steps constantly, so the adaptive budget retry
-  // fires throughout — mis_retries must agree across the paths too (the
-  // parallel merge takes the per-component max per step).
+  // — central, incremental serial, incremental parallel — must still
+  // agree bit for bit.  The weak budget also starves steps constantly,
+  // so the adaptive budget retry fires throughout — mis_retries must
+  // agree across the paths too (the parallel merge takes the
+  // per-component max per step).
   std::int64_t total_retries = 0;
   for (int round = 0; round < 4; ++round) {
     const auto seed = 1100 + static_cast<std::uint64_t>(round);
@@ -307,30 +307,24 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
     require_feasible(p, ref.solution);
     total_retries += ref.stats.mis_retries;
     for (const int threads : {1, 4}) {
-      for (const bool forest : {true, false}) {
-        SolverConfig incremental = config;
-        incremental.engine = EngineImpl::kIncremental;
-        incremental.threads = threads;
-        incremental.use_component_forest = forest;
-        ProtocolLubyMis oracle(p, seed, /*luby_budget=*/1);
-        const SolveResult got = solve_with_plan(p, plan, incremental,
-                                                &oracle);
-        const std::string what = "round " + std::to_string(round) +
-                                 " threads=" + std::to_string(threads) +
-                                 " forest=" + std::to_string(forest);
-        ASSERT_EQ(ref.solution.selected, got.solution.selected) << what;
-        ASSERT_EQ(ref.raise_stack, got.raise_stack) << what;
-        ASSERT_EQ(ref.stats.steps, got.stats.steps) << what;
-        ASSERT_EQ(ref.stats.raises, got.stats.raises) << what;
-        // Doubles with ==: bit-identical, not merely close.
-        ASSERT_EQ(ref.stats.dual_objective, got.stats.dual_objective)
-            << what;
-        ASSERT_EQ(ref.stats.lambda_observed, got.stats.lambda_observed)
-            << what;
-        ASSERT_EQ(ref.stats.lockstep_ok, got.stats.lockstep_ok) << what;
-        ASSERT_EQ(ref.stats.mis_ok, got.stats.mis_ok) << what;
-        ASSERT_EQ(ref.stats.mis_retries, got.stats.mis_retries) << what;
-      }
+      SolverConfig incremental = config;
+      incremental.engine = EngineImpl::kIncremental;
+      incremental.threads = threads;
+      ProtocolLubyMis oracle(p, seed, /*luby_budget=*/1);
+      const SolveResult got = solve_with_plan(p, plan, incremental, &oracle);
+      const std::string what = "round " + std::to_string(round) +
+                               " threads=" + std::to_string(threads);
+      ASSERT_EQ(ref.solution.selected, got.solution.selected) << what;
+      ASSERT_EQ(ref.raise_stack, got.raise_stack) << what;
+      ASSERT_EQ(ref.stats.steps, got.stats.steps) << what;
+      ASSERT_EQ(ref.stats.raises, got.stats.raises) << what;
+      // Doubles with ==: bit-identical, not merely close.
+      ASSERT_EQ(ref.stats.dual_objective, got.stats.dual_objective) << what;
+      ASSERT_EQ(ref.stats.lambda_observed, got.stats.lambda_observed)
+          << what;
+      ASSERT_EQ(ref.stats.lockstep_ok, got.stats.lockstep_ok) << what;
+      ASSERT_EQ(ref.stats.mis_ok, got.stats.mis_ok) << what;
+      ASSERT_EQ(ref.stats.mis_retries, got.stats.mis_retries) << what;
     }
   }
   // The budget-1 oracle must actually have exercised the retry path.
@@ -856,10 +850,22 @@ TextImage solution_image(const Solution& solution) {
   return image;
 }
 
+// `run` ends in a check_input diagnostic — never success, bad_alloc, a
+// length error or an abort.
+template <typename Run>
+void expect_diagnostic(const Run& run, const std::string& what) {
+  try {
+    run();
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("treesched: ", 0), 0u) << what;
+    return;
+  }
+  ADD_FAILURE() << what << ": accepted";
+}
+
 // The file parses whole; every prefix that drops its last token, and
 // every rewrite of one count field to a value no file of this size can
-// honor, ends in a check_input diagnostic — never bad_alloc, a length
-// error or an abort.
+// honor, ends in a check_input diagnostic.
 template <typename Read>
 void expect_damage_rejected(const TextImage& image, const Read& read,
                             Rng& rng, const std::string& what) {
@@ -868,15 +874,12 @@ void expect_damage_rejected(const TextImage& image, const Read& read,
     EXPECT_NO_THROW(read(is)) << what;
   }
   const auto rejected = [&](const std::string& text, const std::string& how) {
-    std::istringstream is(text);
-    try {
-      read(is);
-    } catch (const std::invalid_argument& e) {
-      EXPECT_EQ(std::string(e.what()).rfind("treesched: ", 0), 0u)
-          << what << ", " << how;
-      return;
-    }
-    ADD_FAILURE() << what << ": accepted " << how;
+    expect_diagnostic(
+        [&] {
+          std::istringstream is(text);
+          read(is);
+        },
+        what + ", " + how);
   };
   for (std::size_t len = 0; len <= image.start.back(); ++len)
     rejected(image.text.substr(0, len), "prefix " + std::to_string(len));
@@ -931,6 +934,51 @@ TEST(Fuzz, TextInputRejectsTruncationAndOversizeCounts) {
         solution_image(solution),
         [](std::istream& is) { read_solution(is); }, rng, what + " solution");
   }
+  // Line headers whose lowered problem overflows the int32 vertex or
+  // edge ids.  Explicit cases, not sweep values: large slot counts in
+  // range stay valid input.
+  for (const char* header :
+       {"slots 2147483647 resources 1", "slots 8 resources 2000000000"}) {
+    expect_diagnostic(
+        [&] {
+          std::istringstream is(std::string("treesched-line 1 ") + header +
+                                " demands 1 0 0 1 1 1 1 0 end");
+          read_line_problem(is);
+        },
+        header);
+  }
+}
+
+TEST(Fuzz, NearZeroHeightsAreRejectedNotMiscertified) {
+  // A wide demand (profit 4) over the whole line and five narrow ones
+  // (profit ~100 each) side by side under it.  Narrow heights near 0 put
+  // xi = c/(c+h_min) within rounding of 1, so the stage count
+  // ceil(log eps / log xi) leaves the int range (h = 1e-9) or is -inf
+  // (h = 1e-17, xi == 1.0).  Both must be a diagnostic, never a run
+  // whose narrow pass raised nothing under a finite ratio bound.
+  const auto instance = [](double h) {
+    std::vector<TreeNetwork> networks;
+    networks.push_back(TreeNetwork::line(12));
+    Problem p(12, std::move(networks));
+    p.add_demand(0, 11, 4.0, 1.0);
+    for (int k = 0; k < 5; ++k) p.add_demand(2 * k, 2 * k + 2, 100.0 + k, h);
+    p.finalize();
+    return p;
+  };
+  for (const char* h : {"1e-9", "1e-17"}) {
+    const Problem p = instance(std::stod(h));
+    const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
+    const std::string what = std::string("h=") + h;
+    expect_diagnostic([&] { solve_height_split(p, plan, SolverConfig{}); },
+                      what + " solve_height_split");
+    expect_diagnostic([&] { run_tree_arbitrary_protocol(p, {}); },
+                      what + " run_tree_arbitrary_protocol");
+  }
+  // Small but representable: millions of stages, and the bound holds.
+  const Problem p = instance(1e-6);
+  const DistResult run = solve_tree_arbitrary_distributed(p);
+  EXPECT_GE(require_feasible(p, run.solution) * run.ratio_bound,
+            testutil::exact_opt(p) - 1e-6);
 }
 
 TEST(Fuzz, ExactSolverOnDenseConflicts) {

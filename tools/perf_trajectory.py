@@ -29,7 +29,7 @@ Baseline regeneration:
   tools/perf_trajectory.py --update [names...]
 copies the current run's BENCH_*.json files over the committed baselines
 (all of them, or only the benches whose id contains one of the given
-names, e.g. `--update f12 f13`), prints what changed, and exits 0.  Use
+names, e.g. `--update f12 t6`), prints what changed, and exits 0.  Use
 after an intentional perf-characteristic change, then commit the diff —
 the gate itself never rewrites baselines.
 """
@@ -48,10 +48,11 @@ import sys
 GATED_UP = ("rounds", "steps", "epochs", "raises", "ratio")
 GATED_SUFFIXES = ("_rounds", "_steps", "_messages", "_bytes", "_raises",
                   "_ratio", "_gap")
-# Metrics reported but never gating.  *_speedup covers the engine
-# throughput and epoch-setup ratios (f12/f13): same-machine ratios, but
-# still wall-clock-derived, so informational like the _ms/_ns fields
-# they come from.
+# Metrics reported but never gating.  speedup / *_speedup cover
+# same-machine wall-clock ratios (f12's engine throughput, t7's
+# warm_vs_cold_speedup): host speed cancels, but they are still
+# wall-clock-derived, so informational like the _ms/_ns fields they
+# come from.
 INFORMATIONAL = ("wall_ms", "steps_per_sec", "profit", "speedup", "ns",
                  "time_ms")
 INFO_SUFFIXES = ("_ms", "_ns", "_per_sec", "_profit", "_share", "_bound",
