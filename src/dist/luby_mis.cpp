@@ -137,18 +137,83 @@ ProtocolResult run_luby_protocol(const Problem& problem,
 }
 
 // ---------------------------------------------------------------------------
-// LubyMis oracle (implicit cliques).
+// The implicit-clique Luby iteration both modeled oracles share.
 
-LubyMis::LubyMis(const Problem& problem, std::uint64_t seed)
+CliqueLuby::CliqueLuby(const Problem& problem)
     : problem_(&problem),
-      seed_(seed),
-      rng_(SplitMix64(seed).next()),
       edge_min_(static_cast<std::size_t>(problem.num_global_edges())),
       demand_min_(static_cast<std::size_t>(problem.num_demands())),
       edge_stamp_(static_cast<std::size_t>(problem.num_global_edges()), 0),
       demand_stamp_(static_cast<std::size_t>(problem.num_demands()), 0),
       edge_kill_(static_cast<std::size_t>(problem.num_global_edges()), 0),
       demand_kill_(static_cast<std::size_t>(problem.num_demands()), 0) {}
+
+void CliqueLuby::iterate(std::vector<InstanceId>& live,
+                         std::span<const double> draw,
+                         std::vector<InstanceId>& selected) {
+  TS_DCHECK(draw.size() == live.size());
+  ++stamp_;
+
+  // Clique minima of (draw, id) over the live set.
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    const Key key{draw[k], live[k]};
+    const DemandInstance& inst = problem_->instance(live[k]);
+    const auto d = static_cast<std::size_t>(inst.demand);
+    if (demand_stamp_[d] != stamp_ || key < demand_min_[d]) {
+      demand_stamp_[d] = stamp_;
+      demand_min_[d] = key;
+    }
+    for (EdgeId e : inst.edges) {
+      const auto ge = static_cast<std::size_t>(e);
+      if (edge_stamp_[ge] != stamp_ || key < edge_min_[ge]) {
+        edge_stamp_[ge] = stamp_;
+        edge_min_[ge] = key;
+      }
+    }
+  }
+
+  // Winners join the MIS and stamp their cliques as killing.
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    const Key key{draw[k], live[k]};
+    const DemandInstance& inst = problem_->instance(live[k]);
+    if (!(demand_min_[static_cast<std::size_t>(inst.demand)] == key))
+      continue;
+    bool wins = true;
+    for (EdgeId e : inst.edges) {
+      if (!(edge_min_[static_cast<std::size_t>(e)] == key)) {
+        wins = false;
+        break;
+      }
+    }
+    if (!wins) continue;
+    selected.push_back(live[k]);
+    demand_kill_[static_cast<std::size_t>(inst.demand)] = stamp_;
+    for (EdgeId e : inst.edges)
+      edge_kill_[static_cast<std::size_t>(e)] = stamp_;
+  }
+
+  // Survivors: live instances not conflicting with any winner.
+  next_.clear();
+  for (InstanceId i : live) {
+    const DemandInstance& inst = problem_->instance(i);
+    bool dead = demand_kill_[static_cast<std::size_t>(inst.demand)] == stamp_;
+    for (EdgeId e : inst.edges) {
+      if (dead) break;
+      dead = edge_kill_[static_cast<std::size_t>(e)] == stamp_;
+    }
+    if (!dead) next_.push_back(i);
+  }
+  live.swap(next_);
+}
+
+// ---------------------------------------------------------------------------
+// LubyMis oracle: one stream, drawn in live order.
+
+LubyMis::LubyMis(const Problem& problem, std::uint64_t seed)
+    : problem_(&problem),
+      seed_(seed),
+      rng_(SplitMix64(seed).next()),
+      cliques_(problem) {}
 
 std::unique_ptr<MisOracle> LubyMis::component_clone(std::uint64_t key) {
   // SplitMix64 over (seed, key) gives each component an independent
@@ -162,70 +227,13 @@ std::unique_ptr<MisOracle> LubyMis::component_clone(std::uint64_t key) {
 MisResult LubyMis::run(std::span<const InstanceId> candidates) {
   MisResult result;
   std::vector<InstanceId> live(candidates.begin(), candidates.end());
-  std::vector<double> draw(live.size(), 0.0);
-  std::vector<InstanceId> next;
+  std::vector<double> draw;
   int iterations = 0;
-
   while (!live.empty()) {
     ++iterations;
-    ++stamp_;
-
-    // Clique minima of (draw, id) over the live set.  An instance wins the
-    // iteration iff it is the minimum of *every* clique it belongs to —
-    // exactly "my key beats all conflicting neighbors' keys", since the
-    // neighborhood is the union of the instance's cliques.
-    for (std::size_t k = 0; k < live.size(); ++k)
-      draw[k] = rng_.uniform();
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const Key key{draw[k], live[k]};
-      const DemandInstance& inst = problem_->instance(live[k]);
-      const auto d = static_cast<std::size_t>(inst.demand);
-      if (demand_stamp_[d] != stamp_ || key < demand_min_[d]) {
-        demand_stamp_[d] = stamp_;
-        demand_min_[d] = key;
-      }
-      for (EdgeId e : inst.edges) {
-        const auto ge = static_cast<std::size_t>(e);
-        if (edge_stamp_[ge] != stamp_ || key < edge_min_[ge]) {
-          edge_stamp_[ge] = stamp_;
-          edge_min_[ge] = key;
-        }
-      }
-    }
-
-    // Winners join the MIS and stamp their cliques as killing.
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const Key key{draw[k], live[k]};
-      const DemandInstance& inst = problem_->instance(live[k]);
-      if (!(demand_min_[static_cast<std::size_t>(inst.demand)] == key))
-        continue;
-      bool wins = true;
-      for (EdgeId e : inst.edges) {
-        if (!(edge_min_[static_cast<std::size_t>(e)] == key)) {
-          wins = false;
-          break;
-        }
-      }
-      if (!wins) continue;
-      result.selected.push_back(live[k]);
-      demand_kill_[static_cast<std::size_t>(inst.demand)] = stamp_;
-      for (EdgeId e : inst.edges)
-        edge_kill_[static_cast<std::size_t>(e)] = stamp_;
-    }
-
-    // Survivors: live instances not conflicting with any winner.
-    next.clear();
-    for (InstanceId i : live) {
-      const DemandInstance& inst = problem_->instance(i);
-      bool dead = demand_kill_[static_cast<std::size_t>(inst.demand)] == stamp_;
-      for (EdgeId e : inst.edges) {
-        if (dead) break;
-        dead = edge_kill_[static_cast<std::size_t>(e)] == stamp_;
-      }
-      if (!dead) next.push_back(i);
-    }
-    live.swap(next);
     draw.resize(live.size());
+    for (double& value : draw) value = rng_.uniform();
+    cliques_.iterate(live, draw, result.selected);
   }
 
   // The paper's accounting: 2 synchronous rounds per Luby iteration
@@ -256,12 +264,7 @@ ProtocolLubyMis::ProtocolLubyMis(const Problem& problem,
       budget_(luby_budget),
       max_retries_(std::max(max_retries, 0)),
       streams_(std::move(streams)),
-      edge_min_(static_cast<std::size_t>(problem.num_global_edges())),
-      demand_min_(static_cast<std::size_t>(problem.num_demands())),
-      edge_stamp_(static_cast<std::size_t>(problem.num_global_edges()), 0),
-      demand_stamp_(static_cast<std::size_t>(problem.num_demands()), 0),
-      edge_kill_(static_cast<std::size_t>(problem.num_global_edges()), 0),
-      demand_kill_(static_cast<std::size_t>(problem.num_demands()), 0) {
+      cliques_(problem) {
   TS_REQUIRE(budget_ >= 1);
   TS_REQUIRE(streams_ != nullptr &&
              streams_->size() ==
@@ -272,74 +275,12 @@ std::unique_ptr<MisOracle> ProtocolLubyMis::component_clone(
     std::uint64_t key) {
   // The clone *shares* the per-instance streams: randomness is addressed
   // by instance, not by oracle, so running a conflict-disjoint component
-  // on a worker consumes exactly the draws the serial run would — the
-  // parallel engine stays bit-identical to the serial one.  `key` is
+  // on a worker consumes exactly the draws the single-oracle run would —
+  // the engine stays bit-identical at every thread count.  `key` is
   // deliberately unused for stream derivation.
   (void)key;
   return std::unique_ptr<MisOracle>(
       new ProtocolLubyMis(*problem_, streams_, budget_, max_retries_));
-}
-
-void ProtocolLubyMis::run_iteration(std::vector<InstanceId>& live,
-                                    std::vector<double>& draw,
-                                    std::vector<InstanceId>& next,
-                                    MisResult& result) {
-  ++stamp_;
-
-  // Each live node draws from its own stream (the protocol's round 1),
-  // then the clique minima of (draw, id) are computed over the live
-  // set — an instance wins iff it is the strict minimum of every
-  // clique it belongs to, i.e. beats every live conflicting neighbor.
-  for (std::size_t k = 0; k < live.size(); ++k)
-    draw[k] = (*streams_)[static_cast<std::size_t>(live[k])].uniform();
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    const Key key{draw[k], live[k]};
-    const DemandInstance& inst = problem_->instance(live[k]);
-    const auto d = static_cast<std::size_t>(inst.demand);
-    if (demand_stamp_[d] != stamp_ || key < demand_min_[d]) {
-      demand_stamp_[d] = stamp_;
-      demand_min_[d] = key;
-    }
-    for (EdgeId e : inst.edges) {
-      const auto ge = static_cast<std::size_t>(e);
-      if (edge_stamp_[ge] != stamp_ || key < edge_min_[ge]) {
-        edge_stamp_[ge] = stamp_;
-        edge_min_[ge] = key;
-      }
-    }
-  }
-
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    const Key key{draw[k], live[k]};
-    const DemandInstance& inst = problem_->instance(live[k]);
-    if (!(demand_min_[static_cast<std::size_t>(inst.demand)] == key))
-      continue;
-    bool wins = true;
-    for (EdgeId e : inst.edges) {
-      if (!(edge_min_[static_cast<std::size_t>(e)] == key)) {
-        wins = false;
-        break;
-      }
-    }
-    if (!wins) continue;
-    result.selected.push_back(live[k]);
-    demand_kill_[static_cast<std::size_t>(inst.demand)] = stamp_;
-    for (EdgeId e : inst.edges)
-      edge_kill_[static_cast<std::size_t>(e)] = stamp_;
-  }
-
-  next.clear();
-  for (InstanceId i : live) {
-    const DemandInstance& inst = problem_->instance(i);
-    bool dead = demand_kill_[static_cast<std::size_t>(inst.demand)] == stamp_;
-    for (EdgeId e : inst.edges) {
-      if (dead) break;
-      dead = edge_kill_[static_cast<std::size_t>(e)] == stamp_;
-    }
-    if (!dead) next.push_back(i);
-  }
-  live.swap(next);
-  draw.resize(live.size());
 }
 
 MisResult ProtocolLubyMis::run(std::span<const InstanceId> candidates) {
@@ -350,22 +291,28 @@ MisResult ProtocolLubyMis::run(std::span<const InstanceId> candidates) {
   result.rounds = 2 * budget_;
 
   std::vector<InstanceId> live(candidates.begin(), candidates.end());
-  std::vector<double> draw(live.size(), 0.0);
-  std::vector<InstanceId> next;
-
+  std::vector<double> draw;
   int iterations_used = 0;
-  for (int iter = 0; iter < budget_ && !live.empty(); ++iter) {
+  // One iteration: each live node draws from its own stream (the
+  // protocol's round 1), then the shared clique-minima body decides.
+  // The main loop and the retry loop both run it, so they cannot drift.
+  const auto iterate = [&] {
     ++iterations_used;
-    run_iteration(live, draw, next, result);
-  }
+    draw.resize(live.size());
+    for (std::size_t k = 0; k < live.size(); ++k)
+      draw[k] = (*streams_)[static_cast<std::size_t>(live[k])].uniform();
+    cliques_.iterate(live, draw, result.selected);
+  };
+
+  for (int iter = 0; iter < budget_ && !live.empty(); ++iter) iterate();
 
   // Adaptive budget retry: a starved stage re-runs with the budget
   // doubled per attempt instead of silently leaving nodes undecided.
   // Unlike the fixed main schedule, retry rounds are adaptive: only
   // iterations actually executed are charged (2 rounds each).  Because
   // the iteration dynamics decompose across conflict-disjoint
-  // components and draws are per-instance, a serial whole-frontier run
-  // enters attempt a exactly when some component would — so the retry
+  // components and draws are per-instance, a whole-frontier run enters
+  // attempt a exactly when some component would — so the retry
   // count merges across parallel components as a per-step max, just
   // like the round count.
   int attempt = 0;
@@ -374,8 +321,7 @@ MisResult ProtocolLubyMis::run(std::span<const InstanceId> candidates) {
     ++result.retries;
     const int extra = budget_ << attempt;
     for (int iter = 0; iter < extra && !live.empty(); ++iter) {
-      ++iterations_used;
-      run_iteration(live, draw, next, result);
+      iterate();
       result.rounds += 2;
     }
   }

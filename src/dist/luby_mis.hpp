@@ -111,27 +111,23 @@ ProtocolResult run_luby_protocol(
     std::uint64_t seed, TransportKind transport = TransportKind::kDefault,
     const FaultPlan* faults = nullptr);
 
-// Round-counting Luby oracle over the implicit conflict cliques.  One
-// instance is stateful: successive run() calls consume the same random
-// stream, so a whole engine run is reproducible from the seed.
-class LubyMis : public MisOracle {
+// One Luby iteration over the implicit conflict cliques: the body both
+// modeled oracles below run, which differ only in where the draws come
+// from.  An instance wins iff its (draw, id) key is the strict minimum of
+// every clique it belongs to (its demand and each edge of its path) —
+// exactly "my key beats every live conflicting neighbor's", since the
+// neighborhood is the union of the instance's cliques.  O(sum path
+// length) per iteration; the scratch is stamped per iteration, so it is
+// never cleared.
+class CliqueLuby {
  public:
-  LubyMis(const Problem& problem, std::uint64_t seed);
+  explicit CliqueLuby(const Problem& problem);
 
-  MisResult run(std::span<const InstanceId> candidates) override;
-
-  // Component-local oracle for parallel epoch execution: derives an
-  // independent stream from (seed, key), so the run is deterministic for
-  // any thread count.  Note this is a *different* randomness schedule
-  // than the serial single-stream run — threads >= 2 with LubyMis is
-  // reproducible but not bit-identical to threads == 1 (GreedyMis is;
-  // see MisOracle::component_clone).  The engine keys clones by
-  // component_stream_key(group, first member) of the ComponentForest's
-  // partition, and the clone never consumes this oracle's own stream, so
-  // forest reuse (including skipping fully-satisfied components without
-  // cloning) cannot shift any component's draws.
-  bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone(std::uint64_t key) override;
+  // `draw[k]` is live[k]'s draw.  Appends the winners to `selected` in
+  // live order, then shrinks `live` to the candidates that conflict with
+  // no winner.
+  void iterate(std::vector<InstanceId>& live, std::span<const double> draw,
+               std::vector<InstanceId>& selected);
 
  private:
   struct Key {
@@ -146,14 +142,44 @@ class LubyMis : public MisOracle {
   };
 
   const Problem* problem_;
-  std::uint64_t seed_ = 0;  // retained for component_clone derivation
-  Rng rng_;
-  // Per-edge / per-demand minimum key over the live candidates, with
-  // iteration stamps so no clearing is needed between iterations.
+  // Per-edge / per-demand minimum key over the live candidates, and the
+  // cliques a winner kills, each valid only where stamped this iteration.
   std::vector<Key> edge_min_, demand_min_;
   std::vector<int> edge_stamp_, demand_stamp_;
-  std::vector<int> edge_kill_, demand_kill_;  // stamped when a winner uses it
+  std::vector<int> edge_kill_, demand_kill_;
+  std::vector<InstanceId> next_;
   int stamp_ = 0;
+};
+
+// Round-counting Luby oracle over the implicit conflict cliques.  One
+// instance is stateful: successive run() calls consume the same random
+// stream, so a whole engine run is reproducible from the seed.
+class LubyMis : public MisOracle {
+ public:
+  LubyMis(const Problem& problem, std::uint64_t seed);
+
+  MisResult run(std::span<const InstanceId> candidates) override;
+
+  // Component-local oracle for parallel epoch execution: derives an
+  // independent stream from (seed, key), so the run is deterministic for
+  // any thread count >= 2.  Note this is a *different* randomness
+  // schedule than the single-stream run the engine makes at threads = 1
+  // (each group one component on this oracle) — threads >= 2 with
+  // LubyMis is reproducible but not bit-identical to threads = 1
+  // (GreedyMis is; see MisOracle::component_clone).  The engine keys
+  // clones by component_stream_key(group, first member) of the
+  // ComponentForest's partition, and the clone never consumes this
+  // oracle's own stream, so forest reuse (including skipping
+  // fully-satisfied components without cloning) cannot shift any
+  // component's draws.
+  bool supports_component_clone() const override { return true; }
+  std::unique_ptr<MisOracle> component_clone(std::uint64_t key) override;
+
+ private:
+  const Problem* problem_;
+  std::uint64_t seed_ = 0;  // retained for component_clone derivation
+  Rng rng_;
+  CliqueLuby cliques_;
 };
 
 // The modeled twin of the protocol scheduler's budgeted Luby loop: a
@@ -178,8 +204,8 @@ class LubyMis : public MisOracle {
 //
 // Because the randomness is per instance, component_clone can hand each
 // parallel-epoch worker a view onto the *same* shared streams (disjoint
-// components touch disjoint instances): unlike LubyMis, the parallel
-// engine run is bit-identical to the serial one, for any thread count.
+// components touch disjoint instances): unlike LubyMis, the engine run is
+// bit-identical at every thread count.
 class ProtocolLubyMis : public MisOracle {
  public:
   // `luby_budget` <= 0 derives default_luby_budget(num_instances).
@@ -201,26 +227,9 @@ class ProtocolLubyMis : public MisOracle {
   int max_retries() const { return max_retries_; }
 
  private:
-  struct Key {
-    double value = 0.0;
-    InstanceId id = kNoInstance;
-    bool operator<(const Key& o) const {
-      return value < o.value || (value == o.value && id < o.id);
-    }
-    bool operator==(const Key& o) const {
-      return value == o.value && id == o.id;
-    }
-  };
-
   ProtocolLubyMis(const Problem& problem,
                   std::shared_ptr<std::vector<Rng>> streams, int luby_budget,
                   int max_retries);
-
-  // One budgeted Luby iteration over `live` (draw, clique minima,
-  // winners into result.selected, survivor compaction) — the body both
-  // the main loop and the retry loop execute, so they cannot drift.
-  void run_iteration(std::vector<InstanceId>& live, std::vector<double>& draw,
-                     std::vector<InstanceId>& next, MisResult& result);
 
   const Problem* problem_;
   int budget_ = 1;
@@ -228,11 +237,7 @@ class ProtocolLubyMis : public MisOracle {
   // Shared with component clones: components of one epoch are disjoint
   // instance sets, so concurrent clones touch disjoint streams.
   std::shared_ptr<std::vector<Rng>> streams_;
-  // Per-oracle scratch (clique minima over the live set, stamped).
-  std::vector<Key> edge_min_, demand_min_;
-  std::vector<int> edge_stamp_, demand_stamp_;
-  std::vector<int> edge_kill_, demand_kill_;
-  int stamp_ = 0;
+  CliqueLuby cliques_;  // per-oracle scratch
 };
 
 }  // namespace treesched

@@ -100,20 +100,16 @@ void ComponentForest::build(const Problem& problem, const LayeredPlan& plan,
     comp_member_begin_[static_cast<std::size_t>(c) + 1] =
         comp_member_begin_[static_cast<std::size_t>(c)] +
         comp_size[static_cast<std::size_t>(c)];
-  member_ranks_.resize(static_cast<std::size_t>(comp_member_begin_.back()));
-  member_ids_.resize(member_ranks_.size());
+  member_ids_.resize(static_cast<std::size_t>(comp_member_begin_.back()));
 
   std::vector<std::int64_t> cursor(comp_member_begin_.begin(),
                                    comp_member_begin_.end() - 1);
   for (int g = 0; g < num_groups_; ++g) {
-    int rank = 0;
     for (InstanceId i : plan.members[static_cast<std::size_t>(g)]) {
       if (!active_mask[static_cast<std::size_t>(i)]) continue;
       const int c = comp_of_root_[static_cast<std::size_t>(find(i))];
-      const auto at = static_cast<std::size_t>(cursor[static_cast<std::size_t>(c)]++);
-      member_ranks_[at] = rank;
-      member_ids_[at] = i;
-      ++rank;
+      member_ids_[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(c)]++)] = i;
     }
   }
   refill_member_index(n);
@@ -241,11 +237,10 @@ void ComponentForest::update(const Problem& problem, const LayeredPlan& plan,
 
   // Re-flatten into the staging arrays: touched groups from the revised
   // union-find, untouched groups as verbatim slice copies (their active
-  // member sets, orders and per-group ranks are unchanged by
-  // construction — any change would have touched the group).
+  // member sets and orders are unchanged by construction — any change
+  // would have touched the group).
   upd_first_comp_.assign(static_cast<std::size_t>(num_groups_) + 1, 0);
   upd_member_begin_.assign(1, 0);
-  upd_ranks_.clear();
   upd_ids_.clear();
   for (int g = 0; g < num_groups_; ++g) {
     if (!touched_group_[static_cast<std::size_t>(g)]) {
@@ -257,10 +252,6 @@ void ComponentForest::update(const Problem& problem, const LayeredPlan& plan,
       upd_ids_.insert(upd_ids_.end(),
                       member_ids_.begin() + static_cast<std::ptrdiff_t>(b),
                       member_ids_.begin() + static_cast<std::ptrdiff_t>(e));
-      upd_ranks_.insert(
-          upd_ranks_.end(),
-          member_ranks_.begin() + static_cast<std::ptrdiff_t>(b),
-          member_ranks_.begin() + static_cast<std::ptrdiff_t>(e));
       for (int c = c0; c < c1; ++c)
         upd_member_begin_.push_back(
             base + comp_member_begin_[static_cast<std::size_t>(c) + 1]);
@@ -289,23 +280,17 @@ void ComponentForest::update(const Problem& problem, const LayeredPlan& plan,
       upd_member_begin_.push_back(acc);
     }
     upd_ids_.resize(static_cast<std::size_t>(acc));
-    upd_ranks_.resize(static_cast<std::size_t>(acc));
-    int rank = 0;
     for (InstanceId i : plan.members[static_cast<std::size_t>(g)]) {
       if (!active_mask[static_cast<std::size_t>(i)]) continue;
       const int lc = comp_of_root_[static_cast<std::size_t>(find(i))];
-      const auto at = static_cast<std::size_t>(
-          group_cursor_[static_cast<std::size_t>(lc)]++);
-      upd_ids_[at] = i;
-      upd_ranks_[at] = rank;
-      ++rank;
+      upd_ids_[static_cast<std::size_t>(
+          group_cursor_[static_cast<std::size_t>(lc)]++)] = i;
     }
     upd_first_comp_[static_cast<std::size_t>(g) + 1] =
         upd_first_comp_[static_cast<std::size_t>(g)] + comps_here;
   }
   group_first_comp_.swap(upd_first_comp_);
   comp_member_begin_.swap(upd_member_begin_);
-  member_ranks_.swap(upd_ranks_);
   member_ids_.swap(upd_ids_);
   refill_member_index(n);
 }

@@ -23,13 +23,15 @@
 //    not depend on which worker or thread count runs the component.
 //
 // Lifecycle: build() once per (problem, plan, active_mask) combination.
-// TwoPhaseEngine builds lazily on the first parallel run and invalidates
-// on restrict_to(); the online scheduler keeps one forest per height
-// class and revises it with update().  Within a stage the unsatisfied
-// frontier only shrinks, so components only ever split — the engine
-// exploits that by *filtering* (skipping components with no unsatisfied
-// member) rather than re-partitioning; the forest itself never needs
-// updating mid-run.
+// TwoPhaseEngine builds lazily on the first run that drives components
+// with oracle clones (threads >= 2 and an oracle supporting
+// component_clone; otherwise each group is one component and no forest
+// is built) and invalidates on restrict_to(); the online scheduler keeps
+// one forest per height class and revises it with update().  Within a
+// stage the unsatisfied frontier only shrinks, so components only ever
+// split — the engine exploits that by *filtering* (skipping components
+// with no unsatisfied member) rather than re-partitioning; the forest
+// itself never needs updating mid-run.
 #pragma once
 
 #include <cstdint>
@@ -78,15 +80,8 @@ class ComponentForest {
     return group_first_comp_[static_cast<std::size_t>(g) + 1] -
            group_first_comp_[static_cast<std::size_t>(g)];
   }
-  // Member ranks (positions among the group's active members, ascending)
-  // of component c of group g.
-  std::span<const int> component_ranks(int g, int c) const {
-    const int comp = group_first_comp_[static_cast<std::size_t>(g)] + c;
-    return {member_ranks_.data() + comp_member_begin_[comp],
-            static_cast<std::size_t>(comp_member_begin_[comp + 1] -
-                                     comp_member_begin_[comp])};
-  }
-  // The same members as instance ids (members[rank], same order).
+  // Members of component c of group g, in ascending rank (position
+  // among the group's active members in plan order).
   std::span<const InstanceId> component_ids(int g, int c) const {
     const int comp = group_first_comp_[static_cast<std::size_t>(g)] + c;
     return {member_ids_.data() + comp_member_begin_[comp],
@@ -132,17 +127,15 @@ class ComponentForest {
   std::vector<char> touched_group_, dirty_comp_;
   std::vector<int> upd_first_comp_;
   std::vector<std::int64_t> upd_member_begin_, group_cursor_;
-  std::vector<int> upd_ranks_;
   std::vector<InstanceId> upd_ids_;
   std::vector<std::int64_t> group_sizes_;
 
   // The flat forest: group g owns components
   // [group_first_comp_[g], group_first_comp_[g+1]); component c owns
-  // members [comp_member_begin_[c], comp_member_begin_[c+1]) of the
-  // parallel (member_ranks_, member_ids_) arrays.
+  // members [comp_member_begin_[c], comp_member_begin_[c+1]) of
+  // member_ids_.
   std::vector<int> group_first_comp_;
   std::vector<std::int64_t> comp_member_begin_;
-  std::vector<int> member_ranks_;
   std::vector<InstanceId> member_ids_;
 };
 

@@ -435,20 +435,22 @@ void TwoPhaseEngine::build_local_stores() {
   }
   lhs_cache_.assign(static_cast<std::size_t>(n), 0.0);
   lhs_fresh_.assign(static_cast<std::size_t>(n), 1);  // all-zero duals
+  active_group_.resize(static_cast<std::size_t>(n));
+  for (InstanceId i = 0; i < n; ++i)
+    active_group_[static_cast<std::size_t>(i)] =
+        is_active(i) ? plan_->group[static_cast<std::size_t>(i)] : -1;
 }
 
 void TwoPhaseEngine::propagate_raise(InstanceId i, double delta,
                                      std::span<const double> increments,
-                                     PropScope scope, int group) {
+                                     int group) {
   const DemandInstance& inst = problem_->instance(i);
-  const auto in_scope = [&](InstanceId k) {
-    if (!is_active(k)) return false;
-    if (scope == PropScope::kAll) return true;
-    return plan_->group[static_cast<std::size_t>(k)] == group;
+  const auto in_group = [&](InstanceId k) {
+    return active_group_[static_cast<std::size_t>(k)] == group;
   };
   if (config_.raise_alpha) {
     for (InstanceId k : problem_->instances_of_demand(inst.demand)) {
-      if (!in_scope(k)) continue;
+      if (!in_group(k)) continue;
       shards_[static_cast<std::size_t>(k)].raise_alpha(delta);
       lhs_fresh_[static_cast<std::size_t>(k)] = 0;
     }
@@ -461,7 +463,7 @@ void TwoPhaseEngine::propagate_raise(InstanceId i, double delta,
         edge_pos_.data() + edge_pos_offset_[static_cast<std::size_t>(e)];
     for (std::size_t b = 0; b < bucket.size(); ++b) {
       const InstanceId k = bucket[b];
-      if (!in_scope(k)) continue;
+      if (!in_group(k)) continue;
       shards_[static_cast<std::size_t>(k)].raise_beta_at(pos[b],
                                                          increments[c]);
       lhs_fresh_[static_cast<std::size_t>(k)] = 0;
@@ -509,25 +511,22 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
   build_local_stores();
   double objective = 0.0;
 
-  // Parallel epoch execution needs a component-local oracle per worker;
-  // an oracle without component_clone support pins the run to the serial
-  // path (which also serves threads == 1).
-  const bool parallel =
+  // Clones let the forest's components of a group run on workers.  With
+  // one oracle (threads <= 1, or an oracle without component_clone) every
+  // group runs as one component on oracle_, through the same loop.
+  const bool cloned =
       config_.threads > 1 && oracle_->supports_component_clone();
-  if (parallel) {
-    worker_scratch_.resize(
-        static_cast<std::size_t>(std::max(config_.threads, 1)));
-    if (!forest_.built()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      forest_.build(*problem_, *plan_, active_mask_);
-      stats.forest_build_ns += elapsed_ns(t0);
-    }
+  worker_scratch_.resize(
+      static_cast<std::size_t>(cloned ? config_.threads : 1));
+  if (cloned && !forest_.built()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    forest_.build(*problem_, *plan_, active_mask_);
+    stats.forest_build_ns += elapsed_ns(t0);
   }
 
   std::vector<std::vector<InstanceId>> stack;
   std::vector<InstanceId> raised_order;
-  std::vector<InstanceId> members, unsat;
-  std::vector<double> increments;
+  std::vector<InstanceId> members;
 
   for (int g = 0; g < plan_->num_groups; ++g) {
     members.clear();
@@ -537,163 +536,73 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
     ++stats.epochs;
     TRACE_SPAN1("engine", "epoch", "group", g);
 
-    if (parallel) {
-      const auto setup_start = std::chrono::steady_clock::now();
-      const int comp_count = [&] {
-        TRACE_SPAN1("engine", "epoch_setup", "group", g);
-        return derive_components(members, g);
-      }();
-      stats.epoch_setup_ns += elapsed_ns(setup_start);
+    const auto setup_start = std::chrono::steady_clock::now();
+    const int comp_count = [&] {
+      TRACE_SPAN1("engine", "epoch_setup", "group", g);
+      return derive_components(members, g, cloned);
+    }();
+    stats.epoch_setup_ns += elapsed_ns(setup_start);
+    if (obs::tracing_enabled()) {
+      TRACE_HIST("engine.components_per_epoch", comp_count);
+      for (int c = 0; c < comp_count; ++c)
+        TRACE_HIST("engine.component_size",
+                   comp_pool_[static_cast<std::size_t>(c)].ids.size());
+    }
+    {
+      // Fixed-size pool over an atomic work index (one component runs on
+      // the calling thread alone): which worker runs which component is
+      // scheduling-dependent, but each component's writes are confined
+      // to its own members' shards and caches, and the merge below
+      // replays everything in fixed component order — so the output is
+      // independent of the interleaving.
+      std::atomic<int> next{0};
+      const int workers = clamp_workers(comp_count);
+      // Per-worker busy time (loop entry to exhausted work queue); idle
+      // is the pool wall minus that, accumulated into the metrics
+      // registry after the join.
+      std::vector<std::int64_t> busy_ns(static_cast<std::size_t>(workers), 0);
+      const auto work = [&](int w) {
+        WorkerScratch& scratch = worker_scratch_[static_cast<std::size_t>(w)];
+        const bool traced = obs::tracing_enabled();
+        const std::int64_t entered_ns = traced ? obs::trace_now_ns() : 0;
+        for (;;) {
+          const int c = next.fetch_add(1);
+          if (c >= comp_count) break;
+          EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
+          TRACE_SPAN2("engine", "component", "size", comp.ids.size(),
+                      "group", g);
+          run_component(comp, rule, sched, g, scratch);
+        }
+        if (traced)
+          busy_ns[static_cast<std::size_t>(w)] =
+              obs::trace_now_ns() - entered_ns;
+      };
+      const std::int64_t pool_start_ns =
+          obs::tracing_enabled() ? obs::trace_now_ns() : 0;
+      TRACE_SPAN2("engine", "solve", "group", g, "components", comp_count);
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(workers) - 1);
+      for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
+      work(0);
+      for (std::thread& t : pool) t.join();
       if (obs::tracing_enabled()) {
-        TRACE_HIST("engine.components_per_epoch", comp_count);
-        for (int c = 0; c < comp_count; ++c)
-          TRACE_HIST("engine.component_size",
-                     comp_pool_[static_cast<std::size_t>(c)].ids.size());
-      }
-      if (comp_count > 1) {
-        // Fixed-size pool over an atomic work index: which worker runs
-        // which component is scheduling-dependent, but each component's
-        // writes are confined to its own members' shards and caches, and
-        // the merge below replays everything in fixed component order —
-        // so the output is independent of the interleaving.
-        std::atomic<int> next{0};
-        const int workers = clamp_workers(comp_count);
-        // Per-worker busy time (loop entry to exhausted work queue);
-        // idle is the pool wall minus that, accumulated into the
-        // metrics registry after the join.
-        std::vector<std::int64_t> busy_ns(static_cast<std::size_t>(workers),
-                                          0);
-        const auto work = [&](int w) {
-          WorkerScratch& scratch = worker_scratch_[static_cast<std::size_t>(w)];
-          const bool traced = obs::tracing_enabled();
-          const std::int64_t entered_ns = traced ? obs::trace_now_ns() : 0;
-          for (;;) {
-            const int c = next.fetch_add(1);
-            if (c >= comp_count) break;
-            EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-            TRACE_SPAN2("engine", "component", "size", comp.ids.size(),
-                        "group", g);
-            run_component(comp, rule, sched, g, scratch);
-          }
-          if (traced)
-            busy_ns[static_cast<std::size_t>(w)] =
-                obs::trace_now_ns() - entered_ns;
-        };
-        const std::int64_t pool_start_ns =
-            obs::tracing_enabled() ? obs::trace_now_ns() : 0;
-        TRACE_SPAN2("engine", "solve", "group", g, "components", comp_count);
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(workers) - 1);
-        for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
-        work(0);
-        for (std::thread& t : pool) t.join();
-        if (obs::tracing_enabled()) {
-          const std::int64_t pool_wall_ns =
-              obs::trace_now_ns() - pool_start_ns;
-          auto& registry = obs::MetricsRegistry::global();
-          for (int w = 0; w < workers; ++w) {
-            const std::int64_t busy = busy_ns[static_cast<std::size_t>(w)];
-            registry.counter("engine.worker_busy_ns").add(busy);
-            registry.counter("engine.worker_idle_ns")
-                .add(std::max<std::int64_t>(0, pool_wall_ns - busy));
-          }
+        const std::int64_t pool_wall_ns = obs::trace_now_ns() - pool_start_ns;
+        auto& registry = obs::MetricsRegistry::global();
+        for (int w = 0; w < workers; ++w) {
+          const std::int64_t busy = busy_ns[static_cast<std::size_t>(w)];
+          registry.counter("engine.worker_busy_ns").add(busy);
+          registry.counter("engine.worker_idle_ns")
+              .add(std::max<std::int64_t>(0, pool_wall_ns - busy));
         }
-      } else if (comp_count == 1) {
-        TRACE_SPAN2("engine", "component", "size", comp_pool_[0].ids.size(),
-                    "group", g);
-        run_component(comp_pool_[0], rule, sched, g, worker_scratch_[0]);
       }
-      const auto merge_start = std::chrono::steady_clock::now();
-      {
-        TRACE_SPAN1("engine", "merge", "group", g);
-        merge_components(comp_count, members, rule, sched, g, objective,
-                         stats, stack, raised_order);
-      }
-      stats.merge_ns += elapsed_ns(merge_start);
-      continue;
     }
-
-    // Serial frontier path.
-    for (int j = 1; j <= sched.stages_per_epoch; ++j) {
-      const double target = stage_target(sched, j);
-      ++stats.stages;
-      TRACE_SPAN2("engine", "stage", "group", g, "stage", j);
-      int steps_this_stage = 0;
-      int rows_this_stage = 0;
-      bool scanned = false;
-      for (;;) {
-        if (!scanned) {
-          // The stage's one member scan — O(1) cached reads; from here
-          // on the frontier only shrinks (raises are monotone within a
-          // stage), so each step filters the previous frontier instead
-          // of rescanning the group.
-          unsat.clear();
-          for (InstanceId i : members)
-            if (unsatisfied_local(i, rule, target)) unsat.push_back(i);
-          scanned = true;
-        } else {
-          std::size_t w = 0;
-          for (std::size_t r = 0; r < unsat.size(); ++r)
-            if (unsatisfied_local(unsat[r], rule, target))
-              unsat[w++] = unsat[r];
-          unsat.resize(w);
-        }
-        if (config_.lockstep) {
-          if (steps_this_stage >= sched.lockstep_budget) {
-            if (!unsat.empty()) stats.lockstep_ok = false;
-            break;
-          }
-          if (unsat.empty()) {
-            ++stats.steps;
-            ++steps_this_stage;
-            stats.mis_rounds += 2;
-            stats.comm_rounds += 3;
-            continue;
-          }
-        } else if (unsat.empty()) {
-          break;
-        }
-        const MisResult mis =
-            oracle_->run(std::span<const InstanceId>(unsat.data(),
-                                                     unsat.size()));
-        ++stats.steps;
-        ++steps_this_stage;
-        stats.mis_rounds += mis.rounds;
-        stats.comm_rounds += mis.rounds + 1;  // +1: dual propagation
-        stats.mis_retries += mis.retries;
-        if (mis.selected.empty()) {
-          stats.mis_ok = false;
-          ++stats.mis_failed_steps;
-          TRACE_COUNTER("engine.mis_failed_steps", 1);
-          if (config_.lockstep) continue;
-          stats.lockstep_ok = false;
-          break;
-        }
-        for (InstanceId i : mis.selected) {
-          const DemandInstance& inst = problem_->instance(i);
-          const auto& critical =
-              plan_->critical[static_cast<std::size_t>(i)];
-          const double slack =
-              inst.profit - lhs_local(i, rule.beta_coeff(inst));
-          TS_DCHECK(slack > 0.0);
-          const double delta =
-              rule.tight_raise(inst, critical, slack, increments);
-          propagate_raise(i, delta, increments, PropScope::kAll, g);
-          bookkeep_raise(i, delta, increments, objective, stats,
-                         raised_order);
-          TS_DCHECK(std::abs(lhs_local(i, rule.beta_coeff(inst)) -
-                             inst.profit) <=
-                    1e-6 * std::max(1.0, inst.profit));
-        }
-        if (config_.keep_stack)
-          stack_tags_.push_back(StackTag{g, j, rows_this_stage});
-        ++rows_this_stage;
-        stack.push_back(mis.selected);
-        TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
-      }
-      stats.max_steps_in_stage =
-          std::max(stats.max_steps_in_stage, steps_this_stage);
+    const auto merge_start = std::chrono::steady_clock::now();
+    {
+      TRACE_SPAN1("engine", "merge", "group", g);
+      merge_components(comp_count, members, rule, sched, g, objective, stats,
+                       stack, raised_order);
     }
+    stats.merge_ns += elapsed_ns(merge_start);
   }
 
   // Certification from the local stores alone: every instance reports its
@@ -723,20 +632,35 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
 }
 
 // ---------------------------------------------------------------------------
-// Parallel epochs: conflict-disjoint components.
+// Epoch components: the one phase-1 loop.
 //
 // Within one group, a raise of member i touches beta only on critical
 // edges of path(i) and alpha of i's demand; any member whose constraint
 // reads one of those variables conflicts with i and is therefore in i's
 // connected component of the conflict graph restricted to the group.  So
 // components never read each other's writes during an epoch and can run
-// concurrently; raises reaching *later* groups are deferred and replayed
-// by the merge in (step, member-rank) order — exactly the chronological
-// order the serial engine applies them in, which is what keeps the
-// parallel path bit-identical for decomposable (deterministic) oracles.
+// concurrently; raises reaching other groups are deferred and replayed
+// by the merge in step order — the chronological order in which the
+// central reference applies them, which is what keeps every thread count
+// bit-identical to it for decomposable (deterministic) oracles.  With a
+// single oracle the whole group is one component, and its raises keep
+// the oracle's decision order within a step, exactly as the central
+// reference raises them.
 
 int TwoPhaseEngine::derive_components(const std::vector<InstanceId>& members,
-                                      int group) {
+                                      int group, bool cloned) {
+  const int m = static_cast<int>(members.size());
+  for (int rank = 0; rank < m; ++rank)
+    rank_of_[static_cast<std::size_t>(members[static_cast<std::size_t>(rank)])] =
+        rank;
+  if (!cloned) {
+    if (comp_pool_.empty()) comp_pool_.resize(1);
+    EpochComponent& comp = comp_pool_.front();
+    comp.ids = members;
+    comp.oracle = oracle_;
+    comp.clone.reset();
+    return 1;
+  }
   // The forest already holds this epoch's partition; deriving is pure
   // span slicing — O(|members| + #components).  Oracles are NOT cloned
   // here: run_component clones lazily once a frontier scan finds an
@@ -744,10 +668,6 @@ int TwoPhaseEngine::derive_components(const std::vector<InstanceId>& members,
   // satisfied component costs neither a clone nor a stream.  Clone
   // streams derive from (seed, key), never from the parent oracle's
   // state, so the laziness cannot shift any component's randomness.
-  const int m = static_cast<int>(members.size());
-  for (int rank = 0; rank < m; ++rank)
-    rank_of_[static_cast<std::size_t>(members[static_cast<std::size_t>(rank)])] =
-        rank;
   const int count = forest_.components_in_group(group);
   if (static_cast<int>(comp_pool_.size()) < count)
     comp_pool_.resize(static_cast<std::size_t>(count));
@@ -755,7 +675,8 @@ int TwoPhaseEngine::derive_components(const std::vector<InstanceId>& members,
     EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
     comp.ids = forest_.component_ids(group, c);
     comp.stream_key = component_stream_key(group, comp.ids.front());
-    comp.oracle.reset();
+    comp.oracle = nullptr;
+    comp.clone.reset();
   }
   return count;
 }
@@ -804,8 +725,9 @@ void TwoPhaseEngine::run_component(EpochComponent& comp,
       // parent and derives the stream from (seed, stream_key) alone —
       // see MisOracle's contract.
       if (comp.oracle == nullptr) {
-        comp.oracle = oracle_->component_clone(comp.stream_key);
-        TS_REQUIRE(comp.oracle != nullptr);
+        comp.clone = oracle_->component_clone(comp.stream_key);
+        TS_REQUIRE(comp.clone != nullptr);
+        comp.oracle = comp.clone.get();
       }
       const MisResult mis = comp.oracle->run(
           std::span<const InstanceId>(unsat.data(), unsat.size()));
@@ -832,16 +754,21 @@ void TwoPhaseEngine::run_component(EpochComponent& comp,
         TS_DCHECK(slack > 0.0);
         const double delta =
             rule.tight_raise(inst, critical, slack, increments);
-        // In-component application only; out-of-group propagation is the
+        // In-group application only; out-of-group propagation is the
         // merge's job (in deterministic order).
-        propagate_raise(i, delta, increments, PropScope::kInGroup, group);
+        propagate_raise(i, delta, increments, group);
+        TS_DCHECK(std::abs(lhs_local(i, rule.beta_coeff(inst)) -
+                           inst.profit) <= 1e-6 * std::max(1.0, inst.profit));
         selected.emplace_back(rank_of_[static_cast<std::size_t>(i)], delta);
       }
-      // Log in ascending member rank (randomized oracles report winners
-      // in decision order; raises within a step commute, so rank order is
-      // safe and deterministic).  Ranks are unique, so the pair sort is
-      // a rank sort.
-      std::sort(selected.begin(), selected.end());
+      // A clone's winners are logged in ascending member rank (randomized
+      // oracles report winners in decision order; raises within a step
+      // commute, so rank order is safe and deterministic for any thread
+      // count).  The engine's own oracle keeps its decision order: the
+      // order the central reference raises in, which fixes the objective's
+      // summation order.  Ranks are unique, so the pair sort is a rank
+      // sort.
+      if (comp.clone != nullptr) std::sort(selected.begin(), selected.end());
       comp.step_rounds.push_back(mis.rounds);
       comp.step_retries.push_back(mis.retries);
       for (const auto& [rank, delta] : selected) {
@@ -863,8 +790,8 @@ void TwoPhaseEngine::merge_components(
     std::vector<InstanceId>& raised_order) {
   // Phase A (serial, cheap): k-way merge of the per-component decision
   // logs by (stage, step) into the chronological raise order, with the
-  // serial bookkeeping — objective accumulation, stack rows, stats,
-  // message counting — exactly as the serial engine interleaves it.
+  // bookkeeping — objective accumulation, stack rows, stats, message
+  // counting — exactly as the central reference interleaves it.
   // The raises themselves are only *logged* (ids, deltas and the
   // per-critical-edge increment slabs); their out-of-group propagation
   // is deferred to Phase B below, which is safe because nothing reads an
@@ -894,16 +821,16 @@ void TwoPhaseEngine::merge_components(
       merge_row_.clear();
       int rounds_t = 0;
       int retries_t = 0;
-      bool any_component = false;
+      int contributors = 0;
       for (const EpochComponent& comp : comps) {
         if (t >= comp.steps_in_stage(j - 1)) continue;
-        any_component = true;
+        ++contributors;
         const auto s = static_cast<std::size_t>(
             comp.stage_begin[static_cast<std::size_t>(j - 1)] + t);
         rounds_t = std::max(rounds_t, comp.step_rounds[s]);
         // Like the rounds: concurrent components share the step's retry
-        // attempts, and a serial whole-frontier run retries exactly as
-        // long as its worst component — max, not sum.
+        // attempts, and a whole-frontier single-oracle run retries exactly
+        // as long as its worst component — max, not sum.
         retries_t = std::max(retries_t, comp.step_retries[s]);
         for (int k = comp.step_begin[s]; k < comp.step_begin[s + 1]; ++k)
           merge_row_.emplace_back(comp.rank_log[static_cast<std::size_t>(k)],
@@ -911,10 +838,10 @@ void TwoPhaseEngine::merge_components(
       }
       ++stats.steps;
       ++counted;
-      if (!any_component) {
+      if (contributors == 0) {
         // Every component finished before the budget: the union U is
         // empty, and the lockstep schedule idles through the remaining
-        // steps exactly as the serial engine does.
+        // steps exactly as the central reference does.
         stats.mis_rounds += 2;
         stats.comm_rounds += 3;
         continue;
@@ -927,18 +854,20 @@ void TwoPhaseEngine::merge_components(
       stats.mis_retries += retries_t;
       if (merge_row_.empty()) {
         // Every live component's MIS came back empty this step: the
-        // union U's step failed exactly as a serial empty step would.
-        // (Per-component failures that still yield a non-empty union
-        // only flip mis_ok below, not this counter — the counter must
-        // stay identical across serial and parallel paths, and the
-        // parity suite compares it with ==.)
+        // union U's step failed exactly as a single-oracle empty step
+        // would.  (Per-component failures that still yield a non-empty
+        // union only flip mis_ok below, not this counter — the counter
+        // must stay identical across thread counts, and the parity suite
+        // compares it with ==.)
         stats.mis_ok = false;
         ++stats.mis_failed_steps;
         TRACE_COUNTER("engine.mis_failed_steps", 1);
         if (!config_.lockstep) stage_broken = true;
         continue;
       }
-      std::sort(merge_row_.begin(), merge_row_.end());
+      // Several components' rows interleave by member rank; a lone
+      // component's row keeps the order run_component logged it in.
+      if (contributors > 1) std::sort(merge_row_.begin(), merge_row_.end());
       std::vector<InstanceId> row;
       row.reserve(merge_row_.size());
       for (const auto& [rank, delta] : merge_row_) {
@@ -990,30 +919,25 @@ void TwoPhaseEngine::merge_components(
   const int workers = deferred_fanout < kParallelFanoutFloor
                           ? 1
                           : clamp_workers(static_cast<int>(n));
-  if (workers > 1) {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers) - 1);
-    const auto range_begin = [&](int w) {
-      return static_cast<InstanceId>(
-          static_cast<std::int64_t>(n) * w / workers);
-    };
-    for (int w = 1; w < workers; ++w)
-      pool.emplace_back([this, group, &range_begin, w] {
-        apply_deferred_raises(group, range_begin(w), range_begin(w + 1));
-      });
-    apply_deferred_raises(group, range_begin(0), range_begin(1));
-    for (std::thread& t : pool) t.join();
-  } else {
-    apply_deferred_raises(group, 0, n);
-  }
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers) - 1);
+  const auto range_begin = [&](int w) {
+    return static_cast<InstanceId>(static_cast<std::int64_t>(n) * w / workers);
+  };
+  for (int w = 1; w < workers; ++w)
+    pool.emplace_back([this, group, &range_begin, w] {
+      apply_deferred_raises(group, range_begin(w), range_begin(w + 1));
+    });
+  apply_deferred_raises(group, range_begin(0), range_begin(1));
+  for (std::thread& t : pool) t.join();
 }
 
 void TwoPhaseEngine::apply_deferred_raises(int group, InstanceId lo,
                                            InstanceId hi) {
   TRACE_SPAN2("engine", "merge_slab", "lo", lo, "hi", hi);
   const auto in_scope = [&](InstanceId k) {
-    return is_active(k) &&
-           plan_->group[static_cast<std::size_t>(k)] != group;
+    const int g = active_group_[static_cast<std::size_t>(k)];
+    return g >= 0 && g != group;
   };
   const std::size_t raises = merge_log_ids_.size();
   for (std::size_t r = 0; r < raises; ++r) {
@@ -1038,8 +962,12 @@ void TwoPhaseEngine::apply_deferred_raises(int group, InstanceId lo,
       const InstanceId* base = bucket.data();
       const int* pos =
           edge_pos_.data() + edge_pos_offset_[static_cast<std::size_t>(e)];
-      const InstanceId* s = std::lower_bound(base, base + bucket.size(), lo);
-      const InstanceId* t = std::lower_bound(s, base + bucket.size(), hi);
+      const InstanceId* end = base + bucket.size();
+      // A slice at either end of the ids (all of them, with one worker)
+      // needs no range search.
+      const InstanceId* s = lo == 0 ? base : std::lower_bound(base, end, lo);
+      const InstanceId* t =
+          hi == problem_->num_instances() ? end : std::lower_bound(s, end, hi);
       for (const InstanceId* p = s; p < t; ++p) {
         const InstanceId k = *p;
         if (!in_scope(k)) continue;
@@ -1083,20 +1011,29 @@ StageParams derive_stage_params(const Problem& problem,
                                 const std::vector<char>& active_mask,
                                 RaiseRuleKind rule, double epsilon,
                                 double xi_override) {
-  StageParams params;
+  bool any_active = false;
+  int delta = 0;
+  double h_min = 1.0;
   for (InstanceId i = 0; i < problem.num_instances(); ++i) {
     if (!active_mask[static_cast<std::size_t>(i)]) continue;
-    params.any_active = true;
-    params.h_min = std::min(params.h_min, problem.instance(i).height);
-    params.delta = std::max(
-        params.delta,
+    any_active = true;
+    h_min = std::min(h_min, problem.instance(i).height);
+    delta = std::max(
+        delta,
         static_cast<int>(plan.critical[static_cast<std::size_t>(i)].size()));
   }
-  if (!params.any_active) return params;
+  if (!any_active) return StageParams{};
+  return class_stage_params(rule, delta, h_min, epsilon, xi_override);
+}
 
-  params.xi = xi_override > 0.0
-                  ? xi_override
-                  : RaiseRule::default_xi(rule, params.delta, params.h_min);
+StageParams class_stage_params(RaiseRuleKind rule, int delta, double h_min,
+                               double epsilon, double xi_override) {
+  StageParams params;
+  params.any_active = true;
+  params.delta = delta;
+  params.h_min = h_min;
+  params.xi = xi_override > 0.0 ? xi_override
+                                : RaiseRule::default_xi(rule, delta, h_min);
   // Smallest b with xi^b <= eps, computed in double: heights near 0 put
   // xi within rounding of 1, so b can exceed int or (xi == 1.0) be -inf.
   // Running fewer stages than b would leave the class under its target

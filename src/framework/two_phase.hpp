@@ -30,9 +30,15 @@
 //    intersect a raised edge, and a per-stage *unsatisfied frontier*
 //    that shrinks monotonically (raises never decrease an LHS within a
 //    stage), so a step tests only the previous frontier instead of
-//    rescanning the group.  With SolverConfig::threads > 1, each
-//    epoch's conflict-disjoint components run on a worker pool and are
-//    merged deterministically.
+//    rescanning the group.  Every epoch runs one loop: each component
+//    of the group runs its stages and steps, writing its own group's
+//    shards immediately and logging its raises, and a deterministic
+//    merge replays the logs in step order and propagates the raises to
+//    the other groups.
+//    With one oracle (SolverConfig::threads <= 1, or an oracle without
+//    component_clone) the whole group is one component; otherwise the
+//    group's conflict-disjoint components run on a worker pool, each
+//    with its own oracle clone.
 //  - kCentralReference: the pre-incremental engine (central DualState,
 //    full member rescan with a from-scratch beta walk every step), kept
 //    as the parity oracle.  Both implementations are bit-identical on
@@ -90,10 +96,10 @@ class MisOracle {
   // equivalent oracle — GreedyMis's clone reproduces the single-oracle
   // run bit for bit.  Randomized oracles derive an independent stream
   // from (seed, key), which keeps the run deterministic for any thread
-  // count but deliberately distinct from the serial single-stream run.
+  // count but deliberately distinct from the single-stream run.
   // Oracles that cannot run component-local leave
-  // supports_component_clone() false; the engine then falls back to
-  // serial single-oracle execution.
+  // supports_component_clone() false; the engine then drives every
+  // group as one component with this oracle, exactly as at threads = 1.
   //
   // Concurrency contract: the engine clones *lazily* from worker threads
   // (a component only receives an oracle once its first frontier scan
@@ -186,19 +192,21 @@ struct SolverConfig {
   int max_steps_per_stage = 200000;
   // Phase-1 implementation (see EngineImpl above).
   EngineImpl engine = EngineImpl::kIncremental;
-  // Worker threads for the incremental engine's parallel epoch execution:
-  // each epoch's group is partitioned into conflict-disjoint components
-  // (no raise in one component can touch the LHS of another's members —
-  // the per-processor shards are the unit of parallelism), components run
-  // on a pool of this many workers, and the results are merged in fixed
+  // Worker threads of the incremental engine.  This picks the epoch
+  // partition and the worker count, never the loop: with threads >= 2
+  // and an oracle that supports component_clone(), each epoch's group is
+  // partitioned into conflict-disjoint components (no raise in one
+  // component can touch the LHS of another's members — the
+  // per-processor shards are the unit of parallelism), components run on
+  // a pool of this many workers, and the results are merged in fixed
   // component order, so any threads >= 2 value yields the same output.
-  // The number of threads actually *spawned* is additionally capped at
+  // Otherwise the whole group is one component on the engine's own
+  // oracle.  The number of threads actually *spawned* (component pool
+  // and deferred propagation alike) is additionally capped at
   // std::thread::hardware_concurrency() — oversubscribing a CPU-bound
   // lock-free pool only adds scheduler overhead, and the output is
   // independent of the worker count by construction, so the cap cannot
-  // change any result.  Requires an oracle that supports
-  // component_clone(); otherwise, and with threads <= 1, epochs run
-  // serially.
+  // change any result.
   int threads = 1;
 };
 
@@ -231,26 +239,28 @@ struct SolveStats {
   // How many whole steps spent their MIS budget without deciding anyone
   // (the silent degrade behind mis_ok = false, surfaced so the CLI and
   // benches can warn).  Counted only when the *entire* step's selection
-  // is empty — identically on the central, serial, and parallel-merge
-  // paths, so the parity suites compare it with ==.
+  // is empty — identically on the central engine and on the incremental
+  // engine at any thread count, so the parity suites compare it with ==.
   std::int64_t mis_failed_steps = 0;
   // Adaptive MIS budget retries (MisResult::retries summed over steps).
-  // On the parallel path a step's retry count is the max over its
-  // components — a whole-frontier serial run enters attempt a exactly
-  // when its worst component does, because the Luby dynamics decompose
-  // across conflict-disjoint components — so this, too, compares with
-  // == across central/serial/parallel.
+  // With several components a step's retry count is the max over them —
+  // a whole-frontier single-oracle run enters attempt a exactly when its
+  // worst component does, because the Luby dynamics decompose across
+  // conflict-disjoint components — so this, too, compares with == across
+  // the central engine and every thread count.
   std::int64_t mis_retries = 0;
 
-  // Wall-clock breakdown of the parallel epoch path (all zero on the
-  // serial and central paths).  Timing, not semantics: every field the
+  // Wall-clock breakdown of the incremental engine's epoch loop (all
+  // zero on the central path).  Timing, not semantics: every field the
   // parity suites compare with == is unaffected.
   //   epoch_setup_ns   per-epoch component derivation: what the epoch
-  //                    loop pays serially before workers start — forest
-  //                    span slicing.  The frontier filtering and the
-  //                    (lazy) oracle clones happen inside run_component
-  //                    on the workers, so they are NOT in this counter;
-  //   forest_build_ns  the one-time ComponentForest build of the run;
+  //                    loop pays serially before workers start — member
+  //                    ranks and forest span slicing.  The frontier
+  //                    filtering and the (lazy) oracle clones happen
+  //                    inside run_component, so they are NOT in this
+  //                    counter;
+  //   forest_build_ns  the one-time ComponentForest build of the run
+  //                    (zero when every group runs as one component);
   //   merge_ns         the deterministic merge — chronological replay,
   //                    bookkeeping and the (parallel) deferred
   //                    out-of-group propagation.
@@ -327,9 +337,10 @@ class TwoPhaseEngine {
     int lockstep_budget = 0;
     bool any_active = false;
   };
-  // One conflict-disjoint component of an epoch's group, plus the
-  // decision log its worker records for the deterministic merge.  The
-  // member list is a span into the ComponentForest's flat storage, and
+  // One conflict-disjoint component of an epoch's group (or the whole
+  // group, when one oracle drives it), plus the decision log run_component
+  // records for the deterministic merge.  The member list is a span into
+  // the ComponentForest's flat storage or the epoch's member list, and
   // the log is flat — stage s covers steps
   // [stage_begin[s], stage_begin[s+1]) of step_rounds, step t's raises
   // are entries [step_begin[t], step_begin[t+1]) of (rank_log,
@@ -337,16 +348,20 @@ class TwoPhaseEngine {
   // reallocating.
   struct EpochComponent {
     std::span<const InstanceId> ids;   // members, ascending rank
-    // The oracle is cloned lazily: run_component clones on first need
-    // (a frontier scan that found an unsatisfied member), so a fully
+    // The oracle driving the component: the engine's own, or `clone`.
+    // A clone is made lazily: run_component clones on first need (a
+    // frontier scan that found an unsatisfied member), so a fully
     // satisfied component costs no clone.
+    MisOracle* oracle = nullptr;
+    std::unique_ptr<MisOracle> clone;
     std::uint64_t stream_key = 0;
-    std::unique_ptr<MisOracle> oracle;
     std::vector<int> stage_begin;      // size stages + 1
     std::vector<int> step_begin;       // size total steps + 1
     std::vector<int> step_rounds;      // per step
     std::vector<int> step_retries;     // per step, parallel to step_rounds
-    std::vector<int> rank_log;         // raised ranks, ascending per step
+    // Raised ranks per step: ascending for a clone, the oracle's decision
+    // order for the engine's own oracle.
+    std::vector<int> rank_log;
     std::vector<double> delta_log;     // parallel to rank_log
     bool mis_failed = false;    // oracle returned empty on a non-empty pool
     bool ended_short = false;   // stage ended with unsatisfied members left
@@ -367,14 +382,13 @@ class TwoPhaseEngine {
       ended_short = false;
     }
   };
-  // Per-worker scratch of the parallel epoch path, reused across epochs
-  // and components so the hot loop stops allocating.
+  // Per-worker scratch of run_component, reused across epochs and
+  // components so the hot loop stops allocating.
   struct WorkerScratch {
     std::vector<InstanceId> unsat;
     std::vector<double> increments;
     std::vector<std::pair<int, double>> selected;  // (rank, delta)
   };
-  enum class PropScope { kAll, kInGroup };
 
   bool is_active(InstanceId i) const {
     return active_mask_[static_cast<std::size_t>(i)] != 0;
@@ -409,19 +423,22 @@ class TwoPhaseEngine {
     return lhs_local(i, rule.beta_coeff(inst)) <
            target * inst.profit - kEps * inst.profit;
   }
+  // Applies a raise to the shards of the active members of `group`; the
+  // merge defers every other target to apply_deferred_raises.
   void propagate_raise(InstanceId i, double delta,
-                       std::span<const double> increments, PropScope scope,
-                       int group);
+                       std::span<const double> increments, int group);
   void bookkeep_raise(InstanceId i, double delta,
                       std::span<const double> increments, double& objective,
                       SolveStats& stats,
                       std::vector<InstanceId>& raised_order);
   // Component decomposition of one epoch, into comp_pool_[0..count):
-  // O(|members|) span slicing of the persistent forest.  The frontier
-  // filtering happens inside run_component: a component whose scan never
-  // finds an unsatisfied member runs zero steps and never even clones an
-  // oracle.
-  int derive_components(const std::vector<InstanceId>& members, int group);
+  // with `cloned`, O(|members|) span slicing of the persistent forest;
+  // otherwise the whole member list as one component on oracle_.  The
+  // frontier filtering happens inside run_component: a component whose
+  // scan never finds an unsatisfied member runs zero steps and never
+  // even clones an oracle.
+  int derive_components(const std::vector<InstanceId>& members, int group,
+                        bool cloned);
   // Threads actually spawned for `work_items` units of parallel work:
   // SolverConfig::threads, clamped by the work available and by
   // hardware_concurrency (oversubscribing a CPU-bound lock-free pool
@@ -469,13 +486,16 @@ class TwoPhaseEngine {
   std::vector<DualShard> shards_;
   std::vector<double> lhs_cache_;
   std::vector<char> lhs_fresh_;
+  // Plan group of every active instance, -1 for inactive ones: the one
+  // load behind both propagation passes' scope tests.
+  std::vector<int> active_group_;
   std::vector<std::int64_t> edge_pos_offset_;
   std::vector<int> edge_pos_;
   // Member rank within the current epoch's group, by instance id.
   std::vector<int> rank_of_;
 
-  // Persistent conflict-component forest: built lazily on the first
-  // parallel run, invalidated by restrict_to().
+  // Persistent conflict-component forest: built lazily on the first run
+  // that drives components with clones, invalidated by restrict_to().
   ComponentForest forest_;
   // Epoch arenas, reused across epochs: the component pool (flat logs
   // keep their capacity), per-worker scratch, and the merge's
@@ -491,10 +511,12 @@ class TwoPhaseEngine {
 
 // Wide/narrow classification of the arbitrary-height case (paper,
 // Section 6): wide instances (h > 1/2) run under the kUnit rule, the
-// rest under kNarrow.  Shared by solve_height_split and the distributed
-// solvers' ratio-bound derivation so the two can never disagree.
+// rest under kNarrow.  Shared by solve_height_split, the distributed
+// solvers' ratio-bound derivation and the online service's admission
+// check so they can never disagree.
+inline bool is_wide_height(Height height) { return height > 0.5; }
 inline bool is_wide_instance(const DemandInstance& inst) {
-  return inst.height > 0.5;
+  return is_wide_height(inst.height);
 }
 
 // The full Section 6 class partition in both the id-list and mask forms
@@ -545,6 +567,14 @@ StageParams derive_stage_params(const Problem& problem,
                                 const std::vector<char>& active_mask,
                                 RaiseRuleKind rule, double epsilon,
                                 double xi_override = 0.0);
+// The arithmetic behind derive_stage_params, for a class with the given
+// Delta and h_min: xi and b, with the same check_input rejection.  b
+// grows with Delta and shrinks with h_min, so the online service calls
+// it at the largest Delta its decompositions allow and a batch's
+// smallest height to reject, at admission, a batch that would leave a
+// class without a finite schedule.
+StageParams class_stage_params(RaiseRuleKind rule, int delta, double h_min,
+                               double epsilon, double xi_override = 0.0);
 
 // Reverse greedy pruning of the raise stack (phase 2 of the framework).
 Solution prune_stack(const Problem& problem,

@@ -187,6 +187,9 @@ std::size_t DurableOnlineService::torn_prefix(std::size_t image_len) const {
 OnlineBatchReport DurableOnlineService::step(const EventBatch& batch) {
   const std::uint32_t seq = journal_->next_seq();
   TS_REQUIRE(seq == batches_applied());  // journal and state in lockstep
+  // Admission: a batch the scheduler cannot apply is rejected before it
+  // reaches the journal, where recovery would replay it forever.
+  scheduler_->check_batch(batch);
 
   if (crash_due(CrashPoint::kMidJournalAppend, seq)) {
     std::vector<std::uint8_t> image;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -54,8 +56,12 @@ void OnlineScheduler::adopt_topology(const Problem& base) {
   for (EdgeId e = 0; e < base.num_global_edges(); ++e)
     capacities_[static_cast<std::size_t>(e)] = base.capacity(e);
   decomps_.reserve(networks_->size());
-  for (const TreeNetwork& network : *networks_)
+  int theta = 0;
+  for (const TreeNetwork& network : *networks_) {
     decomps_.push_back(build_decomposition(network, config_.decomp));
+    theta = std::max(theta, decomps_.back().pivot_size());
+  }
+  max_critical_ = 2 * (theta + 1);
 }
 
 OnlineScheduler::OnlineScheduler(const Problem& base, OnlineConfig config)
@@ -304,9 +310,52 @@ std::vector<char> OnlineScheduler::live_mask() const {
   return mask;
 }
 
+void OnlineScheduler::check_batch(const EventBatch& batch) const {
+  const auto networks = static_cast<NetworkId>(networks_->size());
+  std::unordered_set<DemandKey> arriving;
+  double narrow_h_min = 1.0;
+  bool any_narrow = false;
+  for (const OnlineArrival& arrival : batch.arrivals) {
+    const DemandDraw& draw = arrival.draw;
+    check_input(draw.u >= 0 && draw.u < num_vertices_ && draw.v >= 0 &&
+                    draw.v < num_vertices_ && draw.u != draw.v,
+                "online arrival: demand endpoints out of range");
+    check_input(draw.profit > 0.0 && std::isfinite(draw.profit),
+                "online arrival: profit must be positive and finite");
+    check_input(draw.height > 0.0 && draw.height <= 1.0,
+                "online arrival: height must lie in (0, 1]");
+    for (const NetworkId q : draw.access)
+      check_input(q >= 0 && q < networks,
+                  "online arrival: access network out of range");
+    check_input(index_of_key_.find(arrival.key) == index_of_key_.end() &&
+                    arriving.insert(arrival.key).second,
+                "online arrival: demand key already in use");
+    if (!is_wide_height(draw.height)) {
+      narrow_h_min = std::min(narrow_h_min, draw.height);
+      any_narrow = true;
+    }
+  }
+  std::unordered_set<DemandKey> departing;
+  for (const DemandKey key : batch.departures) {
+    const auto it = index_of_key_.find(key);
+    const bool live =
+        arriving.count(key) != 0 ||
+        (it != index_of_key_.end() &&
+         records_[static_cast<std::size_t>(it->second)].alive);
+    check_input(live && departing.insert(key).second,
+                "online departure: demand key is not live");
+  }
+  // Throws unless the narrow class's stage count stays a finite int with
+  // this batch's smallest height, at any Delta the plans can produce.
+  if (any_narrow)
+    class_stage_params(RaiseRuleKind::kNarrow, max_critical_, narrow_h_min,
+                       config_.solver.epsilon, config_.solver.xi_override);
+}
+
 OnlineBatchReport OnlineScheduler::step(const EventBatch& batch) {
   TRACE_SPAN2("online", "step", "arrivals", batch.arrivals.size(),
               "departures", batch.departures.size());
+  check_batch(batch);
   const auto t0 = std::chrono::steady_clock::now();
   OnlineBatchReport report;
   report.batch = batches_applied_++;

@@ -127,6 +127,17 @@ class OnlineScheduler {
   // this one's (tests/test_recovery.cpp pins it).
   SchedulerSnapshot capture() const;
 
+  // Rejects, with a check_input diagnostic, a batch step() cannot apply:
+  // an arrival with endpoints out of range or equal, a profit that is not
+  // positive and finite, a height outside (0, 1], an access network out
+  // of range, or a key already in use (or repeated in the batch); a
+  // departure of a key that is not live (or departs twice); or a narrow
+  // height whose class schedule would not be a finite int stage count.
+  // step() calls it before changing any state, and DurableOnlineService
+  // before the journal append, so a rejected batch is never journaled
+  // and an admitted batch cannot throw.
+  void check_batch(const EventBatch& batch) const;
+
   // Applies one event batch and re-solves the touched components.
   OnlineBatchReport step(const EventBatch& batch);
 
@@ -193,6 +204,9 @@ class OnlineScheduler {
   // Tree decompositions depend only on the topology: computed once, the
   // per-batch plan rebuild is just the per-instance group/critical pass.
   std::vector<TreeDecomposition> decomps_;
+  // 2(theta + 1), theta the largest pivot set: no instance's critical set
+  // is larger (the capture node's and each pivot bend's path wings).
+  int max_critical_ = 0;
 
   std::vector<DemandRecord> records_;  // index = demand id
   std::unordered_map<DemandKey, int> index_of_key_;

@@ -198,6 +198,21 @@ TEST(EngineParity, HeightSplitAndRestriction) {
   }
 }
 
+// LubyMis behind a wrapper that keeps MisOracle's default (no
+// component_clone): the engine must drive every group as one component
+// on this oracle at any thread count.
+class UnclonableLuby : public MisOracle {
+ public:
+  UnclonableLuby(const Problem& problem, std::uint64_t seed)
+      : inner_(problem, seed) {}
+  MisResult run(std::span<const InstanceId> candidates) override {
+    return inner_.run(candidates);
+  }
+
+ private:
+  LubyMis inner_;
+};
+
 TEST(EngineParity, LubyOracleSerialIsBitIdenticalToCentral) {
   // A stateful randomized oracle consumes one global stream: with
   // threads == 1 the incremental engine presents it the exact same
@@ -215,6 +230,13 @@ TEST(EngineParity, LubyOracleSerialIsBitIdenticalToCentral) {
     LubyMis inc_oracle(p, seed);
     const SolveResult got = solve_with_plan(p, plan, config, &inc_oracle);
     expect_identical(ref, got, "luby seed=" + std::to_string(seed));
+    // An oracle without component_clone at threads = 4 takes the same
+    // one-component-per-group path, so it reproduces central too.
+    config.threads = 4;
+    UnclonableLuby unclonable(p, seed);
+    const SolveResult got4 = solve_with_plan(p, plan, config, &unclonable);
+    expect_identical(ref, got4,
+                     "unclonable luby threads=4 seed=" + std::to_string(seed));
   }
 }
 

@@ -259,20 +259,24 @@ TEST(ObsMetrics, MisFailedStepsCounterMatchesStats) {
   const Problem p = small_tree_problem(21, 20, 2, 10);
   const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
   FailingMis oracle;
-  SolverConfig config;
-  obs::MetricsRegistry::global().reset();
-  obs::enable_tracing();
-  const SolveResult run = solve_with_plan(p, plan, config, &oracle);
-  obs::disable_tracing();
-  EXPECT_FALSE(run.stats.mis_ok);
-  EXPECT_GT(run.stats.mis_failed_steps, 0);
-  // The registry's surfaced degrade count is the same number the stats
-  // carry — one counting site per whole-step-empty event, no double
-  // counting across the engine paths.
-  EXPECT_EQ(obs::MetricsRegistry::global()
-                .counter("engine.mis_failed_steps")
-                .value(),
-            run.stats.mis_failed_steps);
+  for (const int threads : {1, 4}) {
+    SolverConfig config;
+    config.threads = threads;
+    obs::MetricsRegistry::global().reset();
+    obs::enable_tracing();
+    const SolveResult run = solve_with_plan(p, plan, config, &oracle);
+    obs::disable_tracing();
+    EXPECT_FALSE(run.stats.mis_ok);
+    EXPECT_GT(run.stats.mis_failed_steps, 0);
+    // The registry's surfaced degrade count is the same number the stats
+    // carry — one counting site per whole-step-empty event, no double
+    // counting across the engine paths.
+    EXPECT_EQ(obs::MetricsRegistry::global()
+                  .counter("engine.mis_failed_steps")
+                  .value(),
+              run.stats.mis_failed_steps)
+        << "threads=" << threads;
+  }
 }
 
 bool is_round_span(const obs::SpanRecord& rec) {

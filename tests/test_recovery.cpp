@@ -10,10 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/framing.hpp"
@@ -492,6 +496,109 @@ TEST(CrashRecovery, JournalOnlyRecovery) {
   expect_scheduler_equal(recovered.scheduler(),
                          reference_at(s.base, s.config, s.trace, 5),
                          "journal-only recovery");
+}
+
+// A batch the scheduler cannot apply is rejected at admission with a
+// diagnostic, before the journal append and before any state change:
+// the service keeps serving the rest of the trace, and a restart never
+// replays the bad batch.
+TEST(CrashRecovery, UnappliableBatchIsRejectedBeforeTheJournal) {
+  const Scenario s = make_scenario(ArrivalLaw::kPoisson, 31);
+  DurabilityConfig dur;
+  dur.journal_path = temp_path("admission.wal");
+  dur.snapshot_every = 2;
+  constexpr std::size_t kGood = 3;
+
+  // A key that is live after the good prefix.
+  std::vector<DemandKey> live;
+  for (std::size_t b = 0; b < kGood; ++b) {
+    for (const OnlineArrival& a : s.trace[b].arrivals) live.push_back(a.key);
+    for (const DemandKey k : s.trace[b].departures)
+      live.erase(std::find(live.begin(), live.end(), k));
+  }
+  ASSERT_FALSE(live.empty());
+
+  const auto arrival = [](DemandKey key) {
+    OnlineArrival a;
+    a.key = key;
+    a.draw.u = 0;
+    a.draw.v = 1;
+    a.draw.profit = 1.0;
+    a.draw.height = 0.25;
+    return a;
+  };
+  std::vector<std::pair<std::string, EventBatch>> bad;
+  const auto add = [&](const std::string& what, OnlineArrival a) {
+    EventBatch batch;
+    batch.arrivals.push_back(std::move(a));
+    bad.emplace_back(what, std::move(batch));
+  };
+  OnlineArrival a = arrival(1000000);
+  a.draw.height = 1e-17;  // narrow stage count overflows int
+  add("near-zero height", a);
+  a = arrival(1000000);
+  a.draw.v = 100000;
+  add("endpoint out of range", a);
+  a = arrival(1000000);
+  a.draw.v = a.draw.u;
+  add("equal endpoints", a);
+  a = arrival(1000000);
+  a.draw.profit = std::numeric_limits<double>::infinity();
+  add("infinite profit", a);
+  a = arrival(1000000);
+  a.draw.height = 1.5;
+  add("height above 1", a);
+  a = arrival(1000000);
+  a.draw.access = {s.base.num_networks()};
+  add("access network out of range", a);
+  add("key in use", arrival(live.front()));
+  {
+    EventBatch batch;
+    batch.arrivals = {arrival(1000000), arrival(1000000)};
+    bad.emplace_back("key repeated in the batch", std::move(batch));
+  }
+  {
+    EventBatch batch;
+    batch.departures = {999999};
+    bad.emplace_back("unknown departure", std::move(batch));
+  }
+  {
+    EventBatch batch;
+    batch.departures = {live.front(), live.front()};
+    bad.emplace_back("departure repeated in the batch", std::move(batch));
+  }
+
+  {
+    DurableOnlineService service(s.base, s.config, dur);
+    for (std::size_t b = 0; b < kGood; ++b) service.step(s.trace[b]);
+    const std::int64_t journal_bytes = service.journal_bytes_written();
+    for (const auto& [what, batch] : bad) {
+      SCOPED_TRACE(what);
+      try {
+        service.step(batch);
+        ADD_FAILURE() << "admitted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("treesched: ", 0), 0u)
+            << e.what();
+      }
+      EXPECT_EQ(service.batches_applied(), kGood);
+      EXPECT_EQ(service.journal_bytes_written(), journal_bytes);
+      EXPECT_EQ(replay_journal(dur.journal_path).next_seq, kGood);
+    }
+    for (std::size_t b = kGood; b < s.trace.size(); ++b)
+      service.step(s.trace[b]);
+    expect_scheduler_equal(
+        service.scheduler(),
+        reference_at(s.base, s.config, s.trace, s.trace.size()),
+        "after the rejected batches");
+  }
+
+  const DurableOnlineService recovered =
+      DurableOnlineService::recover(s.base, s.config, dur);
+  expect_scheduler_equal(
+      recovered.scheduler(),
+      reference_at(s.base, s.config, s.trace, s.trace.size()),
+      "recovered after the rejected batches");
 }
 
 // Corrupting the newest snapshot slot must fall back to the older slot;

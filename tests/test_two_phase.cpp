@@ -219,20 +219,25 @@ TEST(TwoPhase, EmptyMisResultDoesNotAbort) {
   const Problem p = small_tree_problem(21, 20, 2, 10);
   const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
   FailingMis oracle;
-  for (const bool lockstep : {false, true}) {
-    SolverConfig config;
-    config.lockstep = lockstep;
-    const SolveResult run = solve_with_plan(p, plan, config, &oracle);
-    EXPECT_TRUE(run.solution.selected.empty());
-    EXPECT_FALSE(run.stats.mis_ok);
-    EXPECT_FALSE(run.stats.lockstep_ok);
-    EXPECT_EQ(run.stats.raises, 0);
-    EXPECT_GT(run.stats.steps, 0);  // idle steps are still counted
-    // The degrade must be *counted*, not just flagged: every idle step
-    // contributes, so the CLI/bench warnings can say how bad it was.
-    EXPECT_GT(run.stats.mis_failed_steps, 0);
-    EXPECT_LE(run.stats.mis_failed_steps,
-              static_cast<std::int64_t>(run.stats.steps));
+  // FailingMis has no component_clone, so threads = 4 drives each group
+  // as one component on it, exactly as threads = 1 does.
+  for (const int threads : {1, 4}) {
+    for (const bool lockstep : {false, true}) {
+      SolverConfig config;
+      config.lockstep = lockstep;
+      config.threads = threads;
+      const SolveResult run = solve_with_plan(p, plan, config, &oracle);
+      EXPECT_TRUE(run.solution.selected.empty());
+      EXPECT_FALSE(run.stats.mis_ok);
+      EXPECT_FALSE(run.stats.lockstep_ok);
+      EXPECT_EQ(run.stats.raises, 0);
+      EXPECT_GT(run.stats.steps, 0);  // idle steps are still counted
+      // The degrade must be *counted*, not just flagged: every idle step
+      // contributes, so the CLI/bench warnings can say how bad it was.
+      EXPECT_GT(run.stats.mis_failed_steps, 0);
+      EXPECT_LE(run.stats.mis_failed_steps,
+                static_cast<std::int64_t>(run.stats.steps));
+    }
   }
 }
 

@@ -15,17 +15,23 @@ CLI and the benches), and prints:
   * the registry metrics embedded in otherData (counters + histogram
     summaries), when present.
 
-The analysis window is the engine/run span when one exists (so process
-startup and JSON dumping do not dilute utilization), otherwise the full
-extent of the recorded spans.
+The analysis window is the union of the main thread's root spans (main
+thread spans that no other main-thread span contains), so process
+startup and JSON dumping do not dilute utilization, and a multi-run
+trace (the online service's per-batch runs) adds its repeated roots up.
+A trace without main-thread spans falls back to the full extent of the
+recorded spans.
 
 Usage: tools/trace_report.py trace.json [--top N]
 """
 
 import argparse
+import bisect
 import json
 import sys
 from collections import defaultdict
+
+MAIN_TID = 0  # obs hands the first recording thread tid 0 ("main")
 
 
 def load_trace(path):
@@ -48,6 +54,89 @@ def union_length(intervals):
             total += end - last_end
             last_end = end
     return total
+
+
+def root_spans(spans, tid=MAIN_TID):
+    """Spans of thread `tid` that no other span on that thread contains.
+
+    Sorted by (start, -duration), a contained span follows its container,
+    and roots are appended with strictly growing ends, so a span lies in
+    some root exactly when it ends within the latest one.  A straddling
+    after-the-fact span becomes a root of its own; the window's union
+    absorbs the overlap.
+    """
+    roots = []
+    for s in sorted((s for s in spans if s["tid"] == tid),
+                    key=lambda s: (s["ts"], -s["dur"])):
+        if roots and s["ts"] + s["dur"] <= roots[-1]["ts"] + roots[-1]["dur"]:
+            continue
+        roots.append(s)
+    return roots
+
+
+def merge_intervals(intervals):
+    """Sorted, disjoint [start, end) intervals covering the same set."""
+    merged = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return merged
+
+
+def clip_to_window(start, end, window, starts):
+    """The pieces of [start, end) inside the window's disjoint intervals
+    (`starts` holds the intervals' start points, for bisection)."""
+    pieces = []
+    k = max(bisect.bisect_right(starts, start) - 1, 0)
+    while k < len(window) and window[k][0] < end:
+        lo, hi = max(start, window[k][0]), min(end, window[k][1])
+        if hi > lo:
+            pieces.append((lo, hi))
+        k += 1
+    return pieces
+
+
+def analysis_window(spans):
+    """(intervals, length, label) of the analysis window: the union of the
+    main thread's root spans, else the full extent of the spans."""
+    roots = root_spans(spans)
+    if roots:
+        window = merge_intervals(
+            (s["ts"], s["ts"] + s["dur"]) for s in roots)
+        label = f"union of {len(roots)} main-thread root span(s)"
+    else:
+        window = [[min(s["ts"] for s in spans),
+                   max(s["ts"] + s["dur"] for s in spans)]]
+        label = "full trace extent"
+    length = sum(end - start for start, end in window)
+    return window, max(length, 1e-9), label
+
+
+def phase_table(spans):
+    """Per (category/name): span count, total and exclusive self time."""
+    agg = defaultdict(lambda: {"count": 0, "total": 0.0, "self": 0.0})
+    for s in spans:
+        key = f"{s['cat']}/{s['name']}"
+        agg[key]["count"] += 1
+        agg[key]["total"] += s["dur"]
+        agg[key]["self"] += s["self_dur"]
+    return agg
+
+
+def parse_events(events):
+    """(thread names by tid, complete spans) of a Chrome trace."""
+    thread_names = {}
+    spans = []
+    for ev in events:
+        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
+            thread_names[ev.get("tid", 0)] = ev["args"]["name"]
+        elif ev.get("ph") == "X":
+            spans.append({"cat": ev.get("cat", "?"), "name": ev["name"],
+                          "ts": float(ev["ts"]), "dur": float(ev["dur"]),
+                          "tid": int(ev.get("tid", 0))})
+    return thread_names, spans
 
 
 def self_times(spans):
@@ -91,33 +180,14 @@ def main():
     args = parser.parse_args()
 
     events, other = load_trace(args.trace)
-    thread_names = {}
-    spans = []
-    for ev in events:
-        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-            thread_names[ev.get("tid", 0)] = ev["args"]["name"]
-        elif ev.get("ph") == "X":
-            spans.append({"cat": ev.get("cat", "?"), "name": ev["name"],
-                          "ts": float(ev["ts"]), "dur": float(ev["dur"]),
-                          "tid": int(ev.get("tid", 0))})
+    thread_names, spans = parse_events(events)
     if not spans:
         print(f"{args.trace}: no complete ('X') spans — was tracing "
               f"enabled (runtime gate) and compiled in?", file=sys.stderr)
         return 1
 
-    # Analysis window: the engine/run umbrella when present.
-    run_spans = [s for s in spans
-                 if s["cat"] == "engine" and s["name"] == "run"]
-    if run_spans:
-        outer = max(run_spans, key=lambda s: s["dur"])
-        window = (outer["ts"], outer["ts"] + outer["dur"])
-        window_label = "engine/run span"
-    else:
-        window = (min(s["ts"] for s in spans),
-                  max(s["ts"] + s["dur"] for s in spans))
-        window_label = "full trace extent"
-    window_us = max(window[1] - window[0], 1e-9)
-
+    window, window_us, window_label = analysis_window(spans)
+    window_starts = [start for start, _ in window]
     self_times(spans)
 
     print(f"trace: {args.trace}")
@@ -137,12 +207,9 @@ def main():
     for tid in sorted(set(s["tid"] for s in spans)):
         intervals = []
         for s in spans:
-            if s["tid"] != tid:
-                continue
-            start = max(s["ts"], window[0])
-            end = min(s["ts"] + s["dur"], window[1])
-            if end > start:
-                intervals.append((start, end))
+            if s["tid"] == tid:
+                intervals.extend(clip_to_window(
+                    s["ts"], s["ts"] + s["dur"], window, window_starts))
         busy = union_length(intervals)
         idle = max(0.0, window_us - busy)
         name = thread_names.get(tid, f"tid-{tid}")
@@ -151,12 +218,7 @@ def main():
     print()
 
     # --- phase table -----------------------------------------------------
-    agg = defaultdict(lambda: {"count": 0, "total": 0.0, "self": 0.0})
-    for s in spans:
-        key = f"{s['cat']}/{s['name']}"
-        agg[key]["count"] += 1
-        agg[key]["total"] += s["dur"]
-        agg[key]["self"] += s["self_dur"]
+    agg = phase_table(spans)
     ranked = sorted(agg.items(), key=lambda kv: -kv[1]["self"])
     print(f"phases by exclusive self time (top {min(args.top, len(ranked))}):")
     print(f"  {'phase':<24} {'count':>7} {'total(ms)':>11} {'self(ms)':>10} "
@@ -173,7 +235,7 @@ def main():
     # perf effort should attack first.
     main_agg = defaultdict(float)
     for s in spans:
-        if s["tid"] == 0:
+        if s["tid"] == MAIN_TID:
             main_agg[f"{s['cat']}/{s['name']}"] += s["self_dur"]
     if main_agg:
         top_phase, top_self = max(main_agg.items(), key=lambda kv: kv[1])
