@@ -49,10 +49,10 @@ class DualShard {
   // Ordered beta sum: accumulates beta_ in ascending-edge order, exactly
   // the walk DualState::beta_sum performs over the same path.  The running
   // beta_sum_ adds increments in *arrival* order instead, which is the
-  // same real number but not always the same double.  The incremental
-  // engine uses this form so its satisfaction tests and raise amounts are
-  // bit-identical to the central-DualState reference engine — the parity
-  // suite (tests/test_engine_parity.cpp) compares them with ==, not
+  // same real number but not always the same double.  The message-level
+  // protocol uses this form so its satisfaction tests and raise amounts
+  // are bit-identical to the modeled engine — the parity suite
+  // (tests/test_protocol_parity.cpp) compares them with ==, not
   // tolerances.
   double beta_sum_ordered() const {
     double s = 0.0;
@@ -67,17 +67,6 @@ class DualShard {
   // Applies the increment when e is on the local path; returns whether it
   // was.  (Remote raises legitimately carry edges this shard ignores.)
   bool raise_beta(EdgeId e, double amount);
-  // Index-addressed raise for callers that precomputed the edge's position
-  // on the local path (the incremental engine's CSR-driven propagation
-  // stores the position next to each edge->instance entry, making every
-  // application O(1) instead of a binary search).
-  void raise_beta_at(int index, double amount) {
-    TS_DCHECK(index >= 0 &&
-              index < static_cast<int>(beta_.size()));
-    TS_DCHECK(amount >= 0.0);
-    beta_[static_cast<std::size_t>(index)] += amount;
-    beta_sum_ += amount;
-  }
   int path_length() const { return static_cast<int>(edges_.size()); }
 
   // Applies a neighbor's raise notification (encode_raise wire format).

@@ -14,8 +14,7 @@ double DualState::beta_sum(const DemandInstance& inst) const {
 }
 
 double DualState::lhs(const DemandInstance& inst, double beta_coeff) const {
-  return alpha_[static_cast<std::size_t>(inst.demand)] +
-         beta_coeff * beta_sum(inst);
+  return dual_lhs(alpha_, beta_, inst, beta_coeff);
 }
 
 void DualState::raise_alpha(DemandId a, double amount) {

@@ -13,12 +13,25 @@
 // the coefficient.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/prelude.hpp"
 #include "model/problem.hpp"
 
 namespace treesched {
+
+// LHS of `inst`'s dual constraint over dense alpha (per demand) and beta
+// (per global edge) vectors, summing beta in ascending edge order.  The
+// one walk behind DualState::lhs and the incremental engine's cached LHS,
+// so the two agree bit for bit.
+inline double dual_lhs(std::span<const double> alpha,
+                       std::span<const double> beta,
+                       const DemandInstance& inst, double beta_coeff) {
+  double s = 0.0;
+  for (EdgeId e : inst.edges) s += beta[static_cast<std::size_t>(e)];
+  return alpha[static_cast<std::size_t>(inst.demand)] + beta_coeff * s;
+}
 
 class DualState {
  public:

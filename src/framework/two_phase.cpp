@@ -113,7 +113,6 @@ TwoPhaseEngine::TwoPhaseEngine(const Problem& problem, const LayeredPlan& plan,
     default_oracle_ = std::make_unique<GreedyMis>(problem);
     oracle_ = default_oracle_.get();
   }
-  if (config_.engine == EngineImpl::kIncremental) build_edge_positions();
 }
 
 void TwoPhaseEngine::restrict_to(std::vector<InstanceId> active) {
@@ -388,87 +387,39 @@ void TwoPhaseEngine::run_central(const StageSchedule& sched,
 }
 
 // ---------------------------------------------------------------------------
-// Incremental engine: per-instance DualShard stores + cached LHS + the
-// per-stage unsatisfied frontier.  Raises propagate through the CSR
-// edge->instances index to exactly the instances whose constraints read a
-// raised variable; everyone else's cached LHS stays valid.  All arithmetic
-// (the ordered beta walk, the objective accumulation order) deliberately
-// replays the central engine's operation order, so the two paths agree
+// Incremental engine: one alpha per demand and one beta per global edge,
+// a cached LHS per instance and the per-stage unsatisfied frontier.  A
+// raise marks stale, through the CSR edge->instances index, exactly the
+// instances whose constraints read a raised variable; everyone else's
+// cached LHS stays valid.  A stale LHS is recomputed by the central
+// engine's walk (dual_lhs) and the objective accumulates in the central
+// order, so with the increment order argued below the two paths agree
 // bit for bit — tests/test_engine_parity.cpp compares with ==.
 
-void TwoPhaseEngine::build_edge_positions() {
-  // Per-(edge, instance) path positions, aligned entry-for-entry with the
-  // Problem's CSR buckets: propagation applies an increment with a single
-  // indexed store instead of a per-target binary search.  Depends only on
-  // the Problem, so it is built once at construction, not per run.
+void TwoPhaseEngine::reset_run_state() {
   const InstanceId n = problem_->num_instances();
-  const EdgeId num_edges = problem_->num_global_edges();
-  edge_pos_offset_.assign(static_cast<std::size_t>(num_edges) + 1, 0);
-  for (EdgeId e = 0; e < num_edges; ++e)
-    edge_pos_offset_[static_cast<std::size_t>(e) + 1] =
-        edge_pos_offset_[static_cast<std::size_t>(e)] +
-        static_cast<std::int64_t>(problem_->instances_on_edge(e).size());
-  edge_pos_.resize(static_cast<std::size_t>(edge_pos_offset_.back()));
-  std::vector<std::int64_t> cursor(edge_pos_offset_.begin(),
-                                   edge_pos_offset_.end() - 1);
-  for (InstanceId i = 0; i < n; ++i) {
-    const auto& edges = problem_->instance(i).edges;
-    for (std::size_t idx = 0; idx < edges.size(); ++idx) {
-      const auto e = static_cast<std::size_t>(edges[idx]);
-      edge_pos_[static_cast<std::size_t>(cursor[e]++)] =
-          static_cast<int>(idx);
-    }
-  }
-
-  rank_of_.assign(static_cast<std::size_t>(n), -1);
-}
-
-void TwoPhaseEngine::build_local_stores() {
-  const InstanceId n = problem_->num_instances();
-  shards_.clear();
-  shards_.reserve(static_cast<std::size_t>(n));
-  for (InstanceId i = 0; i < n; ++i) {
-    const DemandInstance& inst = problem_->instance(i);
-    shards_.emplace_back(inst.demand,
-                         std::span<const EdgeId>{inst.edges.data(),
-                                                 inst.edges.size()});
-  }
+  alpha_.assign(static_cast<std::size_t>(problem_->num_demands()), 0.0);
+  beta_.assign(static_cast<std::size_t>(problem_->num_global_edges()), 0.0);
   lhs_cache_.assign(static_cast<std::size_t>(n), 0.0);
   lhs_fresh_.assign(static_cast<std::size_t>(n), 1);  // all-zero duals
   active_group_.resize(static_cast<std::size_t>(n));
   for (InstanceId i = 0; i < n; ++i)
     active_group_[static_cast<std::size_t>(i)] =
         is_active(i) ? plan_->group[static_cast<std::size_t>(i)] : -1;
+  rank_of_.resize(static_cast<std::size_t>(n));
 }
 
-void TwoPhaseEngine::propagate_raise(InstanceId i, double delta,
-                                     std::span<const double> increments,
-                                     int group) {
-  const DemandInstance& inst = problem_->instance(i);
-  const auto in_group = [&](InstanceId k) {
-    return active_group_[static_cast<std::size_t>(k)] == group;
+void TwoPhaseEngine::mark_readers_stale(InstanceId i, int group,
+                                        bool own_group) {
+  const auto mark = [&](InstanceId k) {
+    const auto idx = static_cast<std::size_t>(k);
+    if ((active_group_[idx] == group) == own_group) lhs_fresh_[idx] = 0;
   };
-  if (config_.raise_alpha) {
-    for (InstanceId k : problem_->instances_of_demand(inst.demand)) {
-      if (!in_group(k)) continue;
-      shards_[static_cast<std::size_t>(k)].raise_alpha(delta);
-      lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-    }
-  }
-  const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
-  for (std::size_t c = 0; c < critical.size(); ++c) {
-    const EdgeId e = critical[c];
-    const auto bucket = problem_->instances_on_edge(e);
-    const int* pos =
-        edge_pos_.data() + edge_pos_offset_[static_cast<std::size_t>(e)];
-    for (std::size_t b = 0; b < bucket.size(); ++b) {
-      const InstanceId k = bucket[b];
-      if (!in_group(k)) continue;
-      shards_[static_cast<std::size_t>(k)].raise_beta_at(pos[b],
-                                                         increments[c]);
-      lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-    }
-  }
+  const DemandInstance& inst = problem_->instance(i);
+  if (config_.raise_alpha)
+    for (InstanceId k : problem_->instances_of_demand(inst.demand)) mark(k);
+  for (EdgeId e : plan_->critical[static_cast<std::size_t>(i)])
+    for (InstanceId k : problem_->instances_on_edge(e)) mark(k);
 }
 
 void TwoPhaseEngine::bookkeep_raise(InstanceId i, double delta,
@@ -508,7 +459,7 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
   SolveStats& stats = result.stats;
   const RaiseRule rule(config_.rule, *problem_, config_.raise_alpha,
                        config_.capacity_aware_raises);
-  build_local_stores();
+  reset_run_state();
   double objective = 0.0;
 
   // Clones let the forest's components of a group run on workers.  With
@@ -552,9 +503,9 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
       // Fixed-size pool over an atomic work index (one component runs on
       // the calling thread alone): which worker runs which component is
       // scheduling-dependent, but each component's writes are confined
-      // to its own members' shards and caches, and the merge below
-      // replays everything in fixed component order — so the output is
-      // independent of the interleaving.
+      // to the dual variables and caches only its own members read, and
+      // the merge below replays everything in fixed component order — so
+      // the output is independent of the interleaving.
       std::atomic<int> next{0};
       const int workers = clamp_workers(comp_count);
       // Per-worker busy time (loop entry to exhausted work queue); idle
@@ -605,16 +556,16 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
     stats.merge_ns += elapsed_ns(merge_start);
   }
 
-  // Certification from the local stores alone: every instance reports its
-  // own satisfaction level (the same operation sequence as
-  // observed_lambda over the central DualState).
+  // Certification: every instance reports its own satisfaction level
+  // (the same operation sequence as observed_lambda over the central
+  // DualState).
   stats.dual_objective = objective;
   double lambda = 1.0;
   bool any = false;
   for (InstanceId i = 0; i < problem_->num_instances(); ++i) {
     if (!is_active(i)) continue;
     const DemandInstance& inst = problem_->instance(i);
-    const double lhs = lhs_local(i, rule.beta_coeff(inst));
+    const double lhs = cached_lhs(i, rule.beta_coeff(inst));
     const double level = lhs / inst.profit;
     lambda = any ? std::min(lambda, level) : level;
     any = true;
@@ -625,7 +576,7 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
       if (!is_active(i)) continue;
       const DemandInstance& inst = problem_->instance(i);
       result.final_lhs[static_cast<std::size_t>(i)] =
-          lhs_local(i, rule.beta_coeff(inst));
+          cached_lhs(i, rule.beta_coeff(inst));
     }
   }
   finish(result, stack);
@@ -634,18 +585,21 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
 // ---------------------------------------------------------------------------
 // Epoch components: the one phase-1 loop.
 //
-// Within one group, a raise of member i touches beta only on critical
+// Within one group, a raise of member i writes beta only on critical
 // edges of path(i) and alpha of i's demand; any member whose constraint
 // reads one of those variables conflicts with i and is therefore in i's
 // connected component of the conflict graph restricted to the group.  So
-// components never read each other's writes during an epoch and can run
-// concurrently; raises reaching other groups are deferred and replayed
-// by the merge in step order — the chronological order in which the
-// central reference applies them, which is what keeps every thread count
-// bit-identical to it for decomposable (deterministic) oracles.  With a
-// single oracle the whole group is one component, and its raises keep
-// the oracle's decision order within a step, exactly as the central
-// reference raises them.
+// components write disjoint variables, never read each other's writes
+// during an epoch, and can run concurrently.  Within a step the MIS is
+// independent, so each variable takes at most one increment per step;
+// each is written by one component per group, and groups run in order —
+// so every alpha and beta receives the central reference's increments in
+// the central order, for any thread count and decomposable
+// (deterministic) oracles.  The merge replays the logs in step order for
+// the bookkeeping and marks stale the other groups' readers of the
+// raised variables.  With a single oracle the whole group is one
+// component, and its raises keep the oracle's decision order within a
+// step, exactly as the central reference raises them.
 
 int TwoPhaseEngine::derive_components(const std::vector<InstanceId>& members,
                                       int group, bool cloned) {
@@ -704,12 +658,12 @@ void TwoPhaseEngine::run_component(EpochComponent& comp,
       if (!scanned) {
         unsat.clear();
         for (InstanceId i : comp.ids)
-          if (unsatisfied_local(i, rule, target)) unsat.push_back(i);
+          if (unsatisfied(i, rule, target)) unsat.push_back(i);
         scanned = true;
       } else {
         std::size_t w = 0;
         for (std::size_t r = 0; r < unsat.size(); ++r)
-          if (unsatisfied_local(unsat[r], rule, target))
+          if (unsatisfied(unsat[r], rule, target))
             unsat[w++] = unsat[r];
         unsat.resize(w);
       }
@@ -750,14 +704,17 @@ void TwoPhaseEngine::run_component(EpochComponent& comp,
         const auto& critical =
             plan_->critical[static_cast<std::size_t>(i)];
         const double slack =
-            inst.profit - lhs_local(i, rule.beta_coeff(inst));
+            inst.profit - cached_lhs(i, rule.beta_coeff(inst));
         TS_DCHECK(slack > 0.0);
         const double delta =
             rule.tight_raise(inst, critical, slack, increments);
-        // In-group application only; out-of-group propagation is the
-        // merge's job (in deterministic order).
-        propagate_raise(i, delta, increments, group);
-        TS_DCHECK(std::abs(lhs_local(i, rule.beta_coeff(inst)) -
+        if (config_.raise_alpha)
+          alpha_[static_cast<std::size_t>(inst.demand)] += delta;
+        for (std::size_t c = 0; c < critical.size(); ++c)
+          beta_[static_cast<std::size_t>(critical[c])] += increments[c];
+        // Own group only: the merge marks the other groups' readers.
+        mark_readers_stale(i, group, true);
+        TS_DCHECK(std::abs(cached_lhs(i, rule.beta_coeff(inst)) -
                            inst.profit) <= 1e-6 * std::max(1.0, inst.profit));
         selected.emplace_back(rank_of_[static_cast<std::size_t>(i)], delta);
       }
@@ -788,25 +745,13 @@ void TwoPhaseEngine::merge_components(
     double& objective, SolveStats& stats,
     std::vector<std::vector<InstanceId>>& stack,
     std::vector<InstanceId>& raised_order) {
-  // Phase A (serial, cheap): k-way merge of the per-component decision
-  // logs by (stage, step) into the chronological raise order, with the
-  // bookkeeping — objective accumulation, stack rows, stats, message
-  // counting — exactly as the central reference interleaves it.
-  // The raises themselves are only *logged* (ids, deltas and the
-  // per-critical-edge increment slabs); their out-of-group propagation
-  // is deferred to Phase B below, which is safe because nothing reads an
-  // out-of-group LHS before the next epoch.
+  // k-way merge of the per-component decision logs by (stage, step) into
+  // the chronological raise order, with the bookkeeping — objective
+  // accumulation, stack rows, stats, message counting — exactly as the
+  // central reference interleaves it.
   const std::span<EpochComponent> comps{comp_pool_.data(),
                                         static_cast<std::size_t>(comp_count)};
   std::vector<double>& increments = worker_scratch_.front().increments;
-  merge_log_ids_.clear();
-  merge_log_deltas_.clear();
-  merge_inc_begin_.assign(1, 0);
-  merge_inc_values_.clear();
-  // Estimated Phase-B application count (sum of the logged raises'
-  // CSR bucket sizes): decides deterministically whether the deferred
-  // propagation is worth a worker pool or should just run inline.
-  std::int64_t deferred_fanout = 0;
   for (int j = 1; j <= sched.stages_per_epoch; ++j) {
     ++stats.stages;
     int max_steps = 0;
@@ -876,20 +821,12 @@ void TwoPhaseEngine::merge_components(
         const auto& critical =
             plan_->critical[static_cast<std::size_t>(i)];
         rule.beta_increments(inst, critical, delta, increments);
-        merge_log_ids_.push_back(i);
-        merge_log_deltas_.push_back(delta);
-        merge_inc_values_.insert(merge_inc_values_.end(), increments.begin(),
-                                 increments.end());
-        merge_inc_begin_.push_back(
-            static_cast<std::int64_t>(merge_inc_values_.size()));
-        for (const EdgeId e : critical)
-          deferred_fanout += static_cast<std::int64_t>(
-              problem_->instances_on_edge(e).size());
-        if (config_.raise_alpha)
-          deferred_fanout += static_cast<std::int64_t>(
-              problem_->instances_of_demand(inst.demand).size());
         bookkeep_raise(i, delta, increments, objective, stats,
                        raised_order);
+        // Serial, here rather than in run_component: an instance outside
+        // the group can read variables that two components write, so its
+        // stale flag is the one entry concurrent components could share.
+        mark_readers_stale(i, group, false);
         row.push_back(i);
       }
       if (config_.keep_stack)
@@ -902,80 +839,6 @@ void TwoPhaseEngine::merge_components(
   for (const EpochComponent& comp : comps) {
     if (comp.mis_failed) stats.mis_ok = false;
     if (comp.ended_short) stats.lockstep_ok = false;
-  }
-
-  // Phase B: the deferred out-of-group propagation, partitioned by
-  // target instance id across the worker pool.  Shard k's increments
-  // arrive in chronological order within its partition — the order the
-  // serial replay would apply them in — so any worker count yields the
-  // identical floating-point state.
-  if (merge_log_ids_.empty()) return;
-  const InstanceId n = problem_->num_instances();
-  // A small log is applied inline: below this many estimated bucket
-  // applications, thread create/join would cost more than the work.
-  // Any deterministic threshold is parity-safe — serial and parallel
-  // application produce the identical state.
-  constexpr std::int64_t kParallelFanoutFloor = 4096;
-  const int workers = deferred_fanout < kParallelFanoutFloor
-                          ? 1
-                          : clamp_workers(static_cast<int>(n));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers) - 1);
-  const auto range_begin = [&](int w) {
-    return static_cast<InstanceId>(static_cast<std::int64_t>(n) * w / workers);
-  };
-  for (int w = 1; w < workers; ++w)
-    pool.emplace_back([this, group, &range_begin, w] {
-      apply_deferred_raises(group, range_begin(w), range_begin(w + 1));
-    });
-  apply_deferred_raises(group, range_begin(0), range_begin(1));
-  for (std::thread& t : pool) t.join();
-}
-
-void TwoPhaseEngine::apply_deferred_raises(int group, InstanceId lo,
-                                           InstanceId hi) {
-  TRACE_SPAN2("engine", "merge_slab", "lo", lo, "hi", hi);
-  const auto in_scope = [&](InstanceId k) {
-    const int g = active_group_[static_cast<std::size_t>(k)];
-    return g >= 0 && g != group;
-  };
-  const std::size_t raises = merge_log_ids_.size();
-  for (std::size_t r = 0; r < raises; ++r) {
-    const InstanceId i = merge_log_ids_[r];
-    const DemandInstance& inst = problem_->instance(i);
-    const double delta = merge_log_deltas_[r];
-    const double* inc =
-        merge_inc_values_.data() + merge_inc_begin_[r];
-    if (config_.raise_alpha) {
-      const auto& sibs = problem_->instances_of_demand(inst.demand);
-      for (auto it = std::lower_bound(sibs.begin(), sibs.end(), lo);
-           it != sibs.end() && *it < hi; ++it) {
-        if (!in_scope(*it)) continue;
-        shards_[static_cast<std::size_t>(*it)].raise_alpha(delta);
-        lhs_fresh_[static_cast<std::size_t>(*it)] = 0;
-      }
-    }
-    const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
-    for (std::size_t c = 0; c < critical.size(); ++c) {
-      const EdgeId e = critical[c];
-      const auto bucket = problem_->instances_on_edge(e);
-      const InstanceId* base = bucket.data();
-      const int* pos =
-          edge_pos_.data() + edge_pos_offset_[static_cast<std::size_t>(e)];
-      const InstanceId* end = base + bucket.size();
-      // A slice at either end of the ids (all of them, with one worker)
-      // needs no range search.
-      const InstanceId* s = lo == 0 ? base : std::lower_bound(base, end, lo);
-      const InstanceId* t =
-          hi == problem_->num_instances() ? end : std::lower_bound(s, end, hi);
-      for (const InstanceId* p = s; p < t; ++p) {
-        const InstanceId k = *p;
-        if (!in_scope(k)) continue;
-        shards_[static_cast<std::size_t>(k)].raise_beta_at(
-            pos[p - base], inc[c]);
-        lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-      }
-    }
   }
 }
 

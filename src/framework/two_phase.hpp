@@ -23,18 +23,18 @@
 //
 // Two phase-1 implementations share this interface (EngineImpl):
 //
-//  - kIncremental (default): per-instance DualShard stores — the same
-//    per-processor sharding the message-level protocol uses — with a
-//    cached LHS per instance, invalidated through the Problem's CSR
-//    edge->instances index for exactly the instances whose paths
-//    intersect a raised edge, and a per-stage *unsatisfied frontier*
-//    that shrinks monotonically (raises never decrease an LHS within a
-//    stage), so a step tests only the previous frontier instead of
-//    rescanning the group.  Every epoch runs one loop: each component
-//    of the group runs its stages and steps, writing its own group's
-//    shards immediately and logging its raises, and a deterministic
-//    merge replays the logs in step order and propagates the raises to
-//    the other groups.
+//  - kIncremental (default): the paper's dual state — one alpha per
+//    demand and one beta per global edge — under a cached LHS per
+//    instance, marked stale through the Problem's CSR edge->instances
+//    index for exactly the instances whose paths intersect a raised
+//    edge, and a per-stage *unsatisfied frontier* that shrinks
+//    monotonically (raises never decrease an LHS within a stage), so a
+//    step tests only the previous frontier instead of rescanning the
+//    group.  Every epoch runs one loop: each component of the group runs
+//    its stages and steps, writing alpha/beta and marking its own
+//    members' caches stale as it raises and logging the raises, and a
+//    deterministic merge replays the logs in step order and marks stale
+//    the caches of the other groups' readers.
 //    With one oracle (SolverConfig::threads <= 1, or an oracle without
 //    component_clone) the whole group is one component; otherwise the
 //    group's conflict-disjoint components run on a worker pool, each
@@ -52,7 +52,6 @@
 #include "common/prelude.hpp"
 #include "decomp/layered.hpp"
 #include "framework/component_forest.hpp"
-#include "framework/dual_shard.hpp"
 #include "framework/dual_state.hpp"
 #include "framework/raise_rule.hpp"
 #include "model/problem.hpp"
@@ -145,15 +144,15 @@ class GreedyMis : public MisOracle {
 enum class StageMode { kMultiStage, kSingleStagePS, kExact };
 
 // Which phase-1 implementation runs.  kIncremental is the production
-// engine: per-instance DualShard stores (every satisfaction test is a
-// local O(1) read of a cached LHS), a CSR-driven raise propagation that
-// touches only the instances whose paths intersect the raised edges, and
-// a per-stage unsatisfied frontier that shrinks monotonically — no full
-// member rescans.  kCentralReference preserves the pre-incremental
-// engine (central DualState, full member rescan + from-scratch beta walk
-// every step) as the parity oracle: both paths are bit-identical on
-// every output, which tests/test_engine_parity.cpp enforces with exact
-// comparisons.
+// engine: one alpha per demand and one beta per edge under a cached LHS
+// per instance (a satisfaction test reads the cache unless a raise marked
+// it stale), a CSR-driven invalidation that touches only the instances
+// whose paths intersect the raised edges, and a per-stage unsatisfied
+// frontier that shrinks monotonically — no full member rescans.
+// kCentralReference preserves the pre-incremental engine (central
+// DualState, full member rescan + from-scratch beta walk every step) as
+// the parity oracle: both paths are bit-identical on every output, which
+// tests/test_engine_parity.cpp enforces with exact comparisons.
 enum class EngineImpl { kIncremental, kCentralReference };
 
 struct SolverConfig {
@@ -178,8 +177,8 @@ struct SolverConfig {
   // the online warm-start caches, which also get the per-row
   // (group, stage, step) tags — see SolveResult::stack_tags).
   bool keep_stack = false;
-  // Export every active instance's final LHS (the per-shard dual state
-  // the online scheduler caches per conflict component) in
+  // Export every active instance's final LHS (the per-instance dual
+  // state the online scheduler caches per conflict component) in
   // SolveResult::final_lhs.
   bool keep_lhs = false;
   // xi override for ablations; 0 = derive from the rule, Delta and h_min.
@@ -196,13 +195,12 @@ struct SolverConfig {
   // partition and the worker count, never the loop: with threads >= 2
   // and an oracle that supports component_clone(), each epoch's group is
   // partitioned into conflict-disjoint components (no raise in one
-  // component can touch the LHS of another's members — the
-  // per-processor shards are the unit of parallelism), components run on
-  // a pool of this many workers, and the results are merged in fixed
-  // component order, so any threads >= 2 value yields the same output.
-  // Otherwise the whole group is one component on the engine's own
-  // oracle.  The number of threads actually *spawned* (component pool
-  // and deferred propagation alike) is additionally capped at
+  // component writes a dual variable that another component's members
+  // read), components run on a pool of this many workers, and the
+  // results are merged in fixed component order, so any threads >= 2
+  // value yields the same output.  Otherwise the whole group is one
+  // component on the engine's own oracle.  The number of worker threads
+  // actually spawned is additionally capped at
   // std::thread::hardware_concurrency() — oversubscribing a CPU-bound
   // lock-free pool only adds scheduler overhead, and the output is
   // independent of the worker count by construction, so the cap cannot
@@ -262,8 +260,8 @@ struct SolveStats {
   //   forest_build_ns  the one-time ComponentForest build of the run
   //                    (zero when every group runs as one component);
   //   merge_ns         the deterministic merge — chronological replay,
-  //                    bookkeeping and the (parallel) deferred
-  //                    out-of-group propagation.
+  //                    bookkeeping and marking stale the cached LHS of
+  //                    the raises' readers in other groups.
   std::int64_t epoch_setup_ns = 0;
   std::int64_t forest_build_ns = 0;
   std::int64_t merge_ns = 0;
@@ -408,25 +406,27 @@ class TwoPhaseEngine {
 
   // Incremental path.
   void run_incremental(const StageSchedule& sched, SolveResult& result);
-  void build_edge_positions();  // problem-static, built at construction
-  void build_local_stores();    // per-run dual state reset
-  double lhs_local(InstanceId i, double beta_coeff) {
+  void reset_run_state();  // duals, LHS cache, group map and ranks
+  double cached_lhs(InstanceId i, double beta_coeff) {
     const auto k = static_cast<std::size_t>(i);
     if (!lhs_fresh_[k]) {
-      lhs_cache_[k] = shards_[k].lhs_ordered(beta_coeff);
+      lhs_cache_[k] =
+          dual_lhs(alpha_, beta_, problem_->instance(i), beta_coeff);
       lhs_fresh_[k] = 1;
     }
     return lhs_cache_[k];
   }
-  bool unsatisfied_local(InstanceId i, const RaiseRule& rule, double target) {
+  bool unsatisfied(InstanceId i, const RaiseRule& rule, double target) {
     const DemandInstance& inst = problem_->instance(i);
-    return lhs_local(i, rule.beta_coeff(inst)) <
+    return cached_lhs(i, rule.beta_coeff(inst)) <
            target * inst.profit - kEps * inst.profit;
   }
-  // Applies a raise to the shards of the active members of `group`; the
-  // merge defers every other target to apply_deferred_raises.
-  void propagate_raise(InstanceId i, double delta,
-                       std::span<const double> increments, int group);
+  // Marks stale the cached LHS of every instance that reads a variable a
+  // raise of i writes — alpha(a_i) and beta on pi(i) — among the active
+  // members of `group` (own_group) or among all instances outside it
+  // (!own_group; inactive ones are never read, so marking them is
+  // harmless).
+  void mark_readers_stale(InstanceId i, int group, bool own_group);
   void bookkeep_raise(InstanceId i, double delta,
                       std::span<const double> increments, double& objective,
                       SolveStats& stats,
@@ -443,9 +443,7 @@ class TwoPhaseEngine {
   // SolverConfig::threads, clamped by the work available and by
   // hardware_concurrency (oversubscribing a CPU-bound lock-free pool
   // only adds scheduler overhead; outputs are worker-count-independent
-  // by construction, so the clamp cannot change any result).  One
-  // policy shared by the component pool and the deferred-propagation
-  // pool.
+  // by construction, so the clamp cannot change any result).
   int clamp_workers(int work_items) const;
   void run_component(EpochComponent& comp, const RaiseRule& rule,
                      const StageSchedule& sched, int group,
@@ -456,13 +454,6 @@ class TwoPhaseEngine {
                         int group, double& objective, SolveStats& stats,
                         std::vector<std::vector<InstanceId>>& stack,
                         std::vector<InstanceId>& raised_order);
-  // Applies the epoch's deferred out-of-group raises (the merge log) to
-  // the shards of instances in [lo, hi).  Each target shard receives its
-  // increments in chronological order — the same order the serial replay
-  // applies them in — so partitioning [0, n) across workers reproduces
-  // the serial floating-point state bit for bit.
-  void apply_deferred_raises(int group, InstanceId lo, InstanceId hi);
-
   void count_notifications(InstanceId i, SolveStats& stats);
 
   const Problem* problem_;
@@ -480,17 +471,15 @@ class TwoPhaseEngine {
   // push when keep_stack is set and handed to the result by finish().
   std::vector<StackTag> stack_tags_;
 
-  // Incremental-engine state, rebuilt by every run(): per-instance dual
-  // shards, the cached-LHS layer over them, and the per-(edge, instance)
-  // path positions aligned with the Problem's CSR buckets.
-  std::vector<DualShard> shards_;
+  // Incremental-engine state, reset by every run(): the dual variables
+  // and the cached-LHS layer over them.
+  std::vector<double> alpha_;  // per demand
+  std::vector<double> beta_;   // per global edge
   std::vector<double> lhs_cache_;
   std::vector<char> lhs_fresh_;
   // Plan group of every active instance, -1 for inactive ones: the one
-  // load behind both propagation passes' scope tests.
+  // load behind mark_readers_stale's scope test.
   std::vector<int> active_group_;
-  std::vector<std::int64_t> edge_pos_offset_;
-  std::vector<int> edge_pos_;
   // Member rank within the current epoch's group, by instance id.
   std::vector<int> rank_of_;
 
@@ -498,15 +487,10 @@ class TwoPhaseEngine {
   // that drives components with clones, invalidated by restrict_to().
   ComponentForest forest_;
   // Epoch arenas, reused across epochs: the component pool (flat logs
-  // keep their capacity), per-worker scratch, and the merge's
-  // chronological raise log with its per-raise increment slabs.
+  // keep their capacity), per-worker scratch and the merge's step row.
   std::vector<EpochComponent> comp_pool_;
   std::vector<WorkerScratch> worker_scratch_;
   std::vector<std::pair<int, double>> merge_row_;
-  std::vector<InstanceId> merge_log_ids_;
-  std::vector<double> merge_log_deltas_;
-  std::vector<std::int64_t> merge_inc_begin_;
-  std::vector<double> merge_inc_values_;
 };
 
 // Wide/narrow classification of the arbitrary-height case (paper,

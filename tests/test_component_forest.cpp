@@ -142,7 +142,9 @@ void expect_same_run(const SolveResult& a, const SolveResult& b,
 TEST(ComponentForest, RestrictToInvalidatesAndRebuilds) {
   // One engine object, two different restrictions: the forest must be
   // rebuilt after restrict_to (a stale partition over the old active set
-  // would run wrong components).  Each restricted run must match a fresh
+  // would run wrong components), and at every thread count the per-run
+  // reset of the dual variables and the LHS cache must leave nothing of
+  // the first run behind.  Each restricted run must match a fresh
   // central-reference engine bit for bit.
   const Problem p = small_tree_problem(888, 32, 2, 18,
                                        HeightLaw::kBimodal);
@@ -151,22 +153,25 @@ TEST(ComponentForest, RestrictToInvalidatesAndRebuilds) {
   ASSERT_TRUE(classes.has_wide());
   ASSERT_TRUE(classes.has_narrow());
 
-  SolverConfig config;
-  config.keep_stack = true;
-  config.threads = 4;
-  TwoPhaseEngine reused(p, plan, config);
-  for (const bool wide : {true, false}) {
-    const auto& ids = wide ? classes.wide_ids : classes.narrow_ids;
-    reused.restrict_to(ids);
-    const SolveResult got = reused.run();
+  for (const int threads : {1, 4}) {
+    SolverConfig config;
+    config.keep_stack = true;
+    config.threads = threads;
+    TwoPhaseEngine reused(p, plan, config);
+    for (const bool wide : {true, false}) {
+      const auto& ids = wide ? classes.wide_ids : classes.narrow_ids;
+      reused.restrict_to(ids);
+      const SolveResult got = reused.run();
 
-    SolverConfig central = config;
-    central.engine = EngineImpl::kCentralReference;
-    TwoPhaseEngine fresh(p, plan, central);
-    fresh.restrict_to(ids);
-    const SolveResult want = fresh.run();
-    expect_same_run(want, got,
-                    std::string("restricted wide=") + std::to_string(wide));
+      SolverConfig central = config;
+      central.engine = EngineImpl::kCentralReference;
+      TwoPhaseEngine fresh(p, plan, central);
+      fresh.restrict_to(ids);
+      const SolveResult want = fresh.run();
+      expect_same_run(want, got,
+                      "restricted wide=" + std::to_string(wide) +
+                          " threads=" + std::to_string(threads));
+    }
   }
 }
 

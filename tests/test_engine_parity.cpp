@@ -1,15 +1,19 @@
 // Central-vs-incremental engine parity (the oracle that keeps the
-// incremental rewrite honest): the shard-backed frontier engine — serial
+// incremental rewrite honest): the cached-LHS frontier engine — serial
 // and with parallel epoch execution — must reproduce the central-
 // DualState reference engine EXACTLY.  Selected set, raise stack,
 // lambda_observed, dual_objective and every count are compared with ==,
 // no tolerances: the incremental path replays the reference path's
-// floating-point operation order (ordered beta walks, chronological
-// objective accumulation), so even the doubles are bit-identical.
+// floating-point operation order (every alpha and beta takes the same
+// increments in the same order, stale LHS values are recomputed by the
+// same ascending-edge walk, the objective accumulates chronologically),
+// so even the doubles are bit-identical.
 #include "framework/two_phase.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "decomp/layered.hpp"
@@ -67,8 +71,9 @@ void expect_identical(const SolveResult& ref, const SolveResult& got,
 // threads = 4) on the same problem/plan/config and demands bitwise
 // equality.  The default GreedyMis oracle is deterministic and
 // component-decomposable, so all three runs must coincide exactly.
-void expect_parity(const Problem& p, const LayeredPlan& plan,
-                   SolverConfig config, const std::string& what) {
+// Returns the reference run.
+SolveResult expect_parity(const Problem& p, const LayeredPlan& plan,
+                          SolverConfig config, const std::string& what) {
   config.keep_stack = true;
   config.count_messages = true;
 
@@ -85,6 +90,7 @@ void expect_parity(const Problem& p, const LayeredPlan& plan,
                      what + " threads=" + std::to_string(threads));
     require_feasible(p, got.solution);
   }
+  return ref;
 }
 
 TEST(EngineParity, TreeUnitAcrossLockstepAndThreads) {
@@ -295,6 +301,40 @@ TEST(EngineParity, NonUniformCapacitiesAndXiOverride) {
   SolverConfig override_config;
   override_config.xi_override = 0.9;
   expect_parity(p, plan, override_config, "xi-override");
+
+  // Extreme magnitudes: profits pinned at exactly 1 and profit_max (one
+  // extra demand each, so pmax/pmin = profit_max; at 1e300 the lockstep
+  // budget hits its log cap) over capacities near 0.  Every arm must
+  // still be bit-identical, feasible and certify a finite bound.
+  for (const double profit_max : {1e12, 1e300}) {
+    for (const double capacity_base : {1e-9, 1e-300}) {
+      spec.demands.profit_max = profit_max;
+      spec.capacity_base = capacity_base;
+      Problem extreme = make_tree_problem(spec);
+      extreme.reopen();
+      extreme.add_demand(0, 1, 1.0);
+      extreme.add_demand(2, 3, profit_max);
+      extreme.finalize();
+      const LayeredPlan extreme_plan =
+          build_tree_layered_plan(extreme, DecompKind::kIdeal);
+      for (const bool lockstep : {false, true}) {
+        SolverConfig aware, uniform, xi;
+        uniform.capacity_aware_raises = false;
+        xi.xi_override = 0.9;
+        for (SolverConfig config : {aware, uniform, xi}) {
+          config.lockstep = lockstep;
+          char what[96];
+          std::snprintf(what, sizeof what,
+                        "pmax=%g cap=%g lockstep=%d aware=%d xi=%g",
+                        profit_max, capacity_base, lockstep,
+                        config.capacity_aware_raises, config.xi_override);
+          const SolveResult ref =
+              expect_parity(extreme, extreme_plan, config, what);
+          EXPECT_TRUE(std::isfinite(ref.stats.dual_upper_bound)) << what;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -286,8 +286,8 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
   // — central, incremental serial, incremental parallel — must still
   // agree bit for bit.  The weak budget also starves steps constantly,
   // so the adaptive budget retry fires throughout — mis_retries must
-  // agree across the paths too (the parallel merge takes the
-  // per-component max per step).
+  // agree across the paths too (the merge takes the per-component max
+  // per step).
   std::int64_t total_retries = 0;
   for (int round = 0; round < 4; ++round) {
     const auto seed = 1100 + static_cast<std::uint64_t>(round);
