@@ -20,9 +20,6 @@
 //    every instance is touched anyway; the two engines are near parity,
 //    with the incremental engine paying its propagation constant.
 //
-// The parallel arms sweep threads in {1, 2, 4, 8}; every arm emits its
-// epoch_setup_ns / forest_build_ns / merge_ns breakdown.
-//
 // All engines produce bit-identical output (tests/test_engine_parity),
 // so every row below differs only in wall time, never in results.
 #include <chrono>
@@ -43,15 +40,11 @@ namespace {
 struct Arm {
   const char* name;
   EngineImpl engine;
-  int threads;
 };
 
 constexpr Arm kArms[] = {
-    {"central", EngineImpl::kCentralReference, 1},
-    {"incr-t1", EngineImpl::kIncremental, 1},
-    {"incr-t2", EngineImpl::kIncremental, 2},
-    {"incr-t4", EngineImpl::kIncremental, 4},
-    {"incr-t8", EngineImpl::kIncremental, 8},
+    {"central", EngineImpl::kCentralReference},
+    {"incr-t1", EngineImpl::kIncremental},
 };
 
 struct Measurement {
@@ -59,9 +52,6 @@ struct Measurement {
   int steps = 0;
   double steps_per_sec = 0.0;
   double profit = 0.0;
-  double epoch_setup_ns = 0.0;
-  double forest_build_ns = 0.0;
-  double merge_ns = 0.0;
 };
 
 Measurement run_engine(const Problem& p, const LayeredPlan& plan,
@@ -70,7 +60,6 @@ Measurement run_engine(const Problem& p, const LayeredPlan& plan,
   config.epsilon = 0.1;
   config.lockstep = lockstep;
   config.engine = arm.engine;
-  config.threads = arm.threads;
   const auto start = std::chrono::steady_clock::now();
   const SolveResult run = solve_with_plan(p, plan, config);
   const auto stop = std::chrono::steady_clock::now();
@@ -86,9 +75,6 @@ Measurement run_engine(const Problem& p, const LayeredPlan& plan,
   m.steps_per_sec =
       m.wall_ms > 0.0 ? run.stats.steps * 1000.0 / m.wall_ms : 0.0;
   m.profit = checked_profit(p, run.solution);
-  m.epoch_setup_ns = static_cast<double>(run.stats.epoch_setup_ns);
-  m.forest_build_ns = static_cast<double>(run.stats.forest_build_ns);
-  m.merge_ns = static_cast<double>(run.stats.merge_ns);
   return m;
 }
 
@@ -119,7 +105,7 @@ Problem tree_workload(int n) {
 
 int main(int argc, char** argv) {
   // --trace=PATH: after the measured sweep, one extra traced run of the
-  // largest lockstep line workload on the incr-t4 arm, dumped as a
+  // largest lockstep line workload on the incr-t1 arm, dumped as a
   // Chrome trace.  The trace run is *outside* every measurement, so the
   // emitted BENCH series and the speedup gate are unaffected.
   std::string trace_path;
@@ -132,8 +118,7 @@ int main(int argc, char** argv) {
               "the frontier/shard engine eliminates the per-step "
               "O(|members| * path_len) rescan; >= 5x wall-clock at the "
               "largest size under the lockstep schedule, near parity "
-              "under the adaptive schedule; the threads sweep records "
-              "the component-forest setup/merge breakdown per arm");
+              "under the adaptive schedule");
 
   std::vector<JsonRecord> runs;
   double largest_speedup = 0.0;
@@ -143,7 +128,7 @@ int main(int argc, char** argv) {
                 (lockstep ? "lockstep schedule (Section 5, fixed budgets)"
                           : "adaptive schedule (idealized emptiness tests)"));
     table.set_header({"workload", "instances", "engine", "wall(ms)", "steps",
-                      "steps/sec", "speedup", "setup(ms)", "merge(ms)"});
+                      "steps/sec", "speedup"});
     for (const int workload : {0, 1}) {  // 0 = line, 1 = tree
       const std::vector<int> sizes =
           workload == 0 ? std::vector<int>{256, 512, 1024, 2048}
@@ -160,13 +145,10 @@ int main(int argc, char** argv) {
             central_ms = m.wall_ms;
           const double speedup =
               m.wall_ms > 0.0 ? central_ms / m.wall_ms : 0.0;
-          const double setup_total_ns = m.epoch_setup_ns + m.forest_build_ns;
           table.add_row({workload == 0 ? "line" : "tree",
                          std::to_string(p.num_instances()), arm.name,
                          fmt(m.wall_ms, 1), std::to_string(m.steps),
-                         fmt(m.steps_per_sec, 0), fmt(speedup, 2),
-                         fmt(setup_total_ns * 1e-6, 2),
-                         fmt(m.merge_ns * 1e-6, 2)});
+                         fmt(m.steps_per_sec, 0), fmt(speedup, 2)});
           runs.push_back(
               {{"workload", static_cast<double>(workload)},
                {"n", static_cast<double>(n)},
@@ -174,19 +156,17 @@ int main(int argc, char** argv) {
                {"lockstep", lockstep ? 1.0 : 0.0},
                {"engine",
                 arm.engine == EngineImpl::kCentralReference ? 0.0 : 1.0},
-               {"threads", static_cast<double>(arm.threads)},
+               // A join key of the committed baseline rows.
+               {"threads", 1.0},
                {"steps", static_cast<double>(m.steps)},
                {"wall_ms", m.wall_ms},
                {"steps_per_sec", m.steps_per_sec},
                {"profit", m.profit},
-               {"speedup", speedup},
-               {"epoch_setup_ns", m.epoch_setup_ns},
-               {"forest_build_ns", m.forest_build_ns},
-               {"merge_ns", m.merge_ns}});
-          // The acceptance gate: incremental (threads=1) at the largest
+               {"speedup", speedup}});
+          // The acceptance gate: the incremental engine at the largest
           // line size under the distributed schedule.
           if (lockstep && workload == 0 && n == sizes.back() &&
-              arm.engine == EngineImpl::kIncremental && arm.threads == 1)
+              arm.engine == EngineImpl::kIncremental)
             largest_speedup = speedup;
         }
       }
@@ -202,24 +182,16 @@ int main(int argc, char** argv) {
   std::printf("expected shape: lockstep speedup grows with instance count "
               "(the eliminated rescan is steps * |members| * path_len); "
               "adaptive stays near 1x because nearly every stage touches "
-              "every member once anyway.  The threads sweep is "
-              "determinism-preserving parallelism: on few-core hosts the "
-              "extra threads oversubscribe, and on the line shapes one "
-              "conflict component holds most instances, so the t2-t8 "
-              "arms pay the one-time forest build over t1 and gain "
-              "little from the pool.\n");
+              "every member once anyway.\n");
   if (!trace_path.empty()) {
     const Problem p = line_workload(2048);
     const LayeredPlan plan = build_line_layered_plan(p);
-    const Arm* traced_arm = nullptr;
-    for (const Arm& arm : kArms)
-      if (std::string(arm.name) == "incr-t4") traced_arm = &arm;
     obs::enable_tracing();
-    run_engine(p, plan, *traced_arm, /*lockstep=*/true);
+    run_engine(p, plan, kArms[1], /*lockstep=*/true);
     obs::disable_tracing();
     if (obs::write_chrome_trace(trace_path))
       std::printf("trace written to %s (largest lockstep line workload, "
-                  "incr-t4; summarize with tools/trace_report.py)\n",
+                  "incr-t1; summarize with tools/trace_report.py)\n",
                   trace_path.c_str());
     else
       std::fprintf(stderr, "could not write trace to %s (tracing compiled "

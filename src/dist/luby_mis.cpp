@@ -210,19 +210,7 @@ void CliqueLuby::iterate(std::vector<InstanceId>& live,
 // LubyMis oracle: one stream, drawn in live order.
 
 LubyMis::LubyMis(const Problem& problem, std::uint64_t seed)
-    : problem_(&problem),
-      seed_(seed),
-      rng_(SplitMix64(seed).next()),
-      cliques_(problem) {}
-
-std::unique_ptr<MisOracle> LubyMis::component_clone(std::uint64_t key) {
-  // SplitMix64 over (seed, key) gives each component an independent
-  // stream; the same (seed, epoch, component) always yields the same
-  // stream, so parallel runs are reproducible for any thread count.
-  SplitMix64 mix(seed_);
-  const std::uint64_t derived = mix.next() ^ SplitMix64(key).next();
-  return std::make_unique<LubyMis>(*problem_, derived);
-}
+    : rng_(SplitMix64(seed).next()), cliques_(problem) {}
 
 MisResult LubyMis::run(std::span<const InstanceId> candidates) {
   MisResult result;
@@ -249,38 +237,12 @@ MisResult LubyMis::run(std::span<const InstanceId> candidates) {
 
 ProtocolLubyMis::ProtocolLubyMis(const Problem& problem, std::uint64_t seed,
                                  int luby_budget, int max_retries)
-    : ProtocolLubyMis(problem,
-                      std::make_shared<std::vector<Rng>>(make_node_streams(
-                          seed, problem.num_instances())),
-                      luby_budget > 0
-                          ? luby_budget
-                          : default_luby_budget(problem.num_instances()),
-                      max_retries) {}
-
-ProtocolLubyMis::ProtocolLubyMis(const Problem& problem,
-                                 std::shared_ptr<std::vector<Rng>> streams,
-                                 int luby_budget, int max_retries)
-    : problem_(&problem),
-      budget_(luby_budget),
+    : budget_(luby_budget > 0 ? luby_budget
+                              : default_luby_budget(problem.num_instances())),
       max_retries_(std::max(max_retries, 0)),
-      streams_(std::move(streams)),
+      streams_(make_node_streams(seed, problem.num_instances())),
       cliques_(problem) {
   TS_REQUIRE(budget_ >= 1);
-  TS_REQUIRE(streams_ != nullptr &&
-             streams_->size() ==
-                 static_cast<std::size_t>(problem.num_instances()));
-}
-
-std::unique_ptr<MisOracle> ProtocolLubyMis::component_clone(
-    std::uint64_t key) {
-  // The clone *shares* the per-instance streams: randomness is addressed
-  // by instance, not by oracle, so running a conflict-disjoint component
-  // on a worker consumes exactly the draws the single-oracle run would —
-  // the engine stays bit-identical at every thread count.  `key` is
-  // deliberately unused for stream derivation.
-  (void)key;
-  return std::unique_ptr<MisOracle>(
-      new ProtocolLubyMis(*problem_, streams_, budget_, max_retries_));
 }
 
 MisResult ProtocolLubyMis::run(std::span<const InstanceId> candidates) {
@@ -300,7 +262,7 @@ MisResult ProtocolLubyMis::run(std::span<const InstanceId> candidates) {
     ++iterations_used;
     draw.resize(live.size());
     for (std::size_t k = 0; k < live.size(); ++k)
-      draw[k] = (*streams_)[static_cast<std::size_t>(live[k])].uniform();
+      draw[k] = streams_[static_cast<std::size_t>(live[k])].uniform();
     cliques_.iterate(live, draw, result.selected);
   };
 
@@ -309,12 +271,7 @@ MisResult ProtocolLubyMis::run(std::span<const InstanceId> candidates) {
   // Adaptive budget retry: a starved stage re-runs with the budget
   // doubled per attempt instead of silently leaving nodes undecided.
   // Unlike the fixed main schedule, retry rounds are adaptive: only
-  // iterations actually executed are charged (2 rounds each).  Because
-  // the iteration dynamics decompose across conflict-disjoint
-  // components and draws are per-instance, a whole-frontier run enters
-  // attempt a exactly when some component would — so the retry
-  // count merges across parallel components as a per-step max, just
-  // like the round count.
+  // iterations actually executed are charged (2 rounds each).
   int attempt = 0;
   while (!live.empty() && attempt < max_retries_) {
     ++attempt;

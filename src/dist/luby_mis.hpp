@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -160,24 +159,7 @@ class LubyMis : public MisOracle {
 
   MisResult run(std::span<const InstanceId> candidates) override;
 
-  // Component-local oracle for parallel epoch execution: derives an
-  // independent stream from (seed, key), so the run is deterministic for
-  // any thread count >= 2.  Note this is a *different* randomness
-  // schedule than the single-stream run the engine makes at threads = 1
-  // (each group one component on this oracle) — threads >= 2 with
-  // LubyMis is reproducible but not bit-identical to threads = 1
-  // (GreedyMis is; see MisOracle::component_clone).  The engine keys
-  // clones by component_stream_key(group, first member) of the
-  // ComponentForest's partition, and the clone never consumes this
-  // oracle's own stream, so forest reuse (including skipping
-  // fully-satisfied components without cloning) cannot shift any
-  // component's draws.
-  bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone(std::uint64_t key) override;
-
  private:
-  const Problem* problem_;
-  std::uint64_t seed_ = 0;  // retained for component_clone derivation
   Rng rng_;
   CliqueLuby cliques_;
 };
@@ -201,11 +183,6 @@ class LubyMis : public MisOracle {
 // Feeding this oracle to the two-phase engine in lockstep mode replays
 // the protocol's entire raise sequence, which is what the protocol
 // parity suite (tests/test_protocol_parity.cpp) compares with ==.
-//
-// Because the randomness is per instance, component_clone can hand each
-// parallel-epoch worker a view onto the *same* shared streams (disjoint
-// components touch disjoint instances): unlike LubyMis, the engine run is
-// bit-identical at every thread count.
 class ProtocolLubyMis : public MisOracle {
  public:
   // `luby_budget` <= 0 derives default_luby_budget(num_instances).
@@ -220,24 +197,14 @@ class ProtocolLubyMis : public MisOracle {
 
   MisResult run(std::span<const InstanceId> candidates) override;
 
-  bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone(std::uint64_t key) override;
-
   int luby_budget() const { return budget_; }
   int max_retries() const { return max_retries_; }
 
  private:
-  ProtocolLubyMis(const Problem& problem,
-                  std::shared_ptr<std::vector<Rng>> streams, int luby_budget,
-                  int max_retries);
-
-  const Problem* problem_;
   int budget_ = 1;
   int max_retries_ = kDefaultMisMaxRetries;
-  // Shared with component clones: components of one epoch are disjoint
-  // instance sets, so concurrent clones touch disjoint streams.
-  std::shared_ptr<std::vector<Rng>> streams_;
-  CliqueLuby cliques_;  // per-oracle scratch
+  std::vector<Rng> streams_;  // one per instance
+  CliqueLuby cliques_;
 };
 
 }  // namespace treesched

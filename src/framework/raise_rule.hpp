@@ -86,7 +86,7 @@ class RaiseRule {
                      std::vector<double>& increments) const;
 
   // The increments-only form, for replaying a raise whose amount is
-  // already known (the parallel-epoch merge): identical arithmetic and
+  // already known (the certificate check): identical arithmetic and
   // order as tight_raise, which delegates here.
   void beta_increments(const DemandInstance& inst,
                        std::span<const EdgeId> critical, double delta,

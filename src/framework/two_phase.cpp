@@ -1,11 +1,8 @@
 #include "framework/two_phase.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "framework/certify.hpp"
@@ -82,18 +79,6 @@ void SolveStats::merge(const SolveStats& other) {
   merge_ns += other.merge_ns;
 }
 
-namespace {
-
-// Monotone wall-clock reads for the stats' timing breakdown.  Timing
-// only — no field the parity suites compare with == depends on these.
-inline std::int64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // TwoPhaseEngine — shared setup
 
@@ -121,9 +106,6 @@ void TwoPhaseEngine::restrict_to(std::vector<InstanceId> active) {
     TS_REQUIRE(i >= 0 && i < problem_->num_instances());
     active_mask_[static_cast<std::size_t>(i)] = 1;
   }
-  // The forest partitions the *active* members of every group; a new
-  // active set means a new forest.
-  forest_.invalidate();
 }
 
 void TwoPhaseEngine::count_notifications(InstanceId i, SolveStats& stats) {
@@ -147,6 +129,29 @@ void TwoPhaseEngine::count_notifications(InstanceId i, SolveStats& stats) {
   }
   stats.messages += neighbors;
   stats.message_bytes += neighbors * 48;
+}
+
+void TwoPhaseEngine::record_raise(InstanceId i, SolveStats& stats,
+                                  std::vector<InstanceId>& raised_order) {
+  ++stats.raises;
+  if (config_.check_interference) {
+    // Every previously raised overlapping instance must have a critical
+    // edge on path(i) (the interference property).
+    const auto& path_i = problem_->instance(i).edges;
+    for (InstanceId prev : raised_order) {
+      if (!problem_->overlap(prev, i)) continue;
+      bool hit = false;
+      for (EdgeId e : plan_->critical[static_cast<std::size_t>(prev)]) {
+        if (std::binary_search(path_i.begin(), path_i.end(), e)) {
+          hit = true;
+          break;
+        }
+      }
+      if (!hit) stats.interference_ok = false;
+    }
+  }
+  raised_order.push_back(i);
+  if (config_.count_messages) count_notifications(i, stats);
 }
 
 TwoPhaseEngine::StageSchedule TwoPhaseEngine::prepare(SolveStats& stats) const {
@@ -260,27 +265,7 @@ void TwoPhaseEngine::raise(InstanceId i, DualState& dual,
   // The raise must satisfy d's constraint tightly (paper, Section 3.2).
   TS_DCHECK(std::abs(dual.lhs(inst, rule.beta_coeff(inst)) - inst.profit) <=
             1e-6 * std::max(1.0, inst.profit));
-  ++stats.raises;
-
-  if (config_.check_interference) {
-    // Every previously raised overlapping instance must have a critical
-    // edge on path(i) (the interference property).
-    for (InstanceId prev : raised_order) {
-      if (!problem_->overlap(prev, i)) continue;
-      const auto& path_i = problem_->instance(i).edges;
-      bool hit = false;
-      for (EdgeId e : plan_->critical[static_cast<std::size_t>(prev)]) {
-        if (std::binary_search(path_i.begin(), path_i.end(), e)) {
-          hit = true;
-          break;
-        }
-      }
-      if (!hit) stats.interference_ok = false;
-    }
-  }
-  raised_order.push_back(i);
-
-  if (config_.count_messages) count_notifications(i, stats);
+  record_raise(i, stats, raised_order);
 }
 
 void TwoPhaseEngine::run_central(const StageSchedule& sched,
@@ -392,66 +377,40 @@ void TwoPhaseEngine::run_central(const StageSchedule& sched,
 // raise marks stale, through the CSR edge->instances index, exactly the
 // instances whose constraints read a raised variable; everyone else's
 // cached LHS stays valid.  A stale LHS is recomputed by the central
-// engine's walk (dual_lhs) and the objective accumulates in the central
-// order, so with the increment order argued below the two paths agree
-// bit for bit — tests/test_engine_parity.cpp compares with ==.
+// engine's walk (dual_lhs), the oracle sees the same candidate lists in
+// the same order, the raises happen in its decision order and the
+// objective accumulates in that order — so the two paths agree bit for
+// bit, and tests/test_engine_parity.cpp compares them with ==.
 
 void TwoPhaseEngine::reset_run_state() {
-  const InstanceId n = problem_->num_instances();
+  const auto n = static_cast<std::size_t>(problem_->num_instances());
   alpha_.assign(static_cast<std::size_t>(problem_->num_demands()), 0.0);
   beta_.assign(static_cast<std::size_t>(problem_->num_global_edges()), 0.0);
-  lhs_cache_.assign(static_cast<std::size_t>(n), 0.0);
-  lhs_fresh_.assign(static_cast<std::size_t>(n), 1);  // all-zero duals
-  active_group_.resize(static_cast<std::size_t>(n));
-  for (InstanceId i = 0; i < n; ++i)
-    active_group_[static_cast<std::size_t>(i)] =
-        is_active(i) ? plan_->group[static_cast<std::size_t>(i)] : -1;
-  rank_of_.resize(static_cast<std::size_t>(n));
+  lhs_cache_.assign(n, 0.0);
+  lhs_fresh_.assign(n, 1);  // all-zero duals
 }
 
-void TwoPhaseEngine::mark_readers_stale(InstanceId i, int group,
-                                        bool own_group) {
-  const auto mark = [&](InstanceId k) {
-    const auto idx = static_cast<std::size_t>(k);
-    if ((active_group_[idx] == group) == own_group) lhs_fresh_[idx] = 0;
-  };
+void TwoPhaseEngine::mark_readers_stale(InstanceId i) {
   const DemandInstance& inst = problem_->instance(i);
   if (config_.raise_alpha)
-    for (InstanceId k : problem_->instances_of_demand(inst.demand)) mark(k);
+    for (InstanceId k : problem_->instances_of_demand(inst.demand))
+      lhs_fresh_[static_cast<std::size_t>(k)] = 0;
   for (EdgeId e : plan_->critical[static_cast<std::size_t>(i)])
-    for (InstanceId k : problem_->instances_on_edge(e)) mark(k);
+    for (InstanceId k : problem_->instances_on_edge(e))
+      lhs_fresh_[static_cast<std::size_t>(k)] = 0;
 }
 
 void TwoPhaseEngine::bookkeep_raise(InstanceId i, double delta,
                                     std::span<const double> increments,
                                     double& objective, SolveStats& stats,
                                     std::vector<InstanceId>& raised_order) {
-  const DemandInstance& inst = problem_->instance(i);
   const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
   // Accumulation order mirrors DualState exactly: the alpha term first,
   // then the critical edges in order, capacity-weighted.
   if (config_.raise_alpha) objective += delta;
   for (std::size_t c = 0; c < critical.size(); ++c)
     objective += problem_->capacity(critical[c]) * increments[c];
-  ++stats.raises;
-
-  if (config_.check_interference) {
-    for (InstanceId prev : raised_order) {
-      if (!problem_->overlap(prev, i)) continue;
-      const auto& path_i = inst.edges;
-      bool hit = false;
-      for (EdgeId e : plan_->critical[static_cast<std::size_t>(prev)]) {
-        if (std::binary_search(path_i.begin(), path_i.end(), e)) {
-          hit = true;
-          break;
-        }
-      }
-      if (!hit) stats.interference_ok = false;
-    }
-  }
-  raised_order.push_back(i);
-
-  if (config_.count_messages) count_notifications(i, stats);
+  record_raise(i, stats, raised_order);
 }
 
 void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
@@ -462,98 +421,95 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
   reset_run_state();
   double objective = 0.0;
 
-  // Clones let the forest's components of a group run on workers.  With
-  // one oracle (threads <= 1, or an oracle without component_clone) every
-  // group runs as one component on oracle_, through the same loop.
-  const bool cloned =
-      config_.threads > 1 && oracle_->supports_component_clone();
-  worker_scratch_.resize(
-      static_cast<std::size_t>(cloned ? config_.threads : 1));
-  if (cloned && !forest_.built()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    forest_.build(*problem_, *plan_, active_mask_);
-    stats.forest_build_ns += elapsed_ns(t0);
-  }
-
   std::vector<std::vector<InstanceId>> stack;
   std::vector<InstanceId> raised_order;
-  std::vector<InstanceId> members;
 
+  // run_central's loop, with the stage's frontier (one scan of the
+  // members, then a refilter after each step's raises) and the cached
+  // LHS in place of the full rescan and the from-scratch walk.
   for (int g = 0; g < plan_->num_groups; ++g) {
-    members.clear();
+    members_.clear();
     for (InstanceId i : plan_->members[static_cast<std::size_t>(g)])
-      if (is_active(i)) members.push_back(i);
-    if (members.empty()) continue;
+      if (is_active(i)) members_.push_back(i);
+    if (members_.empty()) continue;
     ++stats.epochs;
     TRACE_SPAN1("engine", "epoch", "group", g);
 
-    const auto setup_start = std::chrono::steady_clock::now();
-    const int comp_count = [&] {
-      TRACE_SPAN1("engine", "epoch_setup", "group", g);
-      return derive_components(members, g, cloned);
-    }();
-    stats.epoch_setup_ns += elapsed_ns(setup_start);
-    if (obs::tracing_enabled()) {
-      TRACE_HIST("engine.components_per_epoch", comp_count);
-      for (int c = 0; c < comp_count; ++c)
-        TRACE_HIST("engine.component_size",
-                   comp_pool_[static_cast<std::size_t>(c)].ids.size());
-    }
-    {
-      // Fixed-size pool over an atomic work index (one component runs on
-      // the calling thread alone): which worker runs which component is
-      // scheduling-dependent, but each component's writes are confined
-      // to the dual variables and caches only its own members read, and
-      // the merge below replays everything in fixed component order — so
-      // the output is independent of the interleaving.
-      std::atomic<int> next{0};
-      const int workers = clamp_workers(comp_count);
-      // Per-worker busy time (loop entry to exhausted work queue); idle
-      // is the pool wall minus that, accumulated into the metrics
-      // registry after the join.
-      std::vector<std::int64_t> busy_ns(static_cast<std::size_t>(workers), 0);
-      const auto work = [&](int w) {
-        WorkerScratch& scratch = worker_scratch_[static_cast<std::size_t>(w)];
-        const bool traced = obs::tracing_enabled();
-        const std::int64_t entered_ns = traced ? obs::trace_now_ns() : 0;
-        for (;;) {
-          const int c = next.fetch_add(1);
-          if (c >= comp_count) break;
-          EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-          TRACE_SPAN2("engine", "component", "size", comp.ids.size(),
-                      "group", g);
-          run_component(comp, rule, sched, g, scratch);
+    for (int j = 1; j <= sched.stages_per_epoch; ++j) {
+      const double target = stage_target(sched, j);
+      ++stats.stages;
+      int steps_this_stage = 0;
+      int rows_this_stage = 0;
+      unsat_.clear();
+      for (InstanceId i : members_)
+        if (unsatisfied(i, rule, target)) unsat_.push_back(i);
+      for (;;) {
+        if (config_.lockstep) {
+          if (steps_this_stage >= sched.lockstep_budget) {
+            // The budget is exhausted; Lemma 5.1 predicts U is empty.
+            if (!unsat_.empty()) stats.lockstep_ok = false;
+            break;
+          }
+          if (unsat_.empty()) {
+            // Idle step: 2 MIS rounds + 1 propagation round of silence.
+            ++stats.steps;
+            ++steps_this_stage;
+            stats.mis_rounds += 2;
+            stats.comm_rounds += 3;
+            continue;
+          }
+        } else if (unsat_.empty()) {
+          break;
         }
-        if (traced)
-          busy_ns[static_cast<std::size_t>(w)] =
-              obs::trace_now_ns() - entered_ns;
-      };
-      const std::int64_t pool_start_ns =
-          obs::tracing_enabled() ? obs::trace_now_ns() : 0;
-      TRACE_SPAN2("engine", "solve", "group", g, "components", comp_count);
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(workers) - 1);
-      for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
-      work(0);
-      for (std::thread& t : pool) t.join();
-      if (obs::tracing_enabled()) {
-        const std::int64_t pool_wall_ns = obs::trace_now_ns() - pool_start_ns;
-        auto& registry = obs::MetricsRegistry::global();
-        for (int w = 0; w < workers; ++w) {
-          const std::int64_t busy = busy_ns[static_cast<std::size_t>(w)];
-          registry.counter("engine.worker_busy_ns").add(busy);
-          registry.counter("engine.worker_idle_ns")
-              .add(std::max<std::int64_t>(0, pool_wall_ns - busy));
+        const MisResult mis = oracle_->run(
+            std::span<const InstanceId>(unsat_.data(), unsat_.size()));
+        ++stats.steps;
+        ++steps_this_stage;
+        stats.mis_rounds += mis.rounds;
+        stats.comm_rounds += mis.rounds + 1;  // +1: dual propagation
+        stats.mis_retries += mis.retries;
+        if (mis.selected.empty()) {
+          // As in run_central: the step's rounds are spent in silence,
+          // and in adaptive mode the stage ends short.
+          stats.mis_ok = false;
+          ++stats.mis_failed_steps;
+          TRACE_COUNTER("engine.mis_failed_steps", 1);
+          if (config_.lockstep) continue;
+          stats.lockstep_ok = false;
+          break;
         }
+        for (InstanceId i : mis.selected) {
+          const DemandInstance& inst = problem_->instance(i);
+          const auto& critical =
+              plan_->critical[static_cast<std::size_t>(i)];
+          const double slack =
+              inst.profit - cached_lhs(i, rule.beta_coeff(inst));
+          TS_DCHECK(slack > 0.0);
+          const double delta =
+              rule.tight_raise(inst, critical, slack, increments_);
+          if (config_.raise_alpha)
+            alpha_[static_cast<std::size_t>(inst.demand)] += delta;
+          for (std::size_t c = 0; c < critical.size(); ++c)
+            beta_[static_cast<std::size_t>(critical[c])] += increments_[c];
+          bookkeep_raise(i, delta, increments_, objective, stats,
+                         raised_order);
+          mark_readers_stale(i);
+          TS_DCHECK(std::abs(cached_lhs(i, rule.beta_coeff(inst)) -
+                             inst.profit) <=
+                    1e-6 * std::max(1.0, inst.profit));
+        }
+        if (config_.keep_stack)
+          stack_tags_.push_back(StackTag{g, j, rows_this_stage});
+        ++rows_this_stage;
+        stack.push_back(mis.selected);
+        TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
+        std::erase_if(unsat_, [&](InstanceId i) {
+          return !unsatisfied(i, rule, target);
+        });
       }
+      stats.max_steps_in_stage =
+          std::max(stats.max_steps_in_stage, steps_this_stage);
     }
-    const auto merge_start = std::chrono::steady_clock::now();
-    {
-      TRACE_SPAN1("engine", "merge", "group", g);
-      merge_components(comp_count, members, rule, sched, g, objective, stats,
-                       stack, raised_order);
-    }
-    stats.merge_ns += elapsed_ns(merge_start);
   }
 
   // Certification: every instance reports its own satisfaction level
@@ -580,266 +536,6 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
     }
   }
   finish(result, stack);
-}
-
-// ---------------------------------------------------------------------------
-// Epoch components: the one phase-1 loop.
-//
-// Within one group, a raise of member i writes beta only on critical
-// edges of path(i) and alpha of i's demand; any member whose constraint
-// reads one of those variables conflicts with i and is therefore in i's
-// connected component of the conflict graph restricted to the group.  So
-// components write disjoint variables, never read each other's writes
-// during an epoch, and can run concurrently.  Within a step the MIS is
-// independent, so each variable takes at most one increment per step;
-// each is written by one component per group, and groups run in order —
-// so every alpha and beta receives the central reference's increments in
-// the central order, for any thread count and decomposable
-// (deterministic) oracles.  The merge replays the logs in step order for
-// the bookkeeping and marks stale the other groups' readers of the
-// raised variables.  With a single oracle the whole group is one
-// component, and its raises keep the oracle's decision order within a
-// step, exactly as the central reference raises them.
-
-int TwoPhaseEngine::derive_components(const std::vector<InstanceId>& members,
-                                      int group, bool cloned) {
-  const int m = static_cast<int>(members.size());
-  for (int rank = 0; rank < m; ++rank)
-    rank_of_[static_cast<std::size_t>(members[static_cast<std::size_t>(rank)])] =
-        rank;
-  if (!cloned) {
-    if (comp_pool_.empty()) comp_pool_.resize(1);
-    EpochComponent& comp = comp_pool_.front();
-    comp.ids = members;
-    comp.oracle = oracle_;
-    comp.clone.reset();
-    return 1;
-  }
-  // The forest already holds this epoch's partition; deriving is pure
-  // span slicing — O(|members| + #components).  Oracles are NOT cloned
-  // here: run_component clones lazily once a frontier scan finds an
-  // unsatisfied member (the monotone-frontier filter), so a fully
-  // satisfied component costs neither a clone nor a stream.  Clone
-  // streams derive from (seed, key), never from the parent oracle's
-  // state, so the laziness cannot shift any component's randomness.
-  const int count = forest_.components_in_group(group);
-  if (static_cast<int>(comp_pool_.size()) < count)
-    comp_pool_.resize(static_cast<std::size_t>(count));
-  for (int c = 0; c < count; ++c) {
-    EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-    comp.ids = forest_.component_ids(group, c);
-    comp.stream_key = component_stream_key(group, comp.ids.front());
-    comp.oracle = nullptr;
-    comp.clone.reset();
-  }
-  return count;
-}
-
-int TwoPhaseEngine::clamp_workers(int work_items) const {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max(
-      1, std::min({config_.threads, work_items,
-                   hw > 0 ? static_cast<int>(hw) : config_.threads}));
-}
-
-void TwoPhaseEngine::run_component(EpochComponent& comp,
-                                   const RaiseRule& rule,
-                                   const StageSchedule& sched, int group,
-                                   WorkerScratch& scratch) {
-  comp.reset_log(sched.stages_per_epoch);
-  std::vector<InstanceId>& unsat = scratch.unsat;
-  std::vector<double>& increments = scratch.increments;
-  std::vector<std::pair<int, double>>& selected = scratch.selected;
-  for (int j = 1; j <= sched.stages_per_epoch; ++j) {
-    const double target = stage_target(sched, j);
-    int steps_this_stage = 0;
-    bool scanned = false;
-    for (;;) {
-      if (!scanned) {
-        unsat.clear();
-        for (InstanceId i : comp.ids)
-          if (unsatisfied(i, rule, target)) unsat.push_back(i);
-        scanned = true;
-      } else {
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < unsat.size(); ++r)
-          if (unsatisfied(unsat[r], rule, target))
-            unsat[w++] = unsat[r];
-        unsat.resize(w);
-      }
-      if (config_.lockstep && steps_this_stage >= sched.lockstep_budget) {
-        if (!unsat.empty()) comp.ended_short = true;
-        break;
-      }
-      // A finished component simply stops recording; the merge pads the
-      // lockstep schedule's idle steps when *every* component is done.
-      if (unsat.empty()) break;
-      // Lazy clone: the component proved it has frontier work, so it
-      // earns its oracle now.  component_clone is concurrency-safe on the
-      // parent and derives the stream from (seed, stream_key) alone —
-      // see MisOracle's contract.
-      if (comp.oracle == nullptr) {
-        comp.clone = oracle_->component_clone(comp.stream_key);
-        TS_REQUIRE(comp.clone != nullptr);
-        comp.oracle = comp.clone.get();
-      }
-      const MisResult mis = comp.oracle->run(
-          std::span<const InstanceId>(unsat.data(), unsat.size()));
-      ++steps_this_stage;
-      if (mis.selected.empty()) {
-        comp.mis_failed = true;
-        comp.step_rounds.push_back(mis.rounds);
-        comp.step_retries.push_back(mis.retries);
-        comp.step_begin.push_back(static_cast<int>(comp.rank_log.size()));
-        if (!config_.lockstep) {
-          comp.ended_short = true;
-          break;
-        }
-        TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
-        continue;
-      }
-      selected.clear();
-      for (InstanceId i : mis.selected) {
-        const DemandInstance& inst = problem_->instance(i);
-        const auto& critical =
-            plan_->critical[static_cast<std::size_t>(i)];
-        const double slack =
-            inst.profit - cached_lhs(i, rule.beta_coeff(inst));
-        TS_DCHECK(slack > 0.0);
-        const double delta =
-            rule.tight_raise(inst, critical, slack, increments);
-        if (config_.raise_alpha)
-          alpha_[static_cast<std::size_t>(inst.demand)] += delta;
-        for (std::size_t c = 0; c < critical.size(); ++c)
-          beta_[static_cast<std::size_t>(critical[c])] += increments[c];
-        // Own group only: the merge marks the other groups' readers.
-        mark_readers_stale(i, group, true);
-        TS_DCHECK(std::abs(cached_lhs(i, rule.beta_coeff(inst)) -
-                           inst.profit) <= 1e-6 * std::max(1.0, inst.profit));
-        selected.emplace_back(rank_of_[static_cast<std::size_t>(i)], delta);
-      }
-      // A clone's winners are logged in ascending member rank (randomized
-      // oracles report winners in decision order; raises within a step
-      // commute, so rank order is safe and deterministic for any thread
-      // count).  The engine's own oracle keeps its decision order: the
-      // order the central reference raises in, which fixes the objective's
-      // summation order.  Ranks are unique, so the pair sort is a rank
-      // sort.
-      if (comp.clone != nullptr) std::sort(selected.begin(), selected.end());
-      comp.step_rounds.push_back(mis.rounds);
-      comp.step_retries.push_back(mis.retries);
-      for (const auto& [rank, delta] : selected) {
-        comp.rank_log.push_back(rank);
-        comp.delta_log.push_back(delta);
-      }
-      comp.step_begin.push_back(static_cast<int>(comp.rank_log.size()));
-      TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
-    }
-    comp.stage_begin.push_back(static_cast<int>(comp.step_rounds.size()));
-  }
-}
-
-void TwoPhaseEngine::merge_components(
-    int comp_count, const std::vector<InstanceId>& members,
-    const RaiseRule& rule, const StageSchedule& sched, int group,
-    double& objective, SolveStats& stats,
-    std::vector<std::vector<InstanceId>>& stack,
-    std::vector<InstanceId>& raised_order) {
-  // k-way merge of the per-component decision logs by (stage, step) into
-  // the chronological raise order, with the bookkeeping — objective
-  // accumulation, stack rows, stats, message counting — exactly as the
-  // central reference interleaves it.
-  const std::span<EpochComponent> comps{comp_pool_.data(),
-                                        static_cast<std::size_t>(comp_count)};
-  std::vector<double>& increments = worker_scratch_.front().increments;
-  for (int j = 1; j <= sched.stages_per_epoch; ++j) {
-    ++stats.stages;
-    int max_steps = 0;
-    for (const EpochComponent& comp : comps)
-      max_steps = std::max(max_steps, comp.steps_in_stage(j - 1));
-    const int stage_steps =
-        config_.lockstep ? sched.lockstep_budget : max_steps;
-    int counted = 0;
-    int rows_this_stage = 0;
-    bool stage_broken = false;
-    for (int t = 0; t < stage_steps && !stage_broken; ++t) {
-      merge_row_.clear();
-      int rounds_t = 0;
-      int retries_t = 0;
-      int contributors = 0;
-      for (const EpochComponent& comp : comps) {
-        if (t >= comp.steps_in_stage(j - 1)) continue;
-        ++contributors;
-        const auto s = static_cast<std::size_t>(
-            comp.stage_begin[static_cast<std::size_t>(j - 1)] + t);
-        rounds_t = std::max(rounds_t, comp.step_rounds[s]);
-        // Like the rounds: concurrent components share the step's retry
-        // attempts, and a whole-frontier single-oracle run retries exactly
-        // as long as its worst component — max, not sum.
-        retries_t = std::max(retries_t, comp.step_retries[s]);
-        for (int k = comp.step_begin[s]; k < comp.step_begin[s + 1]; ++k)
-          merge_row_.emplace_back(comp.rank_log[static_cast<std::size_t>(k)],
-                                  comp.delta_log[static_cast<std::size_t>(k)]);
-      }
-      ++stats.steps;
-      ++counted;
-      if (contributors == 0) {
-        // Every component finished before the budget: the union U is
-        // empty, and the lockstep schedule idles through the remaining
-        // steps exactly as the central reference does.
-        stats.mis_rounds += 2;
-        stats.comm_rounds += 3;
-        continue;
-      }
-      // The merged step costs the *maximum* of the concurrent per-
-      // component MIS rounds: components run their iterations in the same
-      // synchronous rounds.
-      stats.mis_rounds += rounds_t;
-      stats.comm_rounds += rounds_t + 1;
-      stats.mis_retries += retries_t;
-      if (merge_row_.empty()) {
-        // Every live component's MIS came back empty this step: the
-        // union U's step failed exactly as a single-oracle empty step
-        // would.  (Per-component failures that still yield a non-empty
-        // union only flip mis_ok below, not this counter — the counter
-        // must stay identical across thread counts, and the parity suite
-        // compares it with ==.)
-        stats.mis_ok = false;
-        ++stats.mis_failed_steps;
-        TRACE_COUNTER("engine.mis_failed_steps", 1);
-        if (!config_.lockstep) stage_broken = true;
-        continue;
-      }
-      // Several components' rows interleave by member rank; a lone
-      // component's row keeps the order run_component logged it in.
-      if (contributors > 1) std::sort(merge_row_.begin(), merge_row_.end());
-      std::vector<InstanceId> row;
-      row.reserve(merge_row_.size());
-      for (const auto& [rank, delta] : merge_row_) {
-        const InstanceId i = members[static_cast<std::size_t>(rank)];
-        const DemandInstance& inst = problem_->instance(i);
-        const auto& critical =
-            plan_->critical[static_cast<std::size_t>(i)];
-        rule.beta_increments(inst, critical, delta, increments);
-        bookkeep_raise(i, delta, increments, objective, stats,
-                       raised_order);
-        // Serial, here rather than in run_component: an instance outside
-        // the group can read variables that two components write, so its
-        // stale flag is the one entry concurrent components could share.
-        mark_readers_stale(i, group, false);
-        row.push_back(i);
-      }
-      if (config_.keep_stack)
-        stack_tags_.push_back(StackTag{group, j, rows_this_stage});
-      ++rows_this_stage;
-      stack.push_back(std::move(row));
-    }
-    stats.max_steps_in_stage = std::max(stats.max_steps_in_stage, counted);
-  }
-  for (const EpochComponent& comp : comps) {
-    if (comp.mis_failed) stats.mis_ok = false;
-    if (comp.ended_short) stats.lockstep_ok = false;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -30,15 +30,13 @@
 //    edge, and a per-stage *unsatisfied frontier* that shrinks
 //    monotonically (raises never decrease an LHS within a stage), so a
 //    step tests only the previous frontier instead of rescanning the
-//    group.  Every epoch runs one loop: each component of the group runs
-//    its stages and steps, writing alpha/beta and marking its own
-//    members' caches stale as it raises and logging the raises, and a
-//    deterministic merge replays the logs in step order and marks stale
-//    the caches of the other groups' readers.
-//    With one oracle (SolverConfig::threads <= 1, or an oracle without
-//    component_clone) the whole group is one component; otherwise the
-//    group's conflict-disjoint components run on a worker pool, each
-//    with its own oracle clone.
+//    group.  Each epoch is one serial stage/step loop over the group's
+//    active members on the engine's own oracle; each raise writes
+//    alpha/beta, does its bookkeeping and marks its readers stale at the
+//    moment it happens.  The paper's parallelism is part of the round
+//    model — conflict-disjoint components take their steps in the same
+//    synchronous rounds — which the engine charges as one MIS call per
+//    step over the whole frontier.
 //  - kCentralReference: the pre-incremental engine (central DualState,
 //    full member rescan with a from-scratch beta walk every step), kept
 //    as the parity oracle.  Both implementations are bit-identical on
@@ -51,7 +49,6 @@
 
 #include "common/prelude.hpp"
 #include "decomp/layered.hpp"
-#include "framework/component_forest.hpp"
 #include "framework/dual_state.hpp"
 #include "framework/raise_rule.hpp"
 #include "model/problem.hpp"
@@ -68,51 +65,12 @@ struct MisResult {
   int retries = 0;
 };
 
-// Stream key of one parallel-epoch component: the epoch (group) and the
-// component's first member in rank order.  Both are fixed by the
-// problem, plan and active mask (ComponentForest's ordering contract),
-// so MisOracle::component_clone sees the same key — and randomized
-// oracles the same per-component stream — for any thread count.
-inline std::uint64_t component_stream_key(int group, InstanceId first_member) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(group))
-          << 32) ^
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(first_member));
-}
-
 // Maximal independent set oracle over the instance conflict graph
 // (conflicting = same demand or overlapping paths; paper, Section 2).
 class MisOracle {
  public:
   virtual ~MisOracle() = default;
   virtual MisResult run(std::span<const InstanceId> candidates) = 0;
-
-  // Parallel epoch execution (SolverConfig::threads > 1) runs each
-  // conflict-disjoint component of a group on its own worker, and each
-  // worker needs a private oracle: component_clone returns one dedicated
-  // to the component identified by `key` (stable across runs: derived
-  // from the epoch and the component's first member — see
-  // component_stream_key below).  Deterministic oracles return an
-  // equivalent oracle — GreedyMis's clone reproduces the single-oracle
-  // run bit for bit.  Randomized oracles derive an independent stream
-  // from (seed, key), which keeps the run deterministic for any thread
-  // count but deliberately distinct from the single-stream run.
-  // Oracles that cannot run component-local leave
-  // supports_component_clone() false; the engine then drives every
-  // group as one component with this oracle, exactly as at threads = 1.
-  //
-  // Concurrency contract: the engine clones *lazily* from worker threads
-  // (a component only receives an oracle once its first frontier scan
-  // finds an unsatisfied member — fully satisfied components never pay
-  // for one), so component_clone must be safe to call concurrently on
-  // one parent oracle and must not mutate the parent (in particular it
-  // must not consume the parent's random stream — derive clone streams
-  // from (seed, key) instead, as LubyMis does).  All in-repo oracles
-  // satisfy this.
-  virtual bool supports_component_clone() const { return false; }
-  virtual std::unique_ptr<MisOracle> component_clone(std::uint64_t key) {
-    (void)key;
-    return nullptr;
-  }
 };
 
 // Deterministic greedy MIS in instance-id order; 1 round (models local
@@ -122,11 +80,6 @@ class GreedyMis : public MisOracle {
  public:
   explicit GreedyMis(const Problem& problem);
   MisResult run(std::span<const InstanceId> candidates) override;
-  bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone(std::uint64_t key) override {
-    (void)key;
-    return std::make_unique<GreedyMis>(*problem_);
-  }
 
  private:
   const Problem* problem_;
@@ -191,20 +144,10 @@ struct SolverConfig {
   int max_steps_per_stage = 200000;
   // Phase-1 implementation (see EngineImpl above).
   EngineImpl engine = EngineImpl::kIncremental;
-  // Worker threads of the incremental engine.  This picks the epoch
-  // partition and the worker count, never the loop: with threads >= 2
-  // and an oracle that supports component_clone(), each epoch's group is
-  // partitioned into conflict-disjoint components (no raise in one
-  // component writes a dual variable that another component's members
-  // read), components run on a pool of this many workers, and the
-  // results are merged in fixed component order, so any threads >= 2
-  // value yields the same output.  Otherwise the whole group is one
-  // component on the engine's own oracle.  The number of worker threads
-  // actually spawned is additionally capped at
-  // std::thread::hardware_concurrency() — oversubscribing a CPU-bound
-  // lock-free pool only adds scheduler overhead, and the output is
-  // independent of the worker count by construction, so the cap cannot
-  // change any result.
+  // A no-op: phase 1 is one serial loop at any value (the paper's
+  // parallelism lives in the round model, see the header comment).  Kept
+  // only because perfbench/ sets it; it goes with the next change to the
+  // benchmark.
   int threads = 1;
 };
 
@@ -236,32 +179,17 @@ struct SolveStats {
   bool mis_ok = true;
   // How many whole steps spent their MIS budget without deciding anyone
   // (the silent degrade behind mis_ok = false, surfaced so the CLI and
-  // benches can warn).  Counted only when the *entire* step's selection
-  // is empty — identically on the central engine and on the incremental
-  // engine at any thread count, so the parity suites compare it with ==.
+  // benches can warn).  Counted identically on the central and the
+  // incremental engine, so the parity suites compare it with ==.
   std::int64_t mis_failed_steps = 0;
   // Adaptive MIS budget retries (MisResult::retries summed over steps).
-  // With several components a step's retry count is the max over them —
-  // a whole-frontier single-oracle run enters attempt a exactly when its
-  // worst component does, because the Luby dynamics decompose across
-  // conflict-disjoint components — so this, too, compares with == across
-  // the central engine and every thread count.
+  // Both engines make the same oracle calls, so the parity suites compare
+  // it with ==.
   std::int64_t mis_retries = 0;
 
-  // Wall-clock breakdown of the incremental engine's epoch loop (all
-  // zero on the central path).  Timing, not semantics: every field the
-  // parity suites compare with == is unaffected.
-  //   epoch_setup_ns   per-epoch component derivation: what the epoch
-  //                    loop pays serially before workers start — member
-  //                    ranks and forest span slicing.  The frontier
-  //                    filtering and the (lazy) oracle clones happen
-  //                    inside run_component, so they are NOT in this
-  //                    counter;
-  //   forest_build_ns  the one-time ComponentForest build of the run
-  //                    (zero when every group runs as one component);
-  //   merge_ns         the deterministic merge — chronological replay,
-  //                    bookkeeping and marking stale the cached LHS of
-  //                    the raises' readers in other groups.
+  // Always 0: the engine times nothing into them.  They exist only
+  // because perfbench/ reads them, and go with the next change to the
+  // benchmark.
   std::int64_t epoch_setup_ns = 0;
   std::int64_t forest_build_ns = 0;
   std::int64_t merge_ns = 0;
@@ -272,9 +200,11 @@ struct SolveStats {
 };
 
 // Chronological address of one raise-stack row: the epoch (group), the
-// 1-based stage within it and the 0-based step within the stage.  Because
-// conflict-disjoint components advance in lockstep through the shared
-// step grid, a component's rows keep the same tags no matter which other
+// 1-based stage within it and the 0-based step within the stage.  Under
+// a decomposable oracle (GreedyMis selects within each conflict component
+// exactly what it would select for the component alone), conflict-
+// disjoint components take their steps independently on the shared step
+// grid, so a component's rows keep the same tags no matter which other
 // components run alongside it — the invariant the online scheduler's
 // warm-start cache splices rows by.
 struct StackTag {
@@ -335,58 +265,6 @@ class TwoPhaseEngine {
     int lockstep_budget = 0;
     bool any_active = false;
   };
-  // One conflict-disjoint component of an epoch's group (or the whole
-  // group, when one oracle drives it), plus the decision log run_component
-  // records for the deterministic merge.  The member list is a span into
-  // the ComponentForest's flat storage or the epoch's member list, and
-  // the log is flat — stage s covers steps
-  // [stage_begin[s], stage_begin[s+1]) of step_rounds, step t's raises
-  // are entries [step_begin[t], step_begin[t+1]) of (rank_log,
-  // delta_log) — so a pooled component is reused across epochs without
-  // reallocating.
-  struct EpochComponent {
-    std::span<const InstanceId> ids;   // members, ascending rank
-    // The oracle driving the component: the engine's own, or `clone`.
-    // A clone is made lazily: run_component clones on first need (a
-    // frontier scan that found an unsatisfied member), so a fully
-    // satisfied component costs no clone.
-    MisOracle* oracle = nullptr;
-    std::unique_ptr<MisOracle> clone;
-    std::uint64_t stream_key = 0;
-    std::vector<int> stage_begin;      // size stages + 1
-    std::vector<int> step_begin;       // size total steps + 1
-    std::vector<int> step_rounds;      // per step
-    std::vector<int> step_retries;     // per step, parallel to step_rounds
-    // Raised ranks per step: ascending for a clone, the oracle's decision
-    // order for the engine's own oracle.
-    std::vector<int> rank_log;
-    std::vector<double> delta_log;     // parallel to rank_log
-    bool mis_failed = false;    // oracle returned empty on a non-empty pool
-    bool ended_short = false;   // stage ended with unsatisfied members left
-    int steps_in_stage(int stage_index) const {
-      return stage_begin[static_cast<std::size_t>(stage_index) + 1] -
-             stage_begin[static_cast<std::size_t>(stage_index)];
-    }
-    void reset_log(int stages) {
-      stage_begin.clear();
-      stage_begin.reserve(static_cast<std::size_t>(stages) + 1);
-      stage_begin.push_back(0);
-      step_begin.assign(1, 0);
-      step_rounds.clear();
-      step_retries.clear();
-      rank_log.clear();
-      delta_log.clear();
-      mis_failed = false;
-      ended_short = false;
-    }
-  };
-  // Per-worker scratch of run_component, reused across epochs and
-  // components so the hot loop stops allocating.
-  struct WorkerScratch {
-    std::vector<InstanceId> unsat;
-    std::vector<double> increments;
-    std::vector<std::pair<int, double>> selected;  // (rank, delta)
-  };
 
   bool is_active(InstanceId i) const {
     return active_mask_[static_cast<std::size_t>(i)] != 0;
@@ -406,7 +284,7 @@ class TwoPhaseEngine {
 
   // Incremental path.
   void run_incremental(const StageSchedule& sched, SolveResult& result);
-  void reset_run_state();  // duals, LHS cache, group map and ranks
+  void reset_run_state();  // duals and the LHS cache
   double cached_lhs(InstanceId i, double beta_coeff) {
     const auto k = static_cast<std::size_t>(i);
     if (!lhs_fresh_[k]) {
@@ -422,38 +300,18 @@ class TwoPhaseEngine {
            target * inst.profit - kEps * inst.profit;
   }
   // Marks stale the cached LHS of every instance that reads a variable a
-  // raise of i writes — alpha(a_i) and beta on pi(i) — among the active
-  // members of `group` (own_group) or among all instances outside it
-  // (!own_group; inactive ones are never read, so marking them is
-  // harmless).
-  void mark_readers_stale(InstanceId i, int group, bool own_group);
+  // raise of i writes — alpha(a_i) and beta on i's critical edges.
+  // Instances outside the current group or the active set are not read
+  // before a later epoch (or ever), so marking them early is harmless.
+  void mark_readers_stale(InstanceId i);
   void bookkeep_raise(InstanceId i, double delta,
                       std::span<const double> increments, double& objective,
                       SolveStats& stats,
                       std::vector<InstanceId>& raised_order);
-  // Component decomposition of one epoch, into comp_pool_[0..count):
-  // with `cloned`, O(|members|) span slicing of the persistent forest;
-  // otherwise the whole member list as one component on oracle_.  The
-  // frontier filtering happens inside run_component: a component whose
-  // scan never finds an unsatisfied member runs zero steps and never
-  // even clones an oracle.
-  int derive_components(const std::vector<InstanceId>& members, int group,
-                        bool cloned);
-  // Threads actually spawned for `work_items` units of parallel work:
-  // SolverConfig::threads, clamped by the work available and by
-  // hardware_concurrency (oversubscribing a CPU-bound lock-free pool
-  // only adds scheduler overhead; outputs are worker-count-independent
-  // by construction, so the clamp cannot change any result).
-  int clamp_workers(int work_items) const;
-  void run_component(EpochComponent& comp, const RaiseRule& rule,
-                     const StageSchedule& sched, int group,
-                     WorkerScratch& scratch);
-  void merge_components(int comp_count,
-                        const std::vector<InstanceId>& members,
-                        const RaiseRule& rule, const StageSchedule& sched,
-                        int group, double& objective, SolveStats& stats,
-                        std::vector<std::vector<InstanceId>>& stack,
-                        std::vector<InstanceId>& raised_order);
+  // Bookkeeping every raise shares on both paths: the raise count, the
+  // interference check, the raise order and the message count.
+  void record_raise(InstanceId i, SolveStats& stats,
+                    std::vector<InstanceId>& raised_order);
   void count_notifications(InstanceId i, SolveStats& stats);
 
   const Problem* problem_;
@@ -477,20 +335,12 @@ class TwoPhaseEngine {
   std::vector<double> beta_;   // per global edge
   std::vector<double> lhs_cache_;
   std::vector<char> lhs_fresh_;
-  // Plan group of every active instance, -1 for inactive ones: the one
-  // load behind mark_readers_stale's scope test.
-  std::vector<int> active_group_;
-  // Member rank within the current epoch's group, by instance id.
-  std::vector<int> rank_of_;
-
-  // Persistent conflict-component forest: built lazily on the first run
-  // that drives components with clones, invalidated by restrict_to().
-  ComponentForest forest_;
-  // Epoch arenas, reused across epochs: the component pool (flat logs
-  // keep their capacity), per-worker scratch and the merge's step row.
-  std::vector<EpochComponent> comp_pool_;
-  std::vector<WorkerScratch> worker_scratch_;
-  std::vector<std::pair<int, double>> merge_row_;
+  // Scratch of the epoch loop, reused across epochs and runs so the hot
+  // loop stops allocating: the group's active members, the stage's
+  // unsatisfied frontier and one raise's beta increments.
+  std::vector<InstanceId> members_;
+  std::vector<InstanceId> unsat_;
+  std::vector<double> increments_;
 };
 
 // Wide/narrow classification of the arbitrary-height case (paper,

@@ -28,9 +28,9 @@ std::int64_t steady_ns() {
       .count();
 }
 
-// One per recording thread, pooled: the engine recreates its worker
-// pool every epoch, so exiting threads park their slot for the next
-// worker instead of growing the slot list without bound.
+// One per recording thread, pooled: exiting threads park their slot for
+// the next recording thread instead of growing the slot list without
+// bound.
 struct ThreadSlot {
   std::vector<SpanRecord> ring;
   // Monotone count of records ever pushed by this slot; the owner
@@ -61,7 +61,7 @@ struct SlotHandle {
     Registry& r = registry();
     std::lock_guard<std::mutex> lock(r.mu);
     r.parked.push_back(slot);
-    // Hand lower tids out first so short-lived worker generations map
+    // Hand lower tids out first so short-lived thread generations map
     // onto a stable, small set of timeline rows.
     std::sort(r.parked.begin(), r.parked.end(),
               [](const ThreadSlot* a, const ThreadSlot* b) {

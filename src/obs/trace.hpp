@@ -1,6 +1,6 @@
 // Flight-recorder tracing: a zero-cost-when-disabled span recorder for
-// the whole stack (engine epochs/components/merges, protocol passes and
-// stages, wire rounds).
+// the whole stack (engine runs and epochs, protocol passes and stages,
+// wire rounds, online batches).
 //
 // Design:
 //  * Recording is RAII — TRACE_SPAN("engine", "epoch") opens a span that
@@ -12,11 +12,12 @@
 //    fills, the oldest spans are overwritten — flight-recorder
 //    semantics: the most recent window always survives, and the dump
 //    reports how much history was lost.
-//  * Worker threads are short-lived here (the engine recreates its pool
-//    every epoch), so ring slots are pooled: a thread parks its slot on
-//    exit and the next worker reuses it.  Distinct tids therefore stay
-//    bounded by the maximum number of concurrent threads, which is also
-//    what makes per-worker timelines meaningful in the dump.
+//  * The library itself records from the calling thread only, but a
+//    caller may record from threads of its own, and those may be short-
+//    lived, so ring slots are pooled: a thread parks its slot on exit and
+//    the next thread reuses it.  Distinct tids therefore stay bounded by
+//    the maximum number of concurrent threads, which is also what keeps
+//    per-thread timelines meaningful in the dump.
 //  * Dumps merge all rings deterministically (sorted by start time, then
 //    duration, then tid, then per-thread sequence) into Chrome-trace
 //    JSON (chrome://tracing, ui.perfetto.dev) or a flat JSON form that

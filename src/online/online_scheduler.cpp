@@ -166,11 +166,10 @@ void OnlineScheduler::capture_class(const ClassState& cls,
   if (!cls.valid) return;
   // Forest component order, so equal states capture to equal bytes (the
   // cache map's own iteration order is not deterministic).
-  const int comps = cls.forest.components_in_group(0);
+  const int comps = cls.forest.num_components();
   out.components.reserve(static_cast<std::size_t>(comps));
   for (int c = 0; c < comps; ++c) {
-    const auto ids = cls.forest.component_ids(0, c);
-    const auto it = cls.cache.find(ids.front());
+    const auto it = cls.cache.find(cls.forest.component_members(c).front());
     TS_REQUIRE(it != cls.cache.end());
     const CompCache& cc = it->second;
     SnapshotComponent sc;
@@ -193,17 +192,17 @@ void OnlineScheduler::restore_class(ClassState& cls,
   check_input(cls.mask.size() ==
                   static_cast<std::size_t>(problem_->num_instances()),
               "snapshot: class mask does not match the rebuilt problem");
-  cls.forest.build(*problem_, forest_plan_, cls.mask);
+  cls.forest.build(*problem_, cls.mask);
   // The caches are installed verbatim, but only after the rebuilt
   // forest's partition confirms them: every component's member list must
   // match its cache entry exactly, or the snapshot belongs to a
   // different problem than the records rebuild.
-  const int comps = cls.forest.components_in_group(0);
+  const int comps = cls.forest.num_components();
   check_input(static_cast<std::size_t>(comps) == snap.components.size(),
               "snapshot: component count does not match the rebuilt forest");
   cls.cache.reserve(static_cast<std::size_t>(comps));
   for (int c = 0; c < comps; ++c) {
-    const auto ids = cls.forest.component_ids(0, c);
+    const auto ids = cls.forest.component_members(c);
     const SnapshotComponent& sc = snap.components[static_cast<std::size_t>(c)];
     check_input(sc.members.size() == ids.size() &&
                     std::equal(ids.begin(), ids.end(), sc.members.begin()),
@@ -262,18 +261,7 @@ void OnlineScheduler::rebuild_problem() {
     p.finalize();
     plan_ = build_tree_layered_plan(p, decomps_);
     problem_.emplace(std::move(p));
-    forest_plan_.num_groups = 1;
-    forest_plan_.delta = 0;
-    forest_plan_.group.clear();
-    forest_plan_.critical.clear();  // the forest never reads critical sets
-    forest_plan_.members.assign(1, {});
   }
-
-  const int n = problem_->num_instances();
-  const auto old_n = static_cast<InstanceId>(forest_plan_.group.size());
-  forest_plan_.group.resize(static_cast<std::size_t>(n), 0);
-  for (InstanceId i = old_n; i < n; ++i)
-    forest_plan_.members.front().push_back(i);
 }
 
 void OnlineScheduler::compact() {
@@ -448,9 +436,9 @@ void OnlineScheduler::refresh_class(ClassState& cls,
   if (params_changed && cls.valid) report.params_changed = true;
 
   if (cls.valid)
-    cls.forest.update(problem, forest_plan_, mask, added, removed);
+    cls.forest.update(problem, mask, added, removed);
   else
-    cls.forest.build(problem, forest_plan_, mask);
+    cls.forest.build(problem, mask);
 
   const bool force_all = !cls.valid || params_changed ||
                          config_.mode == OnlineSolveMode::kCold;
@@ -459,13 +447,13 @@ void OnlineScheduler::refresh_class(ClassState& cls,
   // dynamics of a component depend only on its members (ids resolve to
   // immutable demand data), the capacities and the pinned schedule, so
   // an unchanged member list means an unchanged solve.
-  const int comps = cls.forest.components_in_group(0);
+  const int comps = cls.forest.num_components();
   std::vector<int> touched;
   std::vector<InstanceId> touched_union;
   std::unordered_map<InstanceId, CompCache> next_cache;
   next_cache.reserve(static_cast<std::size_t>(comps));
   for (int c = 0; c < comps; ++c) {
-    const auto ids = cls.forest.component_ids(0, c);
+    const auto ids = cls.forest.component_members(c);
     bool reuse = !force_all;
     if (reuse) {
       const auto it = cls.cache.find(ids.front());
@@ -499,7 +487,7 @@ void OnlineScheduler::refresh_class(ClassState& cls,
     std::vector<CompCache> fresh(touched.size());
     for (std::size_t s = 0; s < touched.size(); ++s) {
       slot[static_cast<std::size_t>(touched[s])] = static_cast<int>(s);
-      const auto ids = cls.forest.component_ids(0, touched[s]);
+      const auto ids = cls.forest.component_members(touched[s]);
       CompCache& cc = fresh[s];
       cc.members.assign(ids.begin(), ids.end());
       cc.lhs.resize(ids.size());
@@ -554,12 +542,11 @@ ClassArtifacts OnlineScheduler::assemble_class(const ClassState& cls) const {
     const std::vector<InstanceId>* row;
   };
   std::vector<RowRef> refs;
-  const int comps = cls.forest.components_in_group(0);
+  const int comps = cls.forest.num_components();
   double lambda = 1.0;
   bool any = false;
   for (int c = 0; c < comps; ++c) {
-    const auto ids = cls.forest.component_ids(0, c);
-    const auto it = cls.cache.find(ids.front());
+    const auto it = cls.cache.find(cls.forest.component_members(c).front());
     TS_REQUIRE(it != cls.cache.end());
     const CompCache& cc = it->second;
     for (std::size_t k = 0; k < cc.members.size(); ++k)

@@ -11,10 +11,10 @@
 //
 // Per height class (wide/kUnit, narrow/kNarrow — the Section 6 split)
 // the scheduler keeps:
-//  * a run-persistent ComponentForest over a single-group plan (the
-//    cross-group conflict components), revised per batch by
-//    ComponentForest::update — add/remove of member instances with the
-//    untouched groups' spans sliced straight across;
+//  * a run-persistent ComponentForest over the class's live instances
+//    (the conflict components across all plan groups), revised per
+//    batch by ComponentForest::update — add/remove of member instances,
+//    with the untouched components re-united without path walks;
 //  * a per-component cache: member ids, the component's raise-stack
 //    rows with their (group, stage, step) tags, the members' final
 //    LHS (SolveResult::final_lhs) and the component's observed lambda.
@@ -216,9 +216,6 @@ class OnlineScheduler {
 
   std::optional<Problem> problem_;
   LayeredPlan plan_;
-  // Single-group plan over all instances: the cross-group conflict
-  // components the forests partition.
-  LayeredPlan forest_plan_;
 
   ClassState wide_, narrow_;
 };

@@ -1,16 +1,19 @@
 // CLI argument parsing: the strict contract of tools/cli_args.hpp.
 //
-// Regression coverage for three silent-misparse bugs the CLI shipped
-// with:
+// Regression coverage for the misparse bugs the CLI shipped with:
 //  * Args::num called std::stod unguarded — `--eps=abc` crashed with an
 //    uncaught std::invalid_argument, and `--eps=0.5x` silently dropped
 //    the trailing garbage;
-//  * a value flag given space-separated (`--threads 4`) recorded
-//    threads="1" and treated `4` as the input file;
+//  * a value flag given space-separated (`--batches 4`) recorded
+//    batches="1" and treated `4` as the input file;
 //  * parse_shape / parse_heights silently fell back to a default on
-//    unknown names (`--shape=binray` meant random).
+//    unknown names (`--shape=binray` meant random);
+//  * integer flags were cast from double unchecked — `--n=1e12` aborted
+//    on a contract check, `--seed=-1` was an undefined conversion and
+//    `--rate=inf` never returned.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -85,13 +88,13 @@ TEST(CliArgs, RejectsEmptyNumber) {
 // Satellite 2: space-separated value flags and stray positionals.
 TEST(CliArgs, RejectsSpaceSeparatedValueFlag) {
   expect_usage_error(
-      [] { parse_tokens({"solve", "f", "--threads", "4"}); },
-      "--threads=4");
+      [] { parse_tokens({"solve", "f", "--batches", "4"}); },
+      "--batches=4");
 }
 
 TEST(CliArgs, RejectsBareValueFlagAtEnd) {
-  expect_usage_error([] { parse_tokens({"solve", "f", "--threads"}); },
-                     "--threads=V");
+  expect_usage_error([] { parse_tokens({"solve", "f", "--batches"}); },
+                     "--batches=V");
 }
 
 TEST(CliArgs, RejectsUnexpectedPositional) {
@@ -161,8 +164,7 @@ TEST(CliArgs, OnlineFlagsRoundTrip) {
   const Args args = parse_tokens({"solve", "f", "--algo=online",
                                   "--arrivals=bursty", "--rate=12.5",
                                   "--batches=8", "--interval=0.5",
-                                  "--lifetime=4", "--init-pop=32",
-                                  "--threads=4"});
+                                  "--lifetime=4", "--init-pop=32"});
   EXPECT_EQ(args.get("algo", "auto"), "online");
   EXPECT_EQ(cli::parse_arrivals(args.get("arrivals", "poisson")),
             ArrivalLaw::kBursty);
@@ -171,7 +173,64 @@ TEST(CliArgs, OnlineFlagsRoundTrip) {
   EXPECT_DOUBLE_EQ(args.num("interval", 1.0), 0.5);
   EXPECT_DOUBLE_EQ(args.num("lifetime", 8.0), 4.0);
   EXPECT_DOUBLE_EQ(args.num("init-pop", 0), 32.0);
-  EXPECT_DOUBLE_EQ(args.num("threads", 1), 4.0);
+  EXPECT_EQ(args.integer("batches", 16, 0), 8);
+  EXPECT_EQ(args.integer("init-pop", 0, 0), 32);
+}
+
+// Non-finite values are rejected by every numeric lookup: `--rate=inf`
+// made the event trace generator loop forever, `--eps=nan` aborted.
+TEST(CliArgs, NumRejectsNonFiniteValues) {
+  for (const std::string value : {"inf", "-inf", "nan", "1e999"}) {
+    const Args args = parse_tokens({"solve", "f", "--rate=" + value});
+    expect_usage_error([&] { args.num("rate", 8.0); }, "--rate");
+    expect_usage_error([&] { args.num("rate", 8.0); }, value);
+  }
+}
+
+// Integer flags are range-checked before the conversion, against the
+// destination type and the callee's minimum.
+TEST(CliArgs, IntegerRejectsOutOfRangeValues) {
+  const Args args = parse_tokens(
+      {"gen-tree", "f", "--n=1e12", "--m=3e9", "--seed=-1", "--r=0"});
+  expect_usage_error([&] { args.integer<VertexId>("n", 64, 2); }, "--n");
+  expect_usage_error([&] { args.integer<VertexId>("n", 64, 2); }, "1e12");
+  expect_usage_error([&] { args.integer("m", 50, 1); }, "--m");
+  expect_usage_error([&] { args.integer<std::uint64_t>("seed", 1); },
+                     "--seed");
+  expect_usage_error([&] { args.integer("r", 2, 1); }, "[1, ");
+  const Args low = parse_tokens({"gen-tree", "f", "--n=1"});
+  expect_usage_error([&] { low.integer<VertexId>("n", 64, 2); }, "--n");
+}
+
+TEST(CliArgs, IntegerRejectsFractionsAndNonFinite) {
+  const Args args =
+      parse_tokens({"solve", "f", "--batches=2.5", "--nodes=inf"});
+  expect_usage_error([&] { args.integer("batches", 16, 0); }, "2.5");
+  expect_usage_error([&] { args.integer<std::int64_t>("nodes", 0, 0); },
+                     "--nodes");
+}
+
+TEST(CliArgs, IntegerAcceptsWholeValuesUpToTheBounds) {
+  const Args args = parse_tokens(
+      {"solve", "f", "--nodes=2e7", "--seed=0", "--batches=2147483647",
+       "--init-pop=-0"});
+  EXPECT_EQ(args.integer<std::int64_t>("nodes", 0, 0), 20'000'000);
+  EXPECT_EQ(args.integer<std::uint64_t>("seed", 1), 0u);
+  EXPECT_EQ(args.integer("batches", 16, 0), 2147483647);
+  EXPECT_EQ(args.integer("init-pop", 5, 0), 0);
+  EXPECT_EQ(args.integer("snapshot-every", 4, 0), 4);  // absent: fallback
+  // Just past the type's range: 2^31 for int, 2^64 for std::uint64_t.
+  const Args over = parse_tokens(
+      {"solve", "f", "--batches=2147483648", "--seed=18446744073709551616"});
+  expect_usage_error([&] { over.integer("batches", 16, 0); }, "--batches");
+  expect_usage_error([&] { over.integer<std::uint64_t>("seed", 1); },
+                     "--seed");
+}
+
+// --threads set a field the engine ignores; the flag is gone.
+TEST(CliArgs, ThreadsFlagIsUnknown) {
+  expect_usage_error([] { parse_tokens({"solve", "f", "--threads=4"}); },
+                     "unknown flag --threads");
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// ComponentForest correctness: the persistent forest must partition
-// every group's active members into exactly the connected components of
-// the conflict graph restricted to the group — checked against an
-// independent BFS over Problem::conflicting — with the engine's
-// deterministic ordering (components by first member rank, members
-// rank-ascending), and must be rebuilt whenever the engine's active set
-// changes.  Engine-level parity of the parallel path is
-// tests/test_engine_parity.cpp's subject.
+// ComponentForest correctness: the partition must split the active
+// instances into exactly the connected components of the conflict graph
+// — checked against an independent BFS over Problem::conflicting — in
+// the deterministic order the online caches key on (components by
+// smallest id, members ascending).  The last case reuses one engine
+// across restrictions: nothing of one run may leak into the next.
 #include "framework/component_forest.hpp"
 
 #include <gtest/gtest.h>
@@ -24,14 +22,13 @@ namespace {
 using testutil::small_line_problem;
 using testutil::small_tree_problem;
 
-// Independent reference partition of one group: BFS over the conflict
-// relation restricted to the group's active members, components emitted
-// in first-member-rank order, members in rank order.
+// Independent reference partition: BFS over the conflict relation
+// restricted to the active instances, components emitted in smallest-id
+// order, members ascending.
 std::vector<std::vector<InstanceId>> bfs_components(
-    const Problem& p, const LayeredPlan& plan,
-    const std::vector<char>& active, int group) {
+    const Problem& p, const std::vector<char>& active) {
   std::vector<InstanceId> members;
-  for (InstanceId i : plan.members[static_cast<std::size_t>(group)])
+  for (InstanceId i = 0; i < p.num_instances(); ++i)
     if (active[static_cast<std::size_t>(i)]) members.push_back(i);
   const int m = static_cast<int>(members.size());
   std::vector<char> visited(static_cast<std::size_t>(m), 0);
@@ -65,57 +62,44 @@ std::vector<std::vector<InstanceId>> bfs_components(
 }
 
 void expect_forest_matches_reference(const Problem& p,
-                                     const LayeredPlan& plan,
                                      const std::vector<char>& active,
                                      const std::string& what) {
   ComponentForest forest;
-  forest.build(p, plan, active);
-  ASSERT_TRUE(forest.built()) << what;
-  ASSERT_EQ(forest.num_groups(), plan.num_groups) << what;
-  for (int g = 0; g < plan.num_groups; ++g) {
-    const auto ref = bfs_components(p, plan, active, g);
-    ASSERT_EQ(static_cast<std::size_t>(forest.components_in_group(g)),
-              ref.size())
-        << what << " group " << g;
-    int members_seen = 0;
-    for (std::size_t c = 0; c < ref.size(); ++c) {
-      const auto ids = forest.component_ids(g, static_cast<int>(c));
-      const std::vector<InstanceId> got(ids.begin(), ids.end());
-      EXPECT_EQ(got, ref[c]) << what << " group " << g << " comp " << c;
-      members_seen += static_cast<int>(ids.size());
+  forest.build(p, active);
+  const auto ref = bfs_components(p, active);
+  ASSERT_EQ(static_cast<std::size_t>(forest.num_components()), ref.size())
+      << what;
+  for (std::size_t c = 0; c < ref.size(); ++c) {
+    const auto ids = forest.component_members(static_cast<int>(c));
+    EXPECT_EQ(std::vector<InstanceId>(ids.begin(), ids.end()), ref[c])
+        << what << " comp " << c;
+    for (InstanceId i : ids)
+      EXPECT_EQ(forest.component_of(i), static_cast<int>(c)) << what;
+  }
+  // Inactive instances belong to no component.
+  for (InstanceId i = 0; i < p.num_instances(); ++i) {
+    if (!active[static_cast<std::size_t>(i)]) {
+      EXPECT_EQ(forest.component_of(i), -1) << what << " id " << i;
     }
-    // Every active member appears exactly once across the components.
-    int active_members = 0;
-    for (InstanceId i : plan.members[static_cast<std::size_t>(g)])
-      if (active[static_cast<std::size_t>(i)]) ++active_members;
-    EXPECT_EQ(members_seen, active_members) << what << " group " << g;
   }
 }
 
 TEST(ComponentForest, MatchesBfsReferenceOnTreesAndLines) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Problem tree = small_tree_problem(seed + 500, 32, 2, 18);
-    for (const DecompKind kind :
-         {DecompKind::kIdeal, DecompKind::kRootFixing}) {
-      const LayeredPlan plan = build_tree_layered_plan(tree, kind);
-      std::vector<char> all(static_cast<std::size_t>(tree.num_instances()),
-                            1);
-      expect_forest_matches_reference(
-          tree, plan, all,
-          "tree seed=" + std::to_string(seed) + " " + to_string(kind));
-      // Restricted mask: every other instance (the wide/narrow regime's
-      // shape — the forest must partition the *active* subset only).
-      std::vector<char> evens(all.size(), 0);
-      for (std::size_t i = 0; i < evens.size(); i += 2) evens[i] = 1;
-      expect_forest_matches_reference(
-          tree, plan, evens,
-          "tree-evens seed=" + std::to_string(seed) + " " +
-              to_string(kind));
-    }
+    std::vector<char> all(static_cast<std::size_t>(tree.num_instances()), 1);
+    expect_forest_matches_reference(tree, all,
+                                    "tree seed=" + std::to_string(seed));
+    // Restricted mask: every other instance (the wide/narrow regime's
+    // shape — the forest must partition the *active* subset only).
+    std::vector<char> evens(all.size(), 0);
+    for (std::size_t i = 0; i < evens.size(); i += 2) evens[i] = 1;
+    expect_forest_matches_reference(
+        tree, evens, "tree-evens seed=" + std::to_string(seed));
     const Problem line = small_line_problem(seed + 70, 28, 2, 9);
-    const LayeredPlan plan = build_line_layered_plan(line);
-    std::vector<char> all(static_cast<std::size_t>(line.num_instances()), 1);
-    expect_forest_matches_reference(line, plan, all,
+    std::vector<char> line_all(static_cast<std::size_t>(line.num_instances()),
+                               1);
+    expect_forest_matches_reference(line, line_all,
                                     "line seed=" + std::to_string(seed));
   }
 }
@@ -139,13 +123,11 @@ void expect_same_run(const SolveResult& a, const SolveResult& b,
   EXPECT_EQ(a.stats.mis_ok, b.stats.mis_ok) << what;
 }
 
-TEST(ComponentForest, RestrictToInvalidatesAndRebuilds) {
-  // One engine object, two different restrictions: the forest must be
-  // rebuilt after restrict_to (a stale partition over the old active set
-  // would run wrong components), and at every thread count the per-run
-  // reset of the dual variables and the LHS cache must leave nothing of
-  // the first run behind.  Each restricted run must match a fresh
-  // central-reference engine bit for bit.
+TEST(ComponentForest, ReusedEngineResetsAcrossRestrictions) {
+  // One engine object, two different restrictions: the per-run reset of
+  // the dual variables and the LHS cache must leave nothing of the first
+  // run behind, at every threads value.  Each restricted run must match a
+  // fresh central-reference engine bit for bit.
   const Problem p = small_tree_problem(888, 32, 2, 18,
                                        HeightLaw::kBimodal);
   const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);

@@ -1,7 +1,7 @@
 // Central-vs-incremental engine parity (the oracle that keeps the
-// incremental rewrite honest): the cached-LHS frontier engine — serial
-// and with parallel epoch execution — must reproduce the central-
-// DualState reference engine EXACTLY.  Selected set, raise stack,
+// incremental rewrite honest): the cached-LHS frontier engine must
+// reproduce the central-DualState reference engine EXACTLY, at every
+// SolverConfig::threads value (a no-op the threads axes pin).  Selected set, raise stack,
 // lambda_observed, dual_objective and every count are compared with ==,
 // no tolerances: the incremental path replays the reference path's
 // floating-point operation order (every alpha and beta takes the same
@@ -69,9 +69,8 @@ void expect_identical(const SolveResult& ref, const SolveResult& got,
 
 // Runs the reference engine and the incremental engine (threads = 1 and
 // threads = 4) on the same problem/plan/config and demands bitwise
-// equality.  The default GreedyMis oracle is deterministic and
-// component-decomposable, so all three runs must coincide exactly.
-// Returns the reference run.
+// equality: all three runs must coincide exactly.  Returns the reference
+// run.
 SolveResult expect_parity(const Problem& p, const LayeredPlan& plan,
                           SolverConfig config, const std::string& what) {
   config.keep_stack = true;
@@ -204,21 +203,6 @@ TEST(EngineParity, HeightSplitAndRestriction) {
   }
 }
 
-// LubyMis behind a wrapper that keeps MisOracle's default (no
-// component_clone): the engine must drive every group as one component
-// on this oracle at any thread count.
-class UnclonableLuby : public MisOracle {
- public:
-  UnclonableLuby(const Problem& problem, std::uint64_t seed)
-      : inner_(problem, seed) {}
-  MisResult run(std::span<const InstanceId> candidates) override {
-    return inner_.run(candidates);
-  }
-
- private:
-  LubyMis inner_;
-};
-
 TEST(EngineParity, LubyOracleSerialIsBitIdenticalToCentral) {
   // A stateful randomized oracle consumes one global stream: with
   // threads == 1 the incremental engine presents it the exact same
@@ -236,47 +220,42 @@ TEST(EngineParity, LubyOracleSerialIsBitIdenticalToCentral) {
     LubyMis inc_oracle(p, seed);
     const SolveResult got = solve_with_plan(p, plan, config, &inc_oracle);
     expect_identical(ref, got, "luby seed=" + std::to_string(seed));
-    // An oracle without component_clone at threads = 4 takes the same
-    // one-component-per-group path, so it reproduces central too.
+    // threads = 4 is the same serial loop, so it reproduces central too.
     config.threads = 4;
-    UnclonableLuby unclonable(p, seed);
-    const SolveResult got4 = solve_with_plan(p, plan, config, &unclonable);
+    LubyMis oracle4(p, seed);
+    const SolveResult got4 = solve_with_plan(p, plan, config, &oracle4);
     expect_identical(ref, got4,
-                     "unclonable luby threads=4 seed=" + std::to_string(seed));
+                     "luby threads=4 seed=" + std::to_string(seed));
   }
 }
 
 TEST(EngineParity, LubyParallelIsDeterministicAndCertified) {
-  // With threads >= 2, LubyMis runs per-component streams — deliberately
-  // a different randomness schedule than the serial run, but fully
-  // deterministic: any two parallel runs (any thread counts >= 2) agree
-  // exactly, and the run still meets the stage targets.  Both tree
-  // decompositions: their plans partition the groups differently, so
-  // the per-component streams are keyed on different components.
+  // SolverConfig::threads is a no-op: LubyMis at threads {1, 2, 4}
+  // consumes its one stream exactly as the central reference does, so
+  // every run equals the reference bit for bit and meets the stage
+  // targets.  Both tree decompositions: their plans group the instances
+  // differently.
   const Problem p = small_tree_problem(500, 48, 2, 28);
   for (const DecompKind kind :
        {DecompKind::kIdeal, DecompKind::kRootFixing}) {
     const LayeredPlan plan = build_tree_layered_plan(p, kind);
     SolverConfig config;
     config.keep_stack = true;
+    config.count_messages = true;
     config.epsilon = 0.2;
-    SolveResult first;
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      for (const int threads : {2, 4}) {
-        SolverConfig run_config = config;
-        run_config.threads = threads;
-        LubyMis oracle(p, 9);
-        const SolveResult got = solve_with_plan(p, plan, run_config, &oracle);
-        require_feasible(p, got.solution);
-        EXPECT_GE(got.stats.lambda_observed, 1.0 - 0.2 - 1e-6);
-        if (repeat == 0 && threads == 2) {
-          first = got;
-          continue;
-        }
-        expect_identical(first, got, std::string("luby-parallel ") +
-                                         to_string(kind) + " threads=" +
-                                         std::to_string(threads));
-      }
+    SolverConfig central = config;
+    central.engine = EngineImpl::kCentralReference;
+    LubyMis ref_oracle(p, 9);
+    const SolveResult ref = solve_with_plan(p, plan, central, &ref_oracle);
+    for (const int threads : {1, 2, 4}) {
+      SolverConfig run_config = config;
+      run_config.threads = threads;
+      LubyMis oracle(p, 9);
+      const SolveResult got = solve_with_plan(p, plan, run_config, &oracle);
+      require_feasible(p, got.solution);
+      EXPECT_GE(got.stats.lambda_observed, 1.0 - 0.2 - 1e-6);
+      expect_identical(ref, got, std::string("luby ") + to_string(kind) +
+                                     " threads=" + std::to_string(threads));
     }
   }
 }

@@ -279,15 +279,12 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
   // oracle: each step decides only the per-clique (draw, id) minima and
   // leaves everyone else undecided, so the unsatisfied frontier shrinks
   // by a trickle across many steps *mid-stage* — the adversarial regime
-  // for the frontier compaction, the flat component logs and the
-  // forest's satisfied-component filter (components drain at wildly
-  // different rates, so late steps see mostly-finished epochs).  The
-  // oracle's randomness is addressed per instance, so every engine path
-  // — central, incremental serial, incremental parallel — must still
-  // agree bit for bit.  The weak budget also starves steps constantly,
-  // so the adaptive budget retry fires throughout — mis_retries must
-  // agree across the paths too (the merge takes the per-component max
-  // per step).
+  // for the frontier compaction (conflict components drain at wildly
+  // different rates, so late steps see mostly-finished epochs).  Every
+  // engine path — central, and incremental at threads 1 and 4 — must
+  // still agree bit for bit.  The weak budget also starves steps
+  // constantly, so the adaptive budget retry fires throughout —
+  // mis_retries must agree across the paths too.
   std::int64_t total_retries = 0;
   for (int round = 0; round < 4; ++round) {
     const auto seed = 1100 + static_cast<std::uint64_t>(round);

@@ -381,6 +381,16 @@ TEST(ObsInvisibility, EngineRunIsBitIdenticalTracedAndUntraced) {
     obs::enable_tracing();
     const SolveResult traced = solve_with_plan(p, plan, config);
     obs::disable_tracing();
+    // threads = 4 is a no-op: every span comes from the calling thread,
+    // and the run builds no component forest.
+    const std::vector<obs::SpanRecord> spans = obs::collect_spans();
+#ifndef TREESCHED_TRACING_DISABLED
+    EXPECT_FALSE(spans.empty());
+#endif
+    for (const obs::SpanRecord& rec : spans) {
+      EXPECT_EQ(rec.tid, spans.front().tid) << rec.category << "/" << rec.name;
+      EXPECT_STRNE(rec.category, "forest") << rec.name;
+    }
     obs::reset_trace();
     obs::MetricsRegistry::global().reset();
 

@@ -258,8 +258,6 @@ TEST(OnlineScheduler, FuzzRandomEventTraces) {
 TEST(ComponentForestUpdate, MatchesFreshBuildThroughRandomDeltas) {
   const Problem problem = small_tree_problem(55, 32, 2, 20,
                                              HeightLaw::kBimodal);
-  const LayeredPlan plan =
-      build_tree_layered_plan(problem, DecompKind::kRootFixing);
   const int n = problem.num_instances();
   Rng rng(123);
   std::vector<char> mask(static_cast<std::size_t>(n), 0);
@@ -267,7 +265,7 @@ TEST(ComponentForestUpdate, MatchesFreshBuildThroughRandomDeltas) {
     mask[static_cast<std::size_t>(i)] = rng.chance(0.7) ? 1 : 0;
 
   ComponentForest incremental, reference;
-  incremental.build(problem, plan, mask);
+  incremental.build(problem, mask);
   for (int round = 0; round < 20; ++round) {
     std::vector<InstanceId> added, removed;
     for (InstanceId i = 0; i < n; ++i) {
@@ -281,25 +279,22 @@ TEST(ComponentForestUpdate, MatchesFreshBuildThroughRandomDeltas) {
         added.push_back(i);
       }
     }
-    incremental.update(problem, plan, mask, added, removed);
-    reference.build(problem, plan, mask);
-    ASSERT_EQ(incremental.num_groups(), reference.num_groups());
-    ASSERT_EQ(incremental.total_components(), reference.total_components());
-    for (int g = 0; g < reference.num_groups(); ++g) {
-      ASSERT_EQ(incremental.components_in_group(g),
-                reference.components_in_group(g))
-          << "round " << round << " group " << g;
-      for (int c = 0; c < reference.components_in_group(g); ++c) {
-        const auto got = incremental.component_ids(g, c);
-        const auto want = reference.component_ids(g, c);
-        ASSERT_EQ(std::vector<InstanceId>(got.begin(), got.end()),
-                  std::vector<InstanceId>(want.begin(), want.end()))
-            << "round " << round << " group " << g << " comp " << c;
-      }
+    incremental.update(problem, mask, added, removed);
+    reference.build(problem, mask);
+    ASSERT_EQ(incremental.num_components(), reference.num_components())
+        << "round " << round;
+    for (int c = 0; c < reference.num_components(); ++c) {
+      const auto got = incremental.component_members(c);
+      const auto want = reference.component_members(c);
+      ASSERT_EQ(std::vector<InstanceId>(got.begin(), got.end()),
+                std::vector<InstanceId>(want.begin(), want.end()))
+          << "round " << round << " comp " << c;
     }
-    for (InstanceId i = 0; i < n; ++i)
+    for (InstanceId i = 0; i < n; ++i) {
       EXPECT_EQ(incremental.component_of(i) >= 0,
                 mask[static_cast<std::size_t>(i)] != 0);
+      EXPECT_EQ(incremental.component_of(i), reference.component_of(i));
+    }
   }
 }
 

@@ -7,9 +7,8 @@
 // a central DualState replay of the stack) are compared with ==, no
 // tolerances: the protocol reads its shards through the ordered beta
 // walk, so even the doubles are bit-identical.  The engine side runs the
-// central reference AND the incremental engine with threads in {1, 4} —
-// per-node randomness makes even the parallel epoch execution
-// bit-identical — and the two-pass wide/narrow schedule and the
+// central reference AND the incremental engine with threads in {1, 4}
+// (a no-op the axis pins), and the two-pass wide/narrow schedule and the
 // non-uniform capacity profiles are held to the same standard.  Each
 // pass's fixed-schedule round identity
 //   rounds = tuples * (2*luby_budget + 1) + tuples

@@ -219,8 +219,8 @@ TEST(TwoPhase, EmptyMisResultDoesNotAbort) {
   const Problem p = small_tree_problem(21, 20, 2, 10);
   const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
   FailingMis oracle;
-  // FailingMis has no component_clone, so threads = 4 drives each group
-  // as one component on it, exactly as threads = 1 does.
+  // threads is a no-op: threads = 4 runs the same serial loop on the
+  // oracle as threads = 1.
   for (const int threads : {1, 4}) {
     for (const bool lockstep : {false, true}) {
       SolverConfig config;

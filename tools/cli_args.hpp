@@ -3,20 +3,28 @@
 //
 // The contract, enforced with UsageError (caught by the CLI's main,
 // which prints the diagnostic plus usage and exits nonzero):
-//  * numeric flag values are parsed strictly — `--eps=abc` and trailing
-//    garbage like `--eps=0.5x` are rejected with the offending flag and
-//    value named, never std::stod's uncaught std::invalid_argument;
+//  * numeric flag values are parsed strictly — `--eps=abc`, trailing
+//    garbage like `--eps=0.5x` and non-finite values (`--rate=inf`,
+//    `--eps=nan`) are rejected with the offending flag and value named,
+//    never std::stod's uncaught std::invalid_argument;
+//  * integer flags are range-checked before any conversion: a value
+//    that is not an integer or lies outside the destination type (or
+//    below the callee's documented minimum, e.g. `--n=1e12`,
+//    `--seed=-1`) is rejected instead of being cast with undefined
+//    behaviour;
 //  * every known flag is registered as value-taking or boolean.  A
-//    value flag given space-separated (`--threads 4`) is rejected with
-//    the `--threads=4` spelling suggested, instead of silently
-//    recording threads="1" and treating `4` as the input file;
+//    value flag given space-separated (`--batches 4`) is rejected with
+//    the `--batches=4` spelling suggested, instead of silently
+//    recording batches="1" and treating `4` as the input file;
 //  * unknown flags and unexpected positional arguments are errors;
 //  * enum-valued flags (--shape, --heights, --decomp, --arrivals)
 //    reject unknown names, listing the valid ones, instead of silently
 //    falling back to a default (`--shape=binray` used to mean random).
 #pragma once
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -45,7 +53,7 @@ inline const std::vector<std::string>& value_flags() {
       "slots", "slack", "max-proc",
       // solve
       "algo", "eps", "decomp", "out", "trace", "transport", "faults",
-      "nodes", "threads",
+      "nodes",
       // solve --algo=online
       "arrivals", "rate", "batches", "interval", "lifetime", "init-pop",
       // solve --algo=online durability (online/durable_service.hpp)
@@ -70,7 +78,8 @@ struct Args {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  // Strict numeric lookup: the whole value must parse as a number.
+  // Strict numeric lookup: the whole value must parse as a finite
+  // number.
   double num(const std::string& key, double fallback) const {
     const auto it = flags.find(key);
     if (it == flags.end()) return fallback;
@@ -80,7 +89,28 @@ struct Args {
     const double parsed = std::strtod(begin, &end);
     if (value.empty() || end != begin + value.size())
       throw UsageError("flag --" + key + ": invalid number '" + value + "'");
+    if (!std::isfinite(parsed))
+      throw UsageError("flag --" + key + ": value '" + value +
+                       "' is not finite");
     return parsed;
+  }
+  // Strict integer lookup into T: the value must be a whole number in
+  // [lo, hi] (default: T's whole range), checked before the conversion.
+  // 2^digits(T) is exact as a double and every whole double below it
+  // converts to T, so the conversion is always defined.
+  template <typename T>
+  T integer(const std::string& key, T fallback,
+            T lo = std::numeric_limits<T>::min(),
+            T hi = std::numeric_limits<T>::max()) const {
+    if (!has(key)) return fallback;
+    const double value = num(key, 0.0);
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (std::trunc(value) != value || value < static_cast<double>(lo) ||
+        value > static_cast<double>(hi) || value >= limit)
+      throw UsageError("flag --" + key + ": '" + get(key, "") +
+                       "' is not an integer in [" + std::to_string(lo) +
+                       ", " + std::to_string(hi) + "]");
+    return static_cast<T>(value);
   }
   bool has(const std::string& key) const { return flags.contains(key); }
 };

@@ -16,7 +16,7 @@
 //                 [--faults=drop=0.05,dup=0.02,corrupt=0.01,seed=1]
 //                 [--arrivals=poisson|bursty|diurnal] [--rate=8]
 //                 [--batches=16] [--interval=1.0] [--lifetime=8.0]
-//                 [--init-pop=0] [--threads=1]
+//                 [--init-pop=0]
 //                 [--journal=run.wal] [--snapshot-every=4] [--recover]
 //                 [--crash=point=mid-append,batch=3,seed=7]
 //
@@ -40,10 +40,12 @@
 // plus the touched-component ratio, then the final assembled solution.
 //
 // Argument parsing (tools/cli_args.hpp, shared with tests/
-// test_cli_args.cpp) is strict: malformed numbers (--eps=abc, --eps=0.5x),
-// value flags given space-separated (--threads 4), unknown flags or enum
-// names (--shape=binray) and stray positionals all exit 2 with a
-// diagnostic naming the offending flag.
+// test_cli_args.cpp) is strict: malformed or non-finite numbers
+// (--eps=abc, --eps=0.5x, --rate=inf), integer flags that are fractional
+// or out of range (--n=1e12, --seed=-1), value flags given
+// space-separated (--batches 4), unknown flags or enum names
+// (--shape=binray) and stray positionals all exit 2 with a diagnostic
+// naming the offending flag.
 //
 // --algo=protocol runs the matching theorem as the *message-level*
 // protocol (dist/protocol_scheduler) instead of the modeled engine, and
@@ -104,15 +106,15 @@ bool is_line_file(const std::string& path) {
 int cmd_gen_tree(const Args& args) {
   TreeScenarioSpec spec;
   spec.shape = parse_shape(args.get("shape", "random"));
-  spec.num_vertices = static_cast<VertexId>(args.num("n", 64));
-  spec.num_networks = static_cast<int>(args.num("r", 2));
-  spec.demands.num_demands = static_cast<int>(args.num("m", 50));
+  spec.num_vertices = args.integer<VertexId>("n", 64, 2);
+  spec.num_networks = args.integer("r", 2, 1);
+  spec.demands.num_demands = args.integer("m", 50, 1);
   spec.demands.heights = parse_heights(args.get("heights", "unit"));
   spec.demands.profit_max = args.num("pmax", 100.0);
   spec.capacity_spread = args.num("cap-spread", 1.0);
   if (spec.capacity_spread > 1.0)
     spec.capacities = CapacityLaw::kPowerClasses;
-  spec.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  spec.seed = args.integer<std::uint64_t>("seed", 1);
   const Problem problem = make_tree_problem(spec);
   save_problem(args.file, problem);
   std::printf("wrote %s: %s (%d instances)\n", args.file.c_str(),
@@ -122,13 +124,14 @@ int cmd_gen_tree(const Args& args) {
 
 int cmd_gen_line(const Args& args) {
   LineGenConfig cfg;
-  cfg.num_slots = static_cast<int>(args.num("slots", 64));
-  cfg.num_resources = static_cast<int>(args.num("r", 2));
-  cfg.num_demands = static_cast<int>(args.num("m", 40));
+  cfg.num_slots = args.integer("slots", 64, 2);
+  cfg.num_resources = args.integer("r", 2, 1);
+  cfg.num_demands = args.integer("m", 40, 0);
   cfg.window_slack = args.num("slack", 2.0);
-  cfg.max_proc_time = static_cast<int>(args.num("max-proc", 12));
+  cfg.max_proc_time =
+      args.integer("max-proc", 12, cfg.min_proc_time, cfg.num_slots);
   cfg.heights = parse_heights(args.get("heights", "unit"));
-  Rng rng(static_cast<std::uint64_t>(args.num("seed", 1)));
+  Rng rng(args.integer<std::uint64_t>("seed", 1));
   const LineProblem line = make_random_line_problem(cfg, rng);
   std::ofstream os(args.file);
   if (!os) {
@@ -222,10 +225,10 @@ int cmd_solve_online(const Args& args, const Problem& problem) {
   OnlineTrafficSpec traffic;
   traffic.arrivals = parse_arrivals(args.get("arrivals", "poisson"));
   traffic.rate = args.num("rate", 8.0);
-  traffic.num_batches = static_cast<int>(args.num("batches", 16));
+  traffic.num_batches = args.integer("batches", 16, 0);
   traffic.batch_interval = args.num("interval", 1.0);
-  traffic.initial_population = static_cast<int>(args.num("init-pop", 0));
-  traffic.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  traffic.initial_population = args.integer("init-pop", 0, 0);
+  traffic.seed = args.integer<std::uint64_t>("seed", 1);
   TenantClass tenant;
   tenant.mean_lifetime = args.num("lifetime", 8.0);
   traffic.tenants.push_back(tenant);
@@ -236,7 +239,6 @@ int cmd_solve_online(const Args& args, const Problem& problem) {
 
   OnlineConfig cfg;
   cfg.solver.epsilon = args.num("eps", 0.1);
-  cfg.solver.threads = static_cast<int>(args.num("threads", 1));
   cfg.decomp = parse_decomp(args.get("decomp", "ideal"));
 
   for (const char* needs_journal : {"snapshot-every", "crash"}) {
@@ -254,7 +256,7 @@ int cmd_solve_online(const Args& args, const Problem& problem) {
   if (args.has("journal")) {
     DurabilityConfig dur;
     dur.journal_path = args.get("journal", "");
-    dur.snapshot_every = static_cast<int>(args.num("snapshot-every", 0));
+    dur.snapshot_every = args.integer("snapshot-every", 0, 0);
     if (args.has("crash")) dur.crash = parse_crash_plan(args.get("crash", ""));
     std::int64_t events = 0, solve_ns = 0;
     try {
@@ -365,14 +367,14 @@ int cmd_solve(const Args& args) {
   }
   DistOptions options;
   options.epsilon = args.num("eps", 0.1);
-  options.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  options.seed = args.integer<std::uint64_t>("seed", 1);
   options.decomp = parse_decomp(args.get("decomp", "ideal"));
   options.stage_mode = args.has("ps") ? StageMode::kSingleStagePS
                                       : StageMode::kMultiStage;
 
   if (algo == "exact") {
     const ExactResult exact = solve_exact(
-        problem, static_cast<std::int64_t>(args.num("nodes", 2e7)));
+        problem, args.integer<std::int64_t>("nodes", 20'000'000, 0));
     if (!exact.completed)
       std::printf("warning: node limit hit; result may be suboptimal\n");
     report(problem, exact.solution, 1.0, SolveStats{}, args);
