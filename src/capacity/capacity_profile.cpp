@@ -54,16 +54,16 @@ bool satisfies_nba(const Problem& problem) {
 
 bool all_instances_narrow(const Problem& problem) {
   for (const DemandInstance& inst : problem.instances()) {
-    for (EdgeId e : inst.edges)
+    for (EdgeId e : problem.path(inst.id))
       if (inst.height > problem.capacity(e) / 2.0 + kEps) return false;
   }
   return true;
 }
 
 Capacity bottleneck_capacity(const Problem& problem, InstanceId i) {
-  const DemandInstance& inst = problem.instance(i);
-  Capacity c = problem.capacity(inst.edges.front());
-  for (EdgeId e : inst.edges) c = std::min(c, problem.capacity(e));
+  const std::span<const EdgeId> path = problem.path(i);
+  Capacity c = problem.capacity(path.front());
+  for (EdgeId e : path) c = std::min(c, problem.capacity(e));
   return c;
 }
 
@@ -82,15 +82,15 @@ int num_bottleneck_classes(const Problem& problem) {
 
 double max_path_capacity_spread(const Problem& problem) {
   double rho = 1.0;
-  const auto instances = problem.instances();
+  const InstanceId n = problem.num_instances();
 #ifdef TREESCHED_HAS_OPENMP
 #pragma omp parallel for reduction(max : rho) schedule(static)
 #endif
-  for (std::size_t k = 0; k < instances.size(); ++k) {
-    const DemandInstance& inst = instances[k];
-    Capacity lo = problem.capacity(inst.edges.front());
+  for (InstanceId i = 0; i < n; ++i) {
+    const std::span<const EdgeId> path = problem.path(i);
+    Capacity lo = problem.capacity(path.front());
     Capacity hi = lo;
-    for (EdgeId e : inst.edges) {
+    for (EdgeId e : path) {
       lo = std::min(lo, problem.capacity(e));
       hi = std::max(hi, problem.capacity(e));
     }

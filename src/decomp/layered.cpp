@@ -137,10 +137,10 @@ LayeredPlan build_line_layered_plan(const Problem& problem) {
   TS_REQUIRE(lmin >= 1);
   plan.num_groups = 1;
   for (InstanceId i = 0; i < problem.num_instances(); ++i) {
-    const DemandInstance& inst = problem.instance(i);
+    const std::span<const EdgeId> path = problem.path(i);
     // Length class: group g holds lengths in [2^g * lmin, 2^(g+1) * lmin),
     // so lengths within a group differ by a factor < 2.
-    const int len = static_cast<int>(inst.edges.size());
+    const int len = static_cast<int>(path.size());
     int g = 0;
     while ((lmin << (g + 1)) <= len) ++g;
     plan.group[static_cast<std::size_t>(i)] = g;
@@ -149,10 +149,10 @@ LayeredPlan build_line_layered_plan(const Problem& problem) {
     // Instances of a line network have contiguous global edge ids; the
     // critical slots are the first, middle and last slot of the interval
     // (paper, Section 7: pi(d) = {s(d), mid(d), e(d)}).
-    const EdgeId s = inst.edges.front();
-    const EdgeId e = inst.edges.back();
+    const EdgeId s = path.front();
+    const EdgeId e = path.back();
     const EdgeId mid = (s + e) / 2;
-    TS_REQUIRE(e - s + 1 == static_cast<EdgeId>(inst.edges.size()));
+    TS_REQUIRE(e - s + 1 == len);
     auto& crit = plan.critical[static_cast<std::size_t>(i)];
     crit = {s, mid, e};
   }
@@ -179,7 +179,7 @@ std::optional<std::string> interference_violation(const Problem& problem,
           plan.group[static_cast<std::size_t>(b)])
         continue;
       if (!problem.overlap(a, b)) continue;
-      const auto& path_b = problem.instance(b).edges;
+      const std::span<const EdgeId> path_b = problem.path(b);
       bool hit = false;
       for (EdgeId e : plan.critical[static_cast<std::size_t>(a)]) {
         if (std::binary_search(path_b.begin(), path_b.end(), e)) {

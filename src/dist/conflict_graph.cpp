@@ -33,7 +33,7 @@ ConflictGraph::ConflictGraph(const Problem& problem,
       seen[static_cast<std::size_t>(u)] = v;
       adjacency_[static_cast<std::size_t>(v)].push_back(u);
     };
-    for (EdgeId e : inst.edges)
+    for (EdgeId e : problem.path(inst.id))
       for (InstanceId other : problem.instances_on_edge(e)) add_neighbor(other);
     for (InstanceId other : problem.instances_of_demand(inst.demand))
       add_neighbor(other);

@@ -74,7 +74,7 @@ DiscoveredNeighborhoods discover_conflicts(const Problem& problem,
     rt.connect(v, demand_owner);
     owners.push_back(demand_owner);
     rt.post(Message{v, demand_owner, kTagRegister, {}});
-    for (EdgeId e : inst.edges) {
+    for (EdgeId e : problem.path(inst.id)) {
       const int edge_owner = layout.edge_owner(e);
       rt.connect(v, edge_owner);
       owners.push_back(edge_owner);

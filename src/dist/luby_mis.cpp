@@ -163,7 +163,7 @@ void CliqueLuby::iterate(std::vector<InstanceId>& live,
       demand_stamp_[d] = stamp_;
       demand_min_[d] = key;
     }
-    for (EdgeId e : inst.edges) {
+    for (EdgeId e : problem_->path(live[k])) {
       const auto ge = static_cast<std::size_t>(e);
       if (edge_stamp_[ge] != stamp_ || key < edge_min_[ge]) {
         edge_stamp_[ge] = stamp_;
@@ -178,8 +178,9 @@ void CliqueLuby::iterate(std::vector<InstanceId>& live,
     const DemandInstance& inst = problem_->instance(live[k]);
     if (!(demand_min_[static_cast<std::size_t>(inst.demand)] == key))
       continue;
+    const std::span<const EdgeId> path = problem_->path(live[k]);
     bool wins = true;
-    for (EdgeId e : inst.edges) {
+    for (EdgeId e : path) {
       if (!(edge_min_[static_cast<std::size_t>(e)] == key)) {
         wins = false;
         break;
@@ -188,8 +189,7 @@ void CliqueLuby::iterate(std::vector<InstanceId>& live,
     if (!wins) continue;
     selected.push_back(live[k]);
     demand_kill_[static_cast<std::size_t>(inst.demand)] = stamp_;
-    for (EdgeId e : inst.edges)
-      edge_kill_[static_cast<std::size_t>(e)] = stamp_;
+    for (EdgeId e : path) edge_kill_[static_cast<std::size_t>(e)] = stamp_;
   }
 
   // Survivors: live instances not conflicting with any winner.
@@ -197,7 +197,7 @@ void CliqueLuby::iterate(std::vector<InstanceId>& live,
   for (InstanceId i : live) {
     const DemandInstance& inst = problem_->instance(i);
     bool dead = demand_kill_[static_cast<std::size_t>(inst.demand)] == stamp_;
-    for (EdgeId e : inst.edges) {
+    for (EdgeId e : problem_->path(i)) {
       if (dead) break;
       dead = edge_kill_[static_cast<std::size_t>(e)] == stamp_;
     }

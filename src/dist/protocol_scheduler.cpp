@@ -103,10 +103,7 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
   std::vector<DualShard> shard;
   shard.reserve(static_cast<std::size_t>(n));
   for (InstanceId i = 0; i < n; ++i) {
-    const DemandInstance& inst = problem.instance(i);
-    shard.emplace_back(inst.demand,
-                       std::span<const EdgeId>{inst.edges.data(),
-                                               inst.edges.size()});
+    shard.emplace_back(problem.instance(i).demand, problem.path(i));
   }
 
   const auto unsatisfied = [&](InstanceId i, double target) {

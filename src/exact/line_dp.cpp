@@ -15,9 +15,9 @@ bool line_dp_applicable(const Problem& problem) {
   for (DemandId d = 0; d < problem.num_demands(); ++d)
     if (problem.instances_of_demand(d).size() != 1) return false;
   // All instances must be contiguous slot ranges of a path network.
-  for (const DemandInstance& inst : problem.instances()) {
-    if (inst.edges.back() - inst.edges.front() + 1 !=
-        static_cast<EdgeId>(inst.edges.size()))
+  for (InstanceId i = 0; i < problem.num_instances(); ++i) {
+    const std::span<const EdgeId> path = problem.path(i);
+    if (path.back() - path.front() + 1 != static_cast<EdgeId>(path.size()))
       return false;
   }
   return true;
@@ -34,9 +34,10 @@ ExactResult solve_line_dp(const Problem& problem) {
   };
   std::vector<Interval> intervals;
   intervals.reserve(static_cast<std::size_t>(problem.num_instances()));
-  for (const DemandInstance& inst : problem.instances())
-    intervals.push_back(
-        {inst.edges.front(), inst.edges.back(), inst.profit, inst.id});
+  for (const DemandInstance& inst : problem.instances()) {
+    const std::span<const EdgeId> path = problem.path(inst.id);
+    intervals.push_back({path.front(), path.back(), inst.profit, inst.id});
+  }
   std::sort(intervals.begin(), intervals.end(),
             [](const Interval& a, const Interval& b) {
               return a.end < b.end;

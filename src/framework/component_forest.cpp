@@ -32,7 +32,7 @@ void ComponentForest::chain(const Problem& problem, InstanceId i) {
   if (demand_stamp_[d] == walk_stamp_) unite(i, demand_last_[d]);
   demand_stamp_[d] = walk_stamp_;
   demand_last_[d] = i;
-  for (EdgeId e : inst.edges) {
+  for (EdgeId e : problem.path(i)) {
     const auto ge = static_cast<std::size_t>(e);
     if (edge_stamp_[ge] == walk_stamp_) unite(i, edge_last_[ge]);
     edge_stamp_[ge] = walk_stamp_;
@@ -135,9 +135,10 @@ void ComponentForest::update(const Problem& problem,
   }
   for (InstanceId a : added) {
     TS_DCHECK(active_mask[static_cast<std::size_t>(a)]);
-    const DemandInstance& inst = problem.instance(a);
-    for (InstanceId k : problem.instances_of_demand(inst.demand)) mark(k);
-    for (EdgeId e : inst.edges)
+    for (InstanceId k :
+         problem.instances_of_demand(problem.instance(a).demand))
+      mark(k);
+    for (EdgeId e : problem.path(a))
       for (InstanceId k : problem.instances_on_edge(e)) mark(k);
   }
 

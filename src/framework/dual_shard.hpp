@@ -30,7 +30,7 @@ namespace treesched {
 class DualShard {
  public:
   DualShard() = default;
-  // `path`: the instance's sorted global edge ids (DemandInstance::edges).
+  // `path`: the instance's sorted global edge ids (Problem::path).
   DualShard(DemandId demand, std::span<const EdgeId> path)
       : demand_(demand),
         edges_(path.begin(), path.end()),

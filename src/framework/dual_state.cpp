@@ -9,12 +9,14 @@ DualState::DualState(const Problem& problem)
 
 double DualState::beta_sum(const DemandInstance& inst) const {
   double s = 0.0;
-  for (EdgeId e : inst.edges) s += beta_[static_cast<std::size_t>(e)];
+  for (EdgeId e : problem_->path(inst.id))
+    s += beta_[static_cast<std::size_t>(e)];
   return s;
 }
 
 double DualState::lhs(const DemandInstance& inst, double beta_coeff) const {
-  return dual_lhs(alpha_, beta_, inst, beta_coeff);
+  return dual_lhs(alpha_, beta_, inst.demand, problem_->path(inst.id),
+                  beta_coeff);
 }
 
 void DualState::raise_alpha(DemandId a, double amount) {

@@ -21,16 +21,17 @@
 
 namespace treesched {
 
-// LHS of `inst`'s dual constraint over dense alpha (per demand) and beta
-// (per global edge) vectors, summing beta in ascending edge order.  The
-// one walk behind DualState::lhs and the incremental engine's cached LHS,
-// so the two agree bit for bit.
+// LHS of the dual constraint of an instance of `demand` routed along
+// `path`, over dense alpha (per demand) and beta (per global edge)
+// vectors, summing beta in ascending edge order.  The one walk behind
+// DualState::lhs and the incremental engine's cached LHS, so the two agree
+// bit for bit.
 inline double dual_lhs(std::span<const double> alpha,
-                       std::span<const double> beta,
-                       const DemandInstance& inst, double beta_coeff) {
+                       std::span<const double> beta, DemandId demand,
+                       std::span<const EdgeId> path, double beta_coeff) {
   double s = 0.0;
-  for (EdgeId e : inst.edges) s += beta[static_cast<std::size_t>(e)];
-  return alpha[static_cast<std::size_t>(inst.demand)] + beta_coeff * s;
+  for (EdgeId e : path) s += beta[static_cast<std::size_t>(e)];
+  return alpha[static_cast<std::size_t>(demand)] + beta_coeff * s;
 }
 
 class DualState {

@@ -28,7 +28,8 @@ MisResult GreedyMis::run(std::span<const InstanceId> candidates) {
     if (demand_stamp_[static_cast<std::size_t>(inst.demand)] == stamp_)
       continue;
     bool blocked = false;
-    for (EdgeId e : inst.edges) {
+    const std::span<const EdgeId> path = problem_->path(i);
+    for (EdgeId e : path) {
       if (edge_stamp_[static_cast<std::size_t>(e)] == stamp_) {
         blocked = true;
         break;
@@ -36,8 +37,7 @@ MisResult GreedyMis::run(std::span<const InstanceId> candidates) {
     }
     if (blocked) continue;
     demand_stamp_[static_cast<std::size_t>(inst.demand)] = stamp_;
-    for (EdgeId e : inst.edges)
-      edge_stamp_[static_cast<std::size_t>(e)] = stamp_;
+    for (EdgeId e : path) edge_stamp_[static_cast<std::size_t>(e)] = stamp_;
     result.selected.push_back(i);
   }
   return result;
@@ -117,7 +117,7 @@ void TwoPhaseEngine::count_notifications(InstanceId i, SolveStats& stats) {
   ++notify_stamp_;
   const DemandInstance& inst = problem_->instance(i);
   std::int64_t neighbors = 0;
-  for (EdgeId e : inst.edges) {
+  for (EdgeId e : problem_->path(i)) {
     for (InstanceId other : problem_->instances_on_edge(e)) {
       const DemandId od = problem_->instance(other).demand;
       if (od == inst.demand) continue;
@@ -137,7 +137,7 @@ void TwoPhaseEngine::record_raise(InstanceId i, SolveStats& stats,
   if (config_.check_interference) {
     // Every previously raised overlapping instance must have a critical
     // edge on path(i) (the interference property).
-    const auto& path_i = problem_->instance(i).edges;
+    const std::span<const EdgeId> path_i = problem_->path(i);
     for (InstanceId prev : raised_order) {
       if (!problem_->overlap(prev, i)) continue;
       bool hit = false;

@@ -288,8 +288,8 @@ class TwoPhaseEngine {
   double cached_lhs(InstanceId i, double beta_coeff) {
     const auto k = static_cast<std::size_t>(i);
     if (!lhs_fresh_[k]) {
-      lhs_cache_[k] =
-          dual_lhs(alpha_, beta_, problem_->instance(i), beta_coeff);
+      lhs_cache_[k] = dual_lhs(alpha_, beta_, problem_->instance(i).demand,
+                               problem_->path(i), beta_coeff);
       lhs_fresh_[k] = 1;
     }
     return lhs_cache_[k];

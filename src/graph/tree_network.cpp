@@ -112,22 +112,39 @@ VertexId TreeNetwork::median(VertexId a, VertexId b, VertexId c) const {
   return x;
 }
 
+void TreeNetwork::write_path_edges(VertexId u, VertexId v,
+                                   std::span<EdgeId> out) const {
+  check_vertex(u);
+  check_vertex(v);
+  // Climb the deeper endpoint to the other's depth, then both together
+  // until they meet at the LCA: u's edges fill `out` from the front, v's
+  // from the back.
+  std::size_t front = 0;
+  std::size_t back = out.size();
+  for (int d = depth_[u] - depth_[v]; d > 0; --d) {
+    TS_REQUIRE(front < back);
+    out[front++] = parent_edge_[u];
+    u = parent_[u];
+  }
+  for (int d = depth_[v] - depth_[u]; d > 0; --d) {
+    TS_REQUIRE(front < back);
+    out[--back] = parent_edge_[v];
+    v = parent_[v];
+  }
+  while (u != v) {
+    TS_REQUIRE(back - front >= 2);
+    out[front++] = parent_edge_[u];
+    u = parent_[u];
+    out[--back] = parent_edge_[v];
+    v = parent_[v];
+  }
+  TS_REQUIRE(front == back);
+}
+
 std::vector<EdgeId> TreeNetwork::path_edges(VertexId u, VertexId v) const {
-  const VertexId w = lca(u, v);
-  std::vector<EdgeId> down;  // edges from u climbing to w
-  VertexId x = u;
-  while (x != w) {
-    down.push_back(parent_edge_[x]);
-    x = parent_[x];
-  }
-  std::vector<EdgeId> up;  // edges from v climbing to w (to be reversed)
-  x = v;
-  while (x != w) {
-    up.push_back(parent_edge_[x]);
-    x = parent_[x];
-  }
-  down.insert(down.end(), up.rbegin(), up.rend());
-  return down;
+  std::vector<EdgeId> path(static_cast<std::size_t>(dist(u, v)));
+  write_path_edges(u, v, path);
+  return path;
 }
 
 std::vector<VertexId> TreeNetwork::path_vertices(VertexId u, VertexId v) const {

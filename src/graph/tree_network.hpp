@@ -75,7 +75,14 @@ class TreeNetwork {
   // The unique vertex on all three pairwise paths of {a, b, c}.
   VertexId median(VertexId a, VertexId b, VertexId c) const;
 
-  // Edges of the u~v path, ordered from u towards v.  O(path length).
+  // Writes the edges of the u~v path into `out`, ordered from u towards
+  // v.  `out` must hold exactly dist(u, v) entries.  The walk climbs from
+  // both endpoints and fills `out` from both ends, so it needs no LCA
+  // query and allocates nothing.  O(path length).
+  void write_path_edges(VertexId u, VertexId v, std::span<EdgeId> out) const;
+
+  // Edges of the u~v path, ordered from u towards v: write_path_edges
+  // into a vector of the right size.
   std::vector<EdgeId> path_edges(VertexId u, VertexId v) const;
 
   // Vertices of the u~v path, ordered from u towards v (inclusive).

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
+#include <string>
 
 namespace treesched {
 
@@ -10,13 +10,14 @@ LineProblem::LineProblem(int num_slots, int num_resources)
     : num_slots_(num_slots), num_resources_(num_resources) {
   check_input(num_slots_ >= 1, "line problem needs at least one timeslot");
   check_input(num_resources_ >= 1, "line problem needs at least one resource");
-  // lower() builds num_resources_ lines of num_slots_ + 1 vertices, whose
-  // num_resources_ * num_slots_ edges Problem numbers as EdgeIds.
-  constexpr std::int64_t kIdLimit = std::numeric_limits<std::int32_t>::max();
-  check_input(std::int64_t{num_slots_} + 1 <= kIdLimit,
-              "line problem slot count overflows the vertex range");
-  check_input(std::int64_t{num_resources_} * num_slots_ <= kIdLimit,
-              "line problem resources x slots overflows the edge range");
+  // lower() builds num_resources_ lines of num_slots_ + 1 vertices.  The
+  // cap also keeps every vertex and global edge id inside int32.
+  const std::int64_t vertices =
+      std::int64_t{num_resources_} * (std::int64_t{num_slots_} + 1);
+  check_input(vertices <= kMaxLineVertices,
+              "line problem resources x (slots + 1) = " +
+                  std::to_string(vertices) + " exceeds the cap of " +
+                  std::to_string(kMaxLineVertices) + " vertices");
 }
 
 DemandId LineProblem::add_demand(int release, int deadline, int proc_time,
@@ -66,6 +67,26 @@ int LineProblem::num_starts(DemandId d) const {
 
 Problem LineProblem::lower() const {
   check_input(num_demands() > 0, "line problem has no demands");
+  // Count the placements and their path entries before building anything.
+  // A demand has at most 2^22 starts on at most 2^21 resources, and each
+  // term is checked against what is left of its cap before it is added,
+  // so no product or sum overflows int64.
+  std::int64_t instances = 0;
+  std::int64_t entries = 0;
+  for (const LineDemand& ld : demands_) {
+    const std::int64_t placements =
+        std::int64_t{num_starts(ld.id)} *
+        static_cast<std::int64_t>(access(ld.id).size());
+    check_input(placements <= kMaxLineInstances - instances,
+                "line problem has more than " +
+                    std::to_string(kMaxLineInstances) + " placements");
+    check_input(placements <= (kMaxLinePathEntries - entries) / ld.proc_time,
+                "line problem placements cover more than " +
+                    std::to_string(kMaxLinePathEntries) + " path entries");
+    instances += placements;
+    entries += placements * ld.proc_time;
+  }
+
   std::vector<TreeNetwork> networks;
   networks.reserve(static_cast<std::size_t>(num_resources_));
   for (int q = 0; q < num_resources_; ++q)

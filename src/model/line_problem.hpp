@@ -10,14 +10,35 @@
 // resource becomes a path network whose local edge i *is* timeslot i, and
 // each feasible (resource, start) placement becomes an explicit demand
 // instance.
+//
+// A line problem read from a file is untrusted, and a header in range can
+// still declare far more work than memory holds.  So three documented caps
+// bound what lower() may build, each checked with a check_input
+// diagnostic before anything of that size is allocated:
+//
+//  - kMaxLineVertices: resources x (slots + 1), the vertices of the lowered
+//    networks (checked by the constructor);
+//  - kMaxLineInstances: the placements, i.e. demand instances;
+//  - kMaxLinePathEntries: the summed path lengths of the placements, i.e.
+//    the entries of the problem's path store and of its edge index.
+//
+// They also keep every vertex, edge and instance id inside int32.  All
+// three sit far above every shape the tests and benches build; the largest,
+// perfbench's batch-line, lowers to 4,098 vertices, 275,958 instances and
+// 47.7M path entries.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/prelude.hpp"
 #include "model/problem.hpp"
 
 namespace treesched {
+
+inline constexpr std::int64_t kMaxLineVertices = std::int64_t{1} << 22;
+inline constexpr std::int64_t kMaxLineInstances = std::int64_t{1} << 24;
+inline constexpr std::int64_t kMaxLinePathEntries = std::int64_t{1} << 28;
 
 struct LineDemand {
   DemandId id = -1;
@@ -49,6 +70,8 @@ class LineProblem {
   // Builds the equivalent tree Problem.  Every feasible placement of every
   // demand becomes one instance whose path covers slots
   // [start, start+rho-1] of the chosen resource.  The result is finalized.
+  // Throws std::invalid_argument, before building anything, when the
+  // placements exceed kMaxLineInstances or kMaxLinePathEntries.
   Problem lower() const;
 
  private:

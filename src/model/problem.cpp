@@ -72,24 +72,45 @@ InstanceId Problem::add_instance(DemandId d, NetworkId network, VertexId u,
   require_mutable();
   TS_REQUIRE(d >= 0 && d < num_demands());
   TS_REQUIRE(network >= 0 && network < num_networks());
+  check_input(u >= 0 && u < n_ && v >= 0 && v < n_,
+              "instance endpoints out of range");
+  check_input(u != v, "instance path must contain an edge");
   manual_instances_ = true;
   const Demand& dem = demands_[static_cast<std::size_t>(d)];
-  DemandInstance inst;
-  inst.id = static_cast<InstanceId>(instances_.size());
-  inst.demand = d;
-  inst.network = network;
-  inst.u = u;
-  inst.v = v;
-  inst.profit = dem.profit;
-  inst.height = dem.height;
-  const EdgeId offset = edge_offset_[static_cast<std::size_t>(network)];
-  for (EdgeId local :
-       (*networks_)[static_cast<std::size_t>(network)].path_edges(u, v))
-    inst.edges.push_back(offset + local);
-  std::sort(inst.edges.begin(), inst.edges.end());
-  check_input(!inst.edges.empty(), "instance path must contain an edge");
-  instances_.push_back(std::move(inst));
-  return instances_.back().id;
+  const auto id = static_cast<InstanceId>(instances_.size());
+  instances_.push_back(
+      DemandInstance{id, d, network, u, v, dem.profit, dem.height});
+  return id;
+}
+
+void Problem::write_new_paths() {
+  // Counting pass: the offsets of the new instances' paths.
+  const std::size_t first = path_offset_.size() - 1;
+  path_offset_.resize(instances_.size() + 1);
+  for (std::size_t i = first; i < instances_.size(); ++i) {
+    const DemandInstance& inst = instances_[i];
+    path_offset_[i + 1] =
+        path_offset_[i] + network(inst.network).dist(inst.u, inst.v);
+  }
+  // The first build sizes the store exactly, so a large problem never
+  // holds an old and a doubled buffer at once; a reopen()ed problem
+  // appends every batch and grows it geometrically.
+  if (paths_.empty())
+    paths_.reserve(static_cast<std::size_t>(path_offset_.back()));
+  for (std::size_t i = first; i < instances_.size(); ++i) {
+    const DemandInstance& inst = instances_[i];
+    const auto lo = static_cast<std::size_t>(path_offset_[i]);
+    const auto len = static_cast<std::size_t>(path_offset_[i + 1]) - lo;
+    paths_.resize(lo + len);
+    const std::span<EdgeId> path(paths_.data() + lo, len);
+    network(inst.network).write_path_edges(inst.u, inst.v, path);
+    const EdgeId offset = edge_offset_[static_cast<std::size_t>(inst.network)];
+    for (EdgeId& e : path) e += offset;
+    // A path comes out ordered from u to v; on a line it is already
+    // ascending.
+    if (!std::is_sorted(path.begin(), path.end()))
+      std::sort(path.begin(), path.end());
+  }
 }
 
 void Problem::finalize() {
@@ -100,29 +121,18 @@ void Problem::finalize() {
     // Default expansion: one instance per (demand, accessible network),
     // routed along the unique tree path (paper, Section 2 reformulation).
     // Demands expanded by an earlier finalize() keep their instances;
-    // only the ones appended since the last reopen() are walked.
+    // only the ones appended since the last reopen() are added.
     for (DemandId d = expanded_demands_; d < num_demands(); ++d) {
       const Demand& dem = demands_[static_cast<std::size_t>(d)];
-      for (NetworkId q : access_[static_cast<std::size_t>(dem.id)]) {
-        DemandInstance inst;
-        inst.id = static_cast<InstanceId>(instances_.size());
-        inst.demand = dem.id;
-        inst.network = q;
-        inst.u = dem.u;
-        inst.v = dem.v;
-        inst.profit = dem.profit;
-        inst.height = dem.height;
-        const EdgeId offset = edge_offset_[static_cast<std::size_t>(q)];
-        for (EdgeId local :
-             (*networks_)[static_cast<std::size_t>(q)].path_edges(dem.u, dem.v))
-          inst.edges.push_back(offset + local);
-        std::sort(inst.edges.begin(), inst.edges.end());
-        instances_.push_back(std::move(inst));
-      }
+      for (NetworkId q : access_[static_cast<std::size_t>(d)])
+        instances_.push_back(
+            DemandInstance{static_cast<InstanceId>(instances_.size()), d, q,
+                           dem.u, dem.v, dem.profit, dem.height});
     }
   }
   expanded_demands_ = num_demands();
   check_input(!instances_.empty(), "problem has no demand instances");
+  write_new_paths();
 
   by_demand_.assign(static_cast<std::size_t>(num_demands()), {});
   for (const DemandInstance& inst : instances_) {
@@ -134,18 +144,16 @@ void Problem::finalize() {
   // it.  Instances are visited in ascending id, so every bucket comes out
   // id-sorted.
   edge_index_offset_.assign(static_cast<std::size_t>(total_edges_) + 1, 0);
-  for (const DemandInstance& inst : instances_) {
-    for (EdgeId e : inst.edges) ++edge_index_offset_[static_cast<std::size_t>(e) + 1];
-  }
+  for (EdgeId e : paths_) ++edge_index_offset_[static_cast<std::size_t>(e) + 1];
   for (std::size_t e = 1; e < edge_index_offset_.size(); ++e)
     edge_index_offset_[e] += edge_index_offset_[e - 1];
   edge_index_.resize(static_cast<std::size_t>(edge_index_offset_.back()));
   std::vector<std::int64_t> cursor(edge_index_offset_.begin(),
                                    edge_index_offset_.end() - 1);
-  for (const DemandInstance& inst : instances_) {
-    for (EdgeId e : inst.edges)
+  for (InstanceId i = 0; i < num_instances(); ++i) {
+    for (EdgeId e : path(i))
       edge_index_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e)]++)] =
-          inst.id;
+          i;
   }
 
   pmax_ = pmin_ = demands_.front().profit;
@@ -164,10 +172,11 @@ void Problem::finalize() {
     cmin_ = std::min(cmin_, c);
     cmax_ = std::max(cmax_, c);
   }
-  lmax_ = lmin_ = static_cast<int>(instances_.front().edges.size());
-  for (const DemandInstance& inst : instances_) {
-    lmax_ = std::max(lmax_, static_cast<int>(inst.edges.size()));
-    lmin_ = std::min(lmin_, static_cast<int>(inst.edges.size()));
+  lmax_ = lmin_ = static_cast<int>(path(0).size());
+  for (InstanceId i = 1; i < num_instances(); ++i) {
+    const auto len = static_cast<int>(path(i).size());
+    lmax_ = std::max(lmax_, len);
+    lmin_ = std::min(lmin_, len);
   }
   finalized_ = true;
 }
@@ -238,9 +247,11 @@ bool Problem::overlap(InstanceId a, InstanceId b) const {
   const DemandInstance& y = instance(b);
   if (x.network != y.network) return false;
   // Sorted-merge intersection test.
-  auto i = x.edges.begin();
-  auto j = y.edges.begin();
-  while (i != x.edges.end() && j != y.edges.end()) {
+  const std::span<const EdgeId> px = path(a);
+  const std::span<const EdgeId> py = path(b);
+  auto i = px.begin();
+  auto j = py.begin();
+  while (i != px.end() && j != py.end()) {
     if (*i == *j) return true;
     if (*i < *j)
       ++i;

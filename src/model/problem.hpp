@@ -8,7 +8,8 @@
 // Demand instances are the unit the algorithms operate on: one copy of a
 // demand per accessible network (tree case), or one copy per (resource,
 // start-slot) placement (line-with-windows case; see LineProblem::lower()).
-// Every instance caches the global edge ids of its routing path, so the
+// The routing paths of all instances live in one flat path store on the
+// Problem, read through path(i) as sorted global edge ids, so the
 // primal-dual engine, the conflict cliques and the feasibility checker all
 // work off the same representation regardless of where the instance came
 // from.
@@ -38,8 +39,9 @@ struct Demand {
   Height height = 1.0;
 };
 
-// One schedulable copy of a demand on a concrete network, with its routing
-// path cached as sorted global edge ids.
+// One schedulable copy of a demand on a concrete network.  Its routing
+// path is not stored here: Problem::path(id) reads it from the problem's
+// path store.
 struct DemandInstance {
   InstanceId id = kNoInstance;
   DemandId demand = -1;
@@ -48,7 +50,6 @@ struct DemandInstance {
   VertexId v = kNoVertex;
   Profit profit = 0.0;
   Height height = 1.0;
-  std::vector<EdgeId> edges;  // global edge ids, sorted ascending
 };
 
 class Problem {
@@ -76,21 +77,24 @@ class Problem {
 
   // Adds an explicit instance (used by LineProblem::lower(); the tree case
   // relies on the automatic demand x access expansion in finalize()).
-  // Endpoints are vertices of `network`; the path is computed here.
+  // Endpoints are distinct vertices of `network`; finalize() writes the
+  // path.
   InstanceId add_instance(DemandId d, NetworkId network, VertexId u,
                           VertexId v);
 
   // Freezes the problem: expands instances (if none were added manually),
-  // builds the per-demand / per-edge indexes and the summary statistics.
+  // writes the paths of the new instances into the path store, and builds
+  // the per-demand / per-edge indexes and the summary statistics.
   void finalize();
   bool finalized() const { return finalized_; }
 
   // Reopens a finalized problem for appending more demands (add_demand /
   // set_access / set_capacity), after which finalize() must run again.
   // Existing demand and instance ids, routing paths and access sets are
-  // preserved; only the appended demands are expanded, so a
-  // reopen-append-finalize cycle costs O(new instances + index rebuild)
-  // instead of a full re-materialization.  This is the online scheduler's
+  // preserved; only the appended demands are expanded and their paths
+  // appended to the store, so a reopen-append-finalize cycle costs
+  // O(new instances + index rebuild) instead of a full
+  // re-materialization.  This is the online scheduler's
   // per-batch path: between compactions its record set is append-only.
   void reopen();
 
@@ -119,6 +123,17 @@ class Problem {
   const DemandInstance& instance(InstanceId i) const;
   std::span<const DemandInstance> instances() const {
     return {instances_.data(), instances_.size()};
+  }
+  // Routing path of instance i: its global edge ids, sorted ascending.
+  // A view into the path store, valid until the next finalize().
+  std::span<const EdgeId> path(InstanceId i) const {
+    TS_REQUIRE(i >= 0 &&
+               static_cast<std::size_t>(i) + 1 < path_offset_.size());
+    const auto lo =
+        static_cast<std::size_t>(path_offset_[static_cast<std::size_t>(i)]);
+    const auto hi = static_cast<std::size_t>(
+        path_offset_[static_cast<std::size_t>(i) + 1]);
+    return {paths_.data() + lo, hi - lo};
   }
   const std::vector<InstanceId>& instances_of_demand(DemandId d) const;
   // Instances whose path contains `global`, ascending by id.  Backed by a
@@ -150,6 +165,9 @@ class Problem {
  private:
   void require_finalized() const { TS_REQUIRE(finalized_); }
   void require_mutable() const { TS_REQUIRE(!finalized_); }
+  // Sizes and writes the paths of the instances added since the last
+  // finalize().
+  void write_new_paths();
 
   VertexId n_;
   std::shared_ptr<const std::vector<TreeNetwork>> networks_;
@@ -163,6 +181,12 @@ class Problem {
   bool manual_instances_ = false;
   bool finalized_ = false;
   DemandId expanded_demands_ = 0;  // demands already expanded to instances
+
+  // Path store, CSR like the edge index: the path of instance i is
+  // paths_[path_offset_[i] .. path_offset_[i + 1]).  path_offset_ covers
+  // the instances whose paths are written (all of them once finalized).
+  std::vector<std::int64_t> path_offset_{0};
+  std::vector<EdgeId> paths_;
 
   std::vector<std::vector<InstanceId>> by_demand_;
   // CSR edge -> instances index: bucket of edge e is

@@ -45,7 +45,7 @@ FeasibilityReport check_feasibility(const Problem& problem,
       return report;
     }
     demand_used[static_cast<std::size_t>(inst.demand)] = 1;
-    for (EdgeId e : inst.edges) load[static_cast<std::size_t>(e)] += inst.height;
+    for (EdgeId e : problem.path(i)) load[static_cast<std::size_t>(e)] += inst.height;
   }
   for (EdgeId e = 0; e < problem.num_global_edges(); ++e) {
     if (load[static_cast<std::size_t>(e)] > problem.capacity(e) + kEps) {
@@ -69,7 +69,7 @@ LoadTracker::LoadTracker(const Problem& problem)
 bool LoadTracker::fits(InstanceId i) const {
   const DemandInstance& inst = problem_->instance(i);
   if (demand_used_[static_cast<std::size_t>(inst.demand)]) return false;
-  for (EdgeId e : inst.edges) {
+  for (EdgeId e : problem_->path(i)) {
     if (load_[static_cast<std::size_t>(e)] + inst.height >
         problem_->capacity(e) + kEps)
       return false;
@@ -81,14 +81,14 @@ void LoadTracker::add(InstanceId i) {
   TS_DCHECK(fits(i));
   const DemandInstance& inst = problem_->instance(i);
   demand_used_[static_cast<std::size_t>(inst.demand)] = 1;
-  for (EdgeId e : inst.edges) load_[static_cast<std::size_t>(e)] += inst.height;
+  for (EdgeId e : problem_->path(i)) load_[static_cast<std::size_t>(e)] += inst.height;
 }
 
 void LoadTracker::remove(InstanceId i) {
   const DemandInstance& inst = problem_->instance(i);
   TS_REQUIRE(demand_used_[static_cast<std::size_t>(inst.demand)]);
   demand_used_[static_cast<std::size_t>(inst.demand)] = 0;
-  for (EdgeId e : inst.edges) load_[static_cast<std::size_t>(e)] -= inst.height;
+  for (EdgeId e : problem_->path(i)) load_[static_cast<std::size_t>(e)] -= inst.height;
 }
 
 void LoadTracker::clear() {

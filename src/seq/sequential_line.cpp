@@ -10,17 +10,17 @@ LayeredPlan build_endtime_plan(const Problem& problem) {
 
   plan.num_groups = 1;
   for (InstanceId i = 0; i < problem.num_instances(); ++i) {
-    const DemandInstance& inst = problem.instance(i);
+    const std::span<const EdgeId> path = problem.path(i);
     // Instances of a path network have contiguous global edge ids; the
     // *local* end slot orders the processing (ascending), so overlapping
     // d1 before d2 implies end(d1) is on path(d2).
-    const auto [network, local_end] = problem.edge_owner(inst.edges.back());
+    const auto [network, local_end] = problem.edge_owner(path.back());
     (void)network;
-    TS_REQUIRE(inst.edges.back() - inst.edges.front() + 1 ==
-               static_cast<EdgeId>(inst.edges.size()));
+    TS_REQUIRE(path.back() - path.front() + 1 ==
+               static_cast<EdgeId>(path.size()));
     plan.group[static_cast<std::size_t>(i)] = local_end;
     plan.num_groups = std::max(plan.num_groups, local_end + 1);
-    plan.critical[static_cast<std::size_t>(i)] = {inst.edges.back()};
+    plan.critical[static_cast<std::size_t>(i)] = {path.back()};
   }
   plan.delta = 1;
   plan.members.assign(static_cast<std::size_t>(plan.num_groups), {});

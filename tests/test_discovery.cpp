@@ -87,9 +87,9 @@ TEST(Discovery, AccountingMatchesClosedForm) {
       static_cast<std::size_t>(p.num_demands()));
   for (InstanceId i : members) {
     const DemandInstance& inst = p.instance(i);
-    registrations += 1 + static_cast<std::int64_t>(inst.edges.size());
+    registrations += 1 + static_cast<std::int64_t>(p.path(i).size());
     demand_bucket[static_cast<std::size_t>(inst.demand)].push_back(i);
-    for (EdgeId e : inst.edges)
+    for (EdgeId e : p.path(i))
       edge_bucket[static_cast<std::size_t>(e)].push_back(i);
   }
   std::int64_t replies = 0;
@@ -154,9 +154,9 @@ TEST(Discovery, DigestRepliesCutBytesOnLineWindows) {
       static_cast<std::size_t>(p.num_demands()), 0);
   for (InstanceId i : members) {
     const DemandInstance& inst = p.instance(i);
-    registrations += 1 + static_cast<std::int64_t>(inst.edges.size());
+    registrations += 1 + static_cast<std::int64_t>(p.path(i).size());
     ++demand_bucket[static_cast<std::size_t>(inst.demand)];
-    for (EdgeId e : inst.edges) ++edge_bucket[static_cast<std::size_t>(e)];
+    for (EdgeId e : p.path(i)) ++edge_bucket[static_cast<std::size_t>(e)];
   }
   std::int64_t raw_reply_bytes = 0;
   for (std::int64_t b : edge_bucket)

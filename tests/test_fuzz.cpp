@@ -944,6 +944,22 @@ TEST(Fuzz, TextInputRejectsTruncationAndOversizeCounts) {
         },
         header);
   }
+  // Files in range whose lowered problem would not fit in memory: a line
+  // of 2^31 vertices, an access set of 2^31 resources, and 100,001
+  // placements of 100,000 slots (1e10 path entries).  The LineProblem
+  // caps reject each before it allocates.
+  for (const char* file :
+       {"slots 2147483646 resources 1 demands 1 0 0 1 1 1 1 0",
+        "slots 1 resources 2147483647 demands 1 0 0 1 1 1 1 0",
+        "slots 200000 resources 1 demands 1 0 199999 100000 1 1 1 0"}) {
+    expect_diagnostic(
+        [&] {
+          std::istringstream is(std::string("treesched-line 1 ") + file +
+                                " end");
+          read_line_problem(is).lower();
+        },
+        file);
+  }
 }
 
 TEST(Fuzz, NearZeroHeightsAreRejectedNotMiscertified) {

@@ -38,7 +38,7 @@ TEST(TextIo, ProblemRoundTripPreservesEverything) {
     EXPECT_EQ(loaded.access(d), original.access(d));
   }
   for (InstanceId i = 0; i < original.num_instances(); ++i)
-    EXPECT_EQ(loaded.instance(i).edges, original.instance(i).edges);
+    EXPECT_EQ(testutil::path_of(loaded, i), testutil::path_of(original, i));
 }
 
 TEST(TextIo, CapacitiesSurviveRoundTrip) {

@@ -31,7 +31,7 @@ void check_plan_structure(const Problem& problem, const LayeredPlan& plan) {
     EXPECT_FALSE(crit.empty());
     EXPECT_LE(static_cast<int>(crit.size()), plan.delta);
     // Critical edges lie on the instance's path (by definition of pi).
-    const auto& path = problem.instance(i).edges;
+    const auto path = problem.path(i);
     for (EdgeId e : crit)
       EXPECT_TRUE(std::binary_search(path.begin(), path.end(), e));
   }
@@ -102,7 +102,7 @@ TEST(LinePlan, LengthClassesAndThreeCriticalSlots) {
     EXPECT_FALSE(violation.has_value()) << *violation;
     // Group = floor(log2(len / lmin)).
     for (InstanceId i = 0; i < problem.num_instances(); ++i) {
-      const int len = static_cast<int>(problem.instance(i).edges.size());
+      const int len = static_cast<int>(problem.path(i).size());
       const int g = plan.group[static_cast<std::size_t>(i)];
       EXPECT_GE(len, problem.min_path_length() << g);
       EXPECT_LT(len, problem.min_path_length() << (g + 1));

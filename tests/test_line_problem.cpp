@@ -31,12 +31,13 @@ TEST(LineProblem, PlacementsCoverWindowSlots) {
   LineProblem line(10, 1);
   line.add_demand(2, 7, 3, 5.0);
   const Problem p = line.lower();
-  for (const DemandInstance& inst : p.instances()) {
+  for (InstanceId i = 0; i < p.num_instances(); ++i) {
     // Contiguous slots, length = proc_time, inside [release, deadline].
-    EXPECT_EQ(inst.edges.size(), 3u);
-    EXPECT_EQ(inst.edges.back() - inst.edges.front(), 2);
-    EXPECT_GE(inst.edges.front(), 2);
-    EXPECT_LE(inst.edges.back(), 7);
+    const auto path = p.path(i);
+    EXPECT_EQ(path.size(), 3u);
+    EXPECT_EQ(path.back() - path.front(), 2);
+    EXPECT_GE(path.front(), 2);
+    EXPECT_LE(path.back(), 7);
   }
 }
 
@@ -73,13 +74,31 @@ TEST(LineProblem, AccessValidation) {
   EXPECT_EQ(line.access(d), (std::vector<NetworkId>{0, 1}));
 }
 
+TEST(LineProblem, CapsRejectOversizeWorkBeforeBuilding) {
+  // Vertices: resources x (slots + 1), checked on construction.
+  EXPECT_NO_THROW(LineProblem(static_cast<int>(kMaxLineVertices) - 1, 1));
+  EXPECT_THROW(LineProblem(static_cast<int>(kMaxLineVertices), 1),
+               std::invalid_argument);
+  EXPECT_THROW(LineProblem(1, static_cast<int>(kMaxLineVertices / 2) + 1),
+               std::invalid_argument);
+
+  // Placements: five demands of 2 x (2^21 - 1) one-slot placements each
+  // cover under 2^25 path entries but exceed the 2^24 instance cap.  The
+  // path-entry cap is exercised by
+  // Fuzz.TextInputRejectsTruncationAndOversizeCounts.
+  const int slots = static_cast<int>(kMaxLineVertices / 2) - 1;
+  LineProblem many(slots, 2);
+  for (int k = 0; k < 5; ++k) many.add_demand(0, slots - 1, 1, 1.0);
+  EXPECT_THROW(many.lower(), std::invalid_argument);
+}
+
 TEST(LineProblem, FixedPlacementHasOneInstancePerResource) {
   LineProblem line(8, 3);
   line.add_demand(2, 4, 3, 1.0);  // window == proc_time: one start
   const Problem p = line.lower();
   EXPECT_EQ(p.num_instances(), 3);
   for (const DemandInstance& inst : p.instances()) {
-    EXPECT_EQ(inst.edges.front() - p.global_edge(inst.network, 0), 2);
+    EXPECT_EQ(p.path(inst.id).front() - p.global_edge(inst.network, 0), 2);
   }
 }
 

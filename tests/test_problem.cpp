@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
+#include "test_util.hpp"
 #include "workload/tree_gen.hpp"
 
 namespace treesched {
@@ -50,12 +55,12 @@ TEST(Problem, InstancePathsAreCorrect) {
   // d0 on network 0: path 0-1-2-3 = local edges {0,1,2} = global {0,1,2}.
   const auto& i0 = p.instance(p.instances_of_demand(0)[0]);
   EXPECT_EQ(i0.network, 0);
-  EXPECT_EQ(i0.edges, (std::vector<EdgeId>{0, 1, 2}));
+  EXPECT_EQ(testutil::path_of(p, i0.id), (std::vector<EdgeId>{0, 1, 2}));
   // d0 on network 1 (star at 1): path 0-1-3 = local edges {0,2} =
   // global {3, 5}.
   const auto& i1 = p.instance(p.instances_of_demand(0)[1]);
   EXPECT_EQ(i1.network, 1);
-  EXPECT_EQ(i1.edges, (std::vector<EdgeId>{3, 5}));
+  EXPECT_EQ(testutil::path_of(p, i1.id), (std::vector<EdgeId>{3, 5}));
 }
 
 TEST(Problem, OverlapAndConflict) {
@@ -79,17 +84,145 @@ TEST(Problem, InstancesOnEdgeIndex) {
   const Problem p = two_network_problem();
   for (EdgeId e = 0; e < p.num_global_edges(); ++e) {
     for (InstanceId i : p.instances_on_edge(e)) {
-      const auto& edges = p.instance(i).edges;
-      EXPECT_TRUE(std::binary_search(edges.begin(), edges.end(), e));
+      const auto path = p.path(i);
+      EXPECT_TRUE(std::binary_search(path.begin(), path.end(), e));
     }
   }
   // Every instance-edge incidence appears in the index.
   for (const DemandInstance& inst : p.instances()) {
-    for (EdgeId e : inst.edges) {
+    for (EdgeId e : p.path(inst.id)) {
       const auto& lst = p.instances_on_edge(e);
       EXPECT_NE(std::find(lst.begin(), lst.end(), inst.id), lst.end());
     }
   }
+}
+
+// --- the path store -------------------------------------------------------
+
+// Adds demands [from, to) of `src` to `dst` with their access sets; with
+// `manual`, also their instances, explicitly, as LineProblem::lower() does.
+void append_demands(Problem& dst, const Problem& src, DemandId from,
+                    DemandId to, bool manual) {
+  for (DemandId d = from; d < to; ++d) {
+    const Demand& dem = src.demand(d);
+    ASSERT_EQ(dst.add_demand(dem.u, dem.v, dem.profit, dem.height), d);
+    dst.set_access(d, src.access(d));
+    if (!manual) continue;
+    for (InstanceId i : src.instances_of_demand(d)) {
+      const DemandInstance& inst = src.instance(i);
+      dst.add_instance(d, inst.network, inst.u, inst.v);
+    }
+  }
+}
+
+// `src` rebuilt over its own networks the way the online service grows a
+// problem: the first half of the demands, finalize, then reopen, append
+// the rest, finalize again.
+Problem rebuilt_in_two_batches(const Problem& src, bool manual) {
+  Problem p(src.num_vertices(), src.shared_networks());
+  for (EdgeId e = 0; e < src.num_global_edges(); ++e) {
+    const auto [q, local] = src.edge_owner(e);
+    p.set_capacity(q, local, src.capacity(e));
+  }
+  const DemandId half = src.num_demands() / 2;
+  append_demands(p, src, 0, half, manual);
+  p.finalize();
+  p.reopen();
+  append_demands(p, src, half, src.num_demands(), manual);
+  p.finalize();
+  return p;
+}
+
+// Every path is the sorted per-instance tree walk, shifted to global ids,
+// and every edge bucket is exactly the instances whose path holds it.
+void expect_store_matches_walk(const Problem& p) {
+  for (InstanceId i = 0; i < p.num_instances(); ++i) {
+    const DemandInstance& inst = p.instance(i);
+    std::vector<EdgeId> walk;
+    for (EdgeId local : p.network(inst.network).path_edges(inst.u, inst.v))
+      walk.push_back(p.global_edge(inst.network, local));
+    std::sort(walk.begin(), walk.end());
+    EXPECT_EQ(testutil::path_of(p, i), walk) << "instance " << i;
+  }
+  for (EdgeId e = 0; e < p.num_global_edges(); ++e) {
+    std::vector<InstanceId> scan;
+    for (InstanceId i = 0; i < p.num_instances(); ++i) {
+      const auto path = p.path(i);
+      if (std::find(path.begin(), path.end(), e) != path.end())
+        scan.push_back(i);
+    }
+    const auto bucket = p.instances_on_edge(e);
+    EXPECT_EQ(std::vector<InstanceId>(bucket.begin(), bucket.end()), scan)
+        << "edge " << e;
+  }
+}
+
+void expect_same_store(const Problem& a, const Problem& b) {
+  ASSERT_EQ(a.num_instances(), b.num_instances());
+  ASSERT_EQ(a.num_demands(), b.num_demands());
+  ASSERT_EQ(a.num_global_edges(), b.num_global_edges());
+  for (InstanceId i = 0; i < a.num_instances(); ++i) {
+    EXPECT_EQ(a.instance(i).demand, b.instance(i).demand);
+    EXPECT_EQ(a.instance(i).network, b.instance(i).network);
+    EXPECT_EQ(testutil::path_of(a, i), testutil::path_of(b, i));
+  }
+  for (EdgeId e = 0; e < a.num_global_edges(); ++e) {
+    const auto x = a.instances_on_edge(e);
+    const auto y = b.instances_on_edge(e);
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
+        << "edge " << e;
+  }
+  for (DemandId d = 0; d < a.num_demands(); ++d)
+    EXPECT_EQ(a.instances_of_demand(d), b.instances_of_demand(d));
+  EXPECT_EQ(a.min_path_length(), b.min_path_length());
+  EXPECT_EQ(a.max_path_length(), b.max_path_length());
+}
+
+TEST(Problem, PathStoreEqualsThePerInstanceWalk) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("tree seed " + std::to_string(seed));
+    const Problem p = testutil::small_tree_problem(seed, 24, 2, 12);
+    expect_store_matches_walk(p);
+  }
+  SCOPED_TRACE("line");
+  expect_store_matches_walk(testutil::small_line_problem(7));
+}
+
+TEST(Problem, ReopenAppendFinalizeEqualsAFreshBuild) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("tree seed " + std::to_string(seed));
+    const Problem fresh = testutil::small_tree_problem(seed, 24, 2, 12);
+    expect_same_store(rebuilt_in_two_batches(fresh, /*manual=*/false), fresh);
+  }
+  SCOPED_TRACE("line");
+  const Problem fresh = testutil::small_line_problem(7);
+  expect_same_store(rebuilt_in_two_batches(fresh, /*manual=*/true), fresh);
+}
+
+TEST(Problem, CopyOwnsItsPathStore) {
+  // The copy must not read the original's store: destroy the original,
+  // then compare the copy with an identical, independent build.
+  const Problem reference = testutil::small_tree_problem(3, 24, 2, 12);
+  auto original = std::make_unique<Problem>(
+      testutil::small_tree_problem(3, 24, 2, 12));
+  const Problem copy = *original;
+  original.reset();
+  expect_same_store(copy, reference);
+  expect_store_matches_walk(copy);
+}
+
+TEST(Problem, AddInstanceRejectsBadEndpoints) {
+  std::vector<TreeNetwork> networks;
+  networks.push_back(TreeNetwork::line(4));
+  Problem p(4, std::move(networks));
+  const DemandId d = p.add_demand(0, 1, 1.0);
+  EXPECT_THROW(p.add_instance(d, 0, 2, 2), std::invalid_argument);  // empty
+  EXPECT_THROW(p.add_instance(d, 0, 0, 4), std::invalid_argument);  // range
+  EXPECT_THROW(p.add_instance(d, 0, -1, 1), std::invalid_argument);
+  EXPECT_EQ(p.add_instance(d, 0, 3, 1), 0);
+  p.finalize();
+  // A path walked from the deeper end comes out sorted too.
+  EXPECT_EQ(testutil::path_of(p, 0), (std::vector<EdgeId>{1, 2}));
 }
 
 TEST(Problem, SummaryStatistics) {

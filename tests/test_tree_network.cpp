@@ -61,16 +61,25 @@ TEST(TreeNetwork, LcaAndDistOnKnownTree) {
 }
 
 TEST(TreeNetwork, PathEdgesMatchesDistAndEndpoints) {
-  const TreeNetwork t(6, {{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 5}});
-  const auto edges = t.path_edges(3, 5);
-  EXPECT_EQ(static_cast<int>(edges.size()), t.dist(3, 5));
-  const auto verts = t.path_vertices(3, 5);
-  ASSERT_EQ(verts.size(), edges.size() + 1);
-  EXPECT_EQ(verts.front(), 3);
-  EXPECT_EQ(verts.back(), 5);
-  // Consecutive path vertices must be joined by the listed edges.
-  for (std::size_t k = 0; k + 1 < verts.size(); ++k) {
-    EXPECT_EQ(t.edge_between(verts[k], verts[k + 1]), edges[k]);
+  // Every ordered pair, u == v included, on two trees.
+  for (const TreeNetwork& t :
+       {TreeNetwork(6, {{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 5}}),
+        figure6_tree()}) {
+    for (VertexId u = 0; u < t.num_vertices(); ++u) {
+      for (VertexId v = 0; v < t.num_vertices(); ++v) {
+        const auto edges = t.path_edges(u, v);
+        EXPECT_EQ(static_cast<int>(edges.size()), t.dist(u, v));
+        const auto verts = t.path_vertices(u, v);
+        ASSERT_EQ(verts.size(), edges.size() + 1);
+        EXPECT_EQ(verts.front(), u);
+        EXPECT_EQ(verts.back(), v);
+        // Consecutive path vertices must be joined by the listed edges.
+        for (std::size_t k = 0; k + 1 < verts.size(); ++k) {
+          EXPECT_EQ(t.edge_between(verts[k], verts[k + 1]), edges[k])
+              << u << "~" << v << " edge " << k;
+        }
+      }
+    }
   }
 }
 

@@ -45,6 +45,12 @@ inline Problem small_line_problem(std::uint64_t seed, int slots = 24,
   return make_line_problem(spec);
 }
 
+// Instance i's routing path as a vector, for EXPECT_EQ comparisons.
+inline std::vector<EdgeId> path_of(const Problem& problem, InstanceId i) {
+  const std::span<const EdgeId> path = problem.path(i);
+  return {path.begin(), path.end()};
+}
+
 // Exact optimum; fails the test if the search did not complete.
 inline Profit exact_opt(const Problem& problem) {
   const ExactResult exact = solve_exact(problem);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.hpp"
 #include "workload/line_gen.hpp"
 #include "workload/tree_gen.hpp"
 
@@ -172,7 +173,7 @@ TEST(Scenario, DeterministicBySeed) {
   const Problem b = make_tree_problem(spec);
   ASSERT_EQ(a.num_instances(), b.num_instances());
   for (InstanceId i = 0; i < a.num_instances(); ++i) {
-    EXPECT_EQ(a.instance(i).edges, b.instance(i).edges);
+    EXPECT_EQ(testutil::path_of(a, i), testutil::path_of(b, i));
     EXPECT_DOUBLE_EQ(a.instance(i).profit, b.instance(i).profit);
   }
 }
