@@ -123,7 +123,9 @@ void ComponentForest::update(const Problem& problem,
   // provably disjoint from the walked set: a clean member sharing an
   // edge/demand with a dirty member would have been in the same (dirty)
   // component, and one sharing with an added instance would have been
-  // marked here.
+  // marked here.  The old active instances on one edge form one
+  // component, and edge_last_ names one of them (the marking invariant
+  // in the header), so an edge costs one lookup, not a bucket scan.
   dirty_comp_.assign(static_cast<std::size_t>(num_components()), 0);
   const auto mark = [&](InstanceId k) {
     const int c = comp_of_member_[static_cast<std::size_t>(k)];
@@ -138,8 +140,10 @@ void ComponentForest::update(const Problem& problem,
     for (InstanceId k :
          problem.instances_of_demand(problem.instance(a).demand))
       mark(k);
-    for (EdgeId e : problem.path(a))
-      for (InstanceId k : problem.instances_on_edge(e)) mark(k);
+    for (EdgeId e : problem.path(a)) {
+      const int k = edge_last_[static_cast<std::size_t>(e)];
+      if (k >= 0) mark(k);
+    }
   }
 
   // Re-partition: reset, chain-unite the clean components straight from

@@ -44,6 +44,12 @@ class ComponentForest {
   // edge/demand shared with an added instance) are re-united by cheap
   // chain unions instead of path walks.  Falls back to build() when
   // nothing was built yet.
+  //
+  // Cost: marking the dirty components is O(|removed| + Σ over added of
+  // (path length + instances of its demand)); it reads no
+  // Problem::instances_on_edge bucket.  Re-partitioning walks the paths
+  // of the dirty and added members only, plus O(instance count) of
+  // flat reset, chain unions and flatten.
   void update(const Problem& problem, const std::vector<char>& active_mask,
               std::span<const InstanceId> added,
               std::span<const InstanceId> removed);
@@ -79,6 +85,17 @@ class ComponentForest {
   std::vector<int> parent_;
   // Per-edge / per-demand clique chaining: the last instance seen by the
   // walk stamped walk_stamp_, so no walk needs to clear them.
+  //
+  // The marking invariant update() rests on: after any build() or
+  // update(), if some active instance's path uses edge e, then
+  // edge_last_[e] is an active instance on e.  A walk sets the entry
+  // (build() walks every active instance, update() the dirty and added
+  // ones); an edge no walked member uses belongs to one clean component,
+  // which lost no member since its edges were last walked, so the entry
+  // is still active.  All active instances on e share one component (the
+  // conflict relation, Section 2), so an added instance dirties
+  // component_of(edge_last_[e]) for each edge e of its path — nothing
+  // when the entry is inactive, since component_of() is -1 there.
   std::vector<int> edge_last_, edge_stamp_, demand_last_, demand_stamp_;
   int walk_stamp_ = 0;
   // update() scratch: components a delta touched.

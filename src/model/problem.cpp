@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/trace.hpp"
+
 namespace treesched {
 
 Problem::Problem(VertexId num_vertices, std::vector<TreeNetwork> networks)
@@ -116,6 +118,12 @@ void Problem::write_new_paths() {
 void Problem::finalize() {
   require_mutable();
   check_input(num_demands() > 0, "problem needs at least one demand");
+  obs::SpanGuard span("model", "finalize");
+  // What earlier finalize() calls indexed: nothing on a first build, every
+  // old demand and instance on a reopen()ed problem.  Ids only grow, so
+  // every index below extends by the new ids alone.
+  const auto first = static_cast<InstanceId>(path_offset_.size() - 1);
+  const DemandId first_demand = expanded_demands_;
 
   if (!manual_instances_) {
     // Default expansion: one instance per (demand, accessible network),
@@ -133,33 +141,63 @@ void Problem::finalize() {
   expanded_demands_ = num_demands();
   check_input(!instances_.empty(), "problem has no demand instances");
   write_new_paths();
+  span.arg("instances", num_instances() - first);
+  span.arg("index_entries", static_cast<std::int64_t>(paths_.size()));
 
-  by_demand_.assign(static_cast<std::size_t>(num_demands()), {});
-  for (const DemandInstance& inst : instances_) {
-    by_demand_[static_cast<std::size_t>(inst.demand)].push_back(inst.id);
+  by_demand_.resize(static_cast<std::size_t>(num_demands()));
+  for (InstanceId i = first; i < num_instances(); ++i) {
+    const DemandInstance& inst = instances_[static_cast<std::size_t>(i)];
+    by_demand_[static_cast<std::size_t>(inst.demand)].push_back(i);
   }
 
-  // CSR edge -> instances index, built by counting sort: one pass counts
-  // bucket sizes, the prefix sum lays out the flat array, one pass fills
-  // it.  Instances are visited in ascending id, so every bucket comes out
-  // id-sorted.
-  edge_index_offset_.assign(static_cast<std::size_t>(total_edges_) + 1, 0);
-  for (EdgeId e : paths_) ++edge_index_offset_[static_cast<std::size_t>(e) + 1];
-  for (std::size_t e = 1; e < edge_index_offset_.size(); ++e)
-    edge_index_offset_[e] += edge_index_offset_[e - 1];
-  edge_index_.resize(static_cast<std::size_t>(edge_index_offset_.back()));
-  std::vector<std::int64_t> cursor(edge_index_offset_.begin(),
-                                   edge_index_offset_.end() - 1);
-  for (InstanceId i = 0; i < num_instances(); ++i) {
+  // CSR edge -> instances index, extended by a counting sort of the new
+  // entries: one pass counts them per bucket, the prefix sum (with the
+  // old bucket sizes) lays out the grown array, every old bucket moves up
+  // once, and one pass writes the new ids at the bucket ends.  The new
+  // ids are the largest, so every bucket stays id-sorted.  A first build
+  // has no old buckets, so this is a counting sort into an exactly sized
+  // array; a reopen()ed problem grows it geometrically.
+  const auto edges = static_cast<std::size_t>(total_edges_);
+  if (edge_index_offset_.empty()) edge_index_offset_.assign(edges + 1, 0);
+  const auto old_size = [&](std::size_t e) {
+    return edge_index_offset_[e + 1] - edge_index_offset_[e];
+  };
+  std::vector<std::int64_t> offset(edges + 1, 0);
+  for (auto k = static_cast<std::size_t>(
+           path_offset_[static_cast<std::size_t>(first)]);
+       k < paths_.size(); ++k)
+    ++offset[static_cast<std::size_t>(paths_[k]) + 1];
+  for (std::size_t e = 0; e < edges; ++e)
+    offset[e + 1] += offset[e] + old_size(e);
+  edge_index_.resize(static_cast<std::size_t>(offset[edges]));
+  // A bucket moves up by the new entries of the buckets below it, so
+  // moving from the top down never overwrites a bucket not yet moved, and
+  // the buckets below the lowest new entry stay where they are.
+  const auto at = [&](std::int64_t k) { return edge_index_.begin() + k; };
+  for (std::size_t e = edges; e-- > 0 && offset[e] != edge_index_offset_[e];)
+    std::copy_backward(at(edge_index_offset_[e]), at(edge_index_offset_[e + 1]),
+                       at(offset[e] + old_size(e)));
+  // The old offsets become the write cursors: each bucket's first slot
+  // past its old entries.
+  for (std::size_t e = 0; e < edges; ++e)
+    edge_index_offset_[e] = offset[e] + old_size(e);
+  for (InstanceId i = first; i < num_instances(); ++i) {
     for (EdgeId e : path(i))
-      edge_index_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e)]++)] =
-          i;
+      edge_index_[static_cast<std::size_t>(
+          edge_index_offset_[static_cast<std::size_t>(e)]++)] = i;
   }
+  edge_index_offset_ = std::move(offset);
 
-  pmax_ = pmin_ = demands_.front().profit;
-  hmin_ = hmax_ = demands_.front().height;
-  ptotal_ = 0.0;
-  for (const Demand& dem : demands_) {
+  // Summary statistics, folded over the new demands and instances.  The
+  // profit sum adds the new profits onto the running sum in id order, the
+  // operations a full pass makes, so it has the same bits.
+  if (first_demand == 0) {
+    pmax_ = pmin_ = demands_.front().profit;
+    hmin_ = hmax_ = demands_.front().height;
+    ptotal_ = 0.0;
+  }
+  for (DemandId d = first_demand; d < num_demands(); ++d) {
+    const Demand& dem = demands_[static_cast<std::size_t>(d)];
     pmax_ = std::max(pmax_, dem.profit);
     pmin_ = std::min(pmin_, dem.profit);
     hmin_ = std::min(hmin_, dem.height);
@@ -167,13 +205,15 @@ void Problem::finalize() {
     ptotal_ += dem.profit;
   }
   unit_height_ = hmin_ >= 1.0 - kEps;
+  // set_capacity() may run on a reopen()ed problem, so every capacity is
+  // re-scanned: O(edges).
   cmin_ = cmax_ = capacity_.front();
   for (Capacity c : capacity_) {
     cmin_ = std::min(cmin_, c);
     cmax_ = std::max(cmax_, c);
   }
-  lmax_ = lmin_ = static_cast<int>(path(0).size());
-  for (InstanceId i = 1; i < num_instances(); ++i) {
+  if (first == 0) lmax_ = lmin_ = static_cast<int>(path(0).size());
+  for (InstanceId i = first; i < num_instances(); ++i) {
     const auto len = static_cast<int>(path(i).size());
     lmax_ = std::max(lmax_, len);
     lmin_ = std::min(lmin_, len);

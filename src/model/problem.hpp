@@ -83,19 +83,22 @@ class Problem {
                           VertexId v);
 
   // Freezes the problem: expands instances (if none were added manually),
-  // writes the paths of the new instances into the path store, and builds
-  // the per-demand / per-edge indexes and the summary statistics.
+  // writes the paths of the new instances into the path store, and extends
+  // the per-demand / per-edge indexes and the summary statistics by them
+  // (a first build extends empty ones).  Traced as model/finalize.
   void finalize();
   bool finalized() const { return finalized_; }
 
   // Reopens a finalized problem for appending more demands (add_demand /
   // set_access / set_capacity), after which finalize() must run again.
   // Existing demand and instance ids, routing paths and access sets are
-  // preserved; only the appended demands are expanded and their paths
-  // appended to the store, so a reopen-append-finalize cycle costs
-  // O(new instances + index rebuild) instead of a full
-  // re-materialization.  This is the online scheduler's
-  // per-batch path: between compactions its record set is append-only.
+  // preserved; only the appended demands are expanded, their paths
+  // appended to the store and their ids appended to the indexes.  A
+  // reopen-append-finalize cycle therefore costs O(new instances + their
+  // path lengths) plus one move of the old edge index entries and
+  // O(edges) of per-edge passes, instead of a full
+  // re-materialization.  This is the online scheduler's per-batch path:
+  // between compactions its record set is append-only.
   void reopen();
 
   // --- topology ----------------------------------------------------------

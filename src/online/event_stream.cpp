@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <string>
 #include <utility>
 
 namespace treesched {
@@ -81,20 +82,40 @@ double max_rate(const OnlineTrafficSpec& traffic) {
 std::vector<EventBatch> make_event_trace(const Problem& problem,
                                          const DemandGenConfig& demand_cfg,
                                          const OnlineTrafficSpec& traffic) {
-  TS_REQUIRE(traffic.rate > 0.0);
-  TS_REQUIRE(traffic.batch_interval > 0.0);
-  TS_REQUIRE(traffic.num_batches >= 0);
-  Rng rng(traffic.seed);
-  const DemandSampler sampler(problem, demand_cfg);
-
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  check_input(positive(traffic.rate),
+              "online trace: arrival rate must be positive and finite");
+  check_input(positive(traffic.batch_interval),
+              "online trace: batch interval must be positive and finite");
+  check_input(traffic.num_batches >= 0 &&
+                  traffic.num_batches <= kMaxTraceBatches,
+              "online trace: batch count must lie in [0, " +
+                  std::to_string(kMaxTraceBatches) + "]");
+  check_input(traffic.initial_population >= 0,
+              "online trace: initial population must not be negative");
   // Normalized tenant mix (empty spec = one anonymous tenant).
   std::vector<TenantClass> tenants = traffic.tenants;
   if (tenants.empty()) tenants.push_back(TenantClass{});
   double share_sum = 0.0;
   for (const TenantClass& t : tenants) {
-    TS_REQUIRE(t.rate_share > 0.0 && t.mean_lifetime > 0.0);
+    check_input(positive(t.rate_share) && positive(t.mean_lifetime),
+                "online trace: tenant rate share and mean lifetime must be "
+                "positive and finite");
     share_sum += t.rate_share;
   }
+  // Candidate arrivals are drawn at the peak rate (thinning, below).
+  const double lambda_max = max_rate(traffic);
+  const std::string too_many = "online trace: more than " +
+                               std::to_string(kMaxTraceEvents) +
+                               " events (rate x interval x batches + "
+                               "initial population)";
+  check_input(static_cast<double>(traffic.initial_population) +
+                      lambda_max * traffic.batch_interval *
+                          static_cast<double>(traffic.num_batches) <=
+                  kMaxTraceEvents,
+              too_many);
+  Rng rng(traffic.seed);
+  const DemandSampler sampler(problem, demand_cfg);
   const auto draw_tenant = [&]() {
     double u = rng.uniform(0.0, share_sum);
     for (std::size_t i = 0; i + 1 < tenants.size(); ++i) {
@@ -137,9 +158,11 @@ std::vector<EventBatch> make_event_trace(const Problem& problem,
 
   // Arrivals by thinning against the dominating constant rate: candidate
   // points at max_rate, each kept with probability lambda(t) / max_rate.
-  const double lambda_max = max_rate(traffic);
+  // The expected candidate count passed the cap check above; a draw far
+  // above its mean is stopped at the cap.
   const double horizon =
       traffic.batch_interval * static_cast<double>(traffic.num_batches);
+  std::int64_t candidates = traffic.initial_population;
   double t = exponential(1.0 / lambda_max, rng);
   for (int b = 0; b < traffic.num_batches; ++b) {
     EventBatch& batch = trace.emplace_back();
@@ -147,6 +170,7 @@ std::vector<EventBatch> make_event_trace(const Problem& problem,
         traffic.batch_interval * static_cast<double>(b + 1);
     batch.time = end;
     while (t <= end && t <= horizon) {
+      check_input(++candidates <= kMaxTraceEvents, too_many);
       if (rng.chance(rate_at(t, traffic) / lambda_max))
         batch.arrivals.push_back(make_arrival(t));
       t += exponential(1.0 / lambda_max, rng);

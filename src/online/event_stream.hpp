@@ -84,10 +84,22 @@ struct OnlineScenarioSpec {
 
 std::string describe(const OnlineScenarioSpec& spec);
 
+// Caps on a trace's size.  A spec asking for more batches, or for more
+// expected events (initial_population + peak rate x batch_interval x
+// num_batches), is rejected before anything is allocated, and so is a
+// sampled trace whose candidate arrivals pass kMaxTraceEvents.  Every
+// shape the tests and benches run stays under ~20k expected events and
+// 200 batches.
+inline constexpr int kMaxTraceBatches = 1 << 20;
+inline constexpr int kMaxTraceEvents = 1 << 20;
+
 // Expands the spec into the full deterministic event trace.  `problem`
 // supplies the topology the demand laws sample against (it may be the
 // finalized base problem); initial-population demands get keys
 // [0, initial) and their departures are scheduled like everyone else's.
+// A spec whose rate, batch interval, tenant share or lifetime is not
+// positive and finite, or which passes the caps above, is a check_input
+// diagnostic.
 std::vector<EventBatch> make_event_trace(const Problem& problem,
                                          const DemandGenConfig& demand_cfg,
                                          const OnlineTrafficSpec& traffic);

@@ -10,8 +10,12 @@
 #include <cstring>
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "decomp/layered.hpp"
@@ -960,6 +964,77 @@ TEST(Fuzz, TextInputRejectsTruncationAndOversizeCounts) {
         },
         file);
   }
+}
+
+TEST(Fuzz, OnlineTraceSpecsOutOfRangeAreRejected) {
+  // A rate, interval or lifetime that is not positive and finite, and a
+  // trace past the batch or expected-event cap, must be a diagnostic
+  // before anything is allocated — never an abort or a bad_alloc.
+  const Problem base = testutil::small_tree_problem(419, 24, 2, 8);
+  const DemandGenConfig demand_cfg;
+  const auto spec = [](double rate, double interval, double lifetime,
+                       int batches, int initial) {
+    OnlineTrafficSpec traffic;
+    traffic.rate = rate;
+    traffic.batch_interval = interval;
+    traffic.num_batches = batches;
+    traffic.initial_population = initial;
+    TenantClass tenant;
+    tenant.mean_lifetime = lifetime;
+    traffic.tenants.push_back(tenant);
+    return traffic;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, OnlineTrafficSpec>> cases = {
+      {"rate 0", spec(0, 1, 8, 4, 0)},
+      {"rate -1", spec(-1, 1, 8, 4, 0)},
+      {"rate inf", spec(inf, 1, 8, 4, 0)},
+      {"rate nan", spec(nan, 1, 8, 4, 0)},
+      {"interval 0", spec(8, 0, 8, 4, 0)},
+      {"interval -1", spec(8, -1, 8, 4, 0)},
+      {"lifetime 0", spec(8, 1, 0, 4, 0)},
+      {"lifetime -2", spec(8, 1, -2, 4, 0)},
+      {"lifetime inf", spec(8, 1, inf, 4, 0)},
+      {"batches -1", spec(8, 1, 8, -1, 0)},
+      {"init-pop -1", spec(8, 1, 8, 4, -1)},
+      {"rate 1e9", spec(1e9, 1, 8, 4, 0)},
+      {"rate 1e30", spec(1e30, 1, 8, 4, 0)},
+      {"rate 1e308, diurnal peak overflows", [&] {
+         OnlineTrafficSpec t = spec(1e308, 1, 8, 4, 0);
+         t.arrivals = ArrivalLaw::kDiurnal;
+         return t;
+       }()},
+      {"init-pop 2e9", spec(8, 1, 8, 4, 2000000000)},
+      {"batches 2e9", spec(8, 1, 8, 2000000000, 0)},
+      {"interval 1e12", spec(8, 1e12, 8, 4, 0)},
+      {"batches past the cap", spec(1e-6, 1, 8, kMaxTraceBatches + 1, 0)},
+      {"init-pop past the cap", spec(8, 1, 8, 0, kMaxTraceEvents + 1)},
+  };
+  for (const auto& [what, traffic] : cases)
+    expect_diagnostic([&] { make_event_trace(base, demand_cfg, traffic); },
+                      what);
+
+  // Exactly kMaxTraceEvents expected candidates pass the up-front check;
+  // the Poisson draw then passes the cap about half the time, and the
+  // thinning loop must stop there with the same diagnostic.  Bursty
+  // arrivals that never burst keep one candidate in 1024, so a draw
+  // costs time, not memory.
+  OnlineTrafficSpec at_cap = spec(1024, 1, 8, 1, 0);
+  at_cap.arrivals = ArrivalLaw::kBursty;
+  at_cap.burst_factor = 1024;
+  at_cap.burst_fraction = 0;
+  int stopped = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    at_cap.seed = seed;
+    try {
+      make_event_trace(base, demand_cfg, at_cap);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("treesched: ", 0), 0u);
+      ++stopped;
+    }
+  }
+  EXPECT_GT(stopped, 0);
 }
 
 TEST(Fuzz, NearZeroHeightsAreRejectedNotMiscertified) {

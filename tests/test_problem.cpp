@@ -116,19 +116,24 @@ void append_demands(Problem& dst, const Problem& src, DemandId from,
 }
 
 // `src` rebuilt over its own networks the way the online service grows a
-// problem: the first half of the demands, finalize, then reopen, append
-// the rest, finalize again.
-Problem rebuilt_in_two_batches(const Problem& src, bool manual) {
+// problem: its demands split over `batches` finalize() calls, with a
+// reopen() before each later one.  Every capacity is set afterwards, in a
+// reopen() that appends no demand; then one more reopen() changes nothing.
+Problem rebuilt_in_batches(const Problem& src, bool manual, int batches) {
   Problem p(src.num_vertices(), src.shared_networks());
+  for (int b = 0; b < batches; ++b) {
+    if (b > 0) p.reopen();
+    append_demands(p, src, src.num_demands() * b / batches,
+                   src.num_demands() * (b + 1) / batches, manual);
+    p.finalize();
+  }
+  p.reopen();
   for (EdgeId e = 0; e < src.num_global_edges(); ++e) {
     const auto [q, local] = src.edge_owner(e);
     p.set_capacity(q, local, src.capacity(e));
   }
-  const DemandId half = src.num_demands() / 2;
-  append_demands(p, src, 0, half, manual);
   p.finalize();
   p.reopen();
-  append_demands(p, src, half, src.num_demands(), manual);
   p.finalize();
   return p;
 }
@@ -176,6 +181,15 @@ void expect_same_store(const Problem& a, const Problem& b) {
     EXPECT_EQ(a.instances_of_demand(d), b.instances_of_demand(d));
   EXPECT_EQ(a.min_path_length(), b.min_path_length());
   EXPECT_EQ(a.max_path_length(), b.max_path_length());
+  // Summary statistics, bit for bit.
+  EXPECT_EQ(a.total_profit(), b.total_profit());
+  EXPECT_EQ(a.min_profit(), b.min_profit());
+  EXPECT_EQ(a.max_profit(), b.max_profit());
+  EXPECT_EQ(a.min_height(), b.min_height());
+  EXPECT_EQ(a.max_height(), b.max_height());
+  EXPECT_EQ(a.unit_height(), b.unit_height());
+  EXPECT_EQ(a.min_capacity(), b.min_capacity());
+  EXPECT_EQ(a.max_capacity(), b.max_capacity());
 }
 
 TEST(Problem, PathStoreEqualsThePerInstanceWalk) {
@@ -189,14 +203,31 @@ TEST(Problem, PathStoreEqualsThePerInstanceWalk) {
 }
 
 TEST(Problem, ReopenAppendFinalizeEqualsAFreshBuild) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    SCOPED_TRACE("tree seed " + std::to_string(seed));
-    const Problem fresh = testutil::small_tree_problem(seed, 24, 2, 12);
-    expect_same_store(rebuilt_in_two_batches(fresh, /*manual=*/false), fresh);
+  for (const int batches : {1, 2, 5}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("tree seed " + std::to_string(seed) + ", " +
+                   std::to_string(batches) + " batches");
+      // Capacities from 0.5 to 4 and heights from 0.1 to 1, so the
+      // statistics the late set_capacity() and the appends move differ
+      // from the defaults.
+      TreeScenarioSpec spec;
+      spec.num_vertices = 24;
+      spec.demands.num_demands = 12;
+      spec.demands.heights = HeightLaw::kUniformRange;
+      spec.demands.profit_max = 50.0;
+      spec.capacities = CapacityLaw::kPowerClasses;
+      spec.capacity_base = 0.5;
+      spec.capacity_spread = 8.0;
+      spec.seed = seed;
+      const Problem fresh = make_tree_problem(spec);
+      expect_same_store(rebuilt_in_batches(fresh, /*manual=*/false, batches),
+                        fresh);
+    }
+    SCOPED_TRACE("line, " + std::to_string(batches) + " batches");
+    const Problem fresh = testutil::small_line_problem(7);
+    expect_same_store(rebuilt_in_batches(fresh, /*manual=*/true, batches),
+                      fresh);
   }
-  SCOPED_TRACE("line");
-  const Problem fresh = testutil::small_line_problem(7);
-  expect_same_store(rebuilt_in_two_batches(fresh, /*manual=*/true), fresh);
 }
 
 TEST(Problem, CopyOwnsItsPathStore) {
