@@ -46,9 +46,9 @@ int main() {
               result.profit, result.ratio_bound);
   std::printf("certified upper bound on OPT: %.1f\n",
               result.stats.dual_upper_bound);
-  std::printf("rounds:   %lld (MIS) + %d steps; %lld messages\n",
+  std::printf("rounds:   %lld (MIS) + %lld steps; %lld messages\n",
               static_cast<long long>(result.stats.mis_rounds),
-              result.stats.steps,
+              static_cast<long long>(result.stats.steps),
               static_cast<long long>(result.stats.messages));
 
   for (InstanceId i : result.solution.selected) {

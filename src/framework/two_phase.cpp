@@ -413,6 +413,31 @@ void TwoPhaseEngine::bookkeep_raise(InstanceId i, double delta,
   record_raise(i, stats, raised_order);
 }
 
+int TwoPhaseEngine::next_failing_stage(const StageSchedule& sched,
+                                       const RaiseRule& rule, int stage) {
+  // One pass tests each member at next - 1; only a member that fails
+  // there can move next, to its first failing stage, found by bisection
+  // between `stage` (where the scan saw it pass) and next - 1.
+  int next = sched.stages_per_epoch + 1;
+  double last = next - 1 > stage ? stage_target(sched, next - 1) : 0.0;
+  for (InstanceId i : members_) {
+    if (next - 1 == stage) break;
+    if (!unsatisfied(i, rule, last)) continue;
+    int passes = stage;
+    int fails = next - 1;
+    while (fails - passes > 1) {
+      const int mid = passes + (fails - passes) / 2;
+      if (unsatisfied(i, rule, stage_target(sched, mid)))
+        fails = mid;
+      else
+        passes = mid;
+    }
+    next = fails;
+    if (next - 1 > stage) last = stage_target(sched, next - 1);
+  }
+  return next;
+}
+
 void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
                                      SolveResult& result) {
   SolveStats& stats = result.stats;
@@ -426,23 +451,43 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
 
   // run_central's loop, with the stage's frontier (one scan of the
   // members, then a refilter after each step's raises) and the cached
-  // LHS in place of the full rescan and the from-scratch walk.
+  // LHS in place of the full rescan and the from-scratch walk, and a
+  // jump over every run of idle stages.
   for (int g = 0; g < plan_->num_groups; ++g) {
     members_.clear();
     for (InstanceId i : plan_->members[static_cast<std::size_t>(g)])
       if (is_active(i)) members_.push_back(i);
     if (members_.empty()) continue;
     ++stats.epochs;
-    TRACE_SPAN1("engine", "epoch", "group", g);
+    obs::SpanGuard epoch_span("engine", "epoch", "group", g);
+    int scanned = 0;
 
-    for (int j = 1; j <= sched.stages_per_epoch; ++j) {
+    for (int j = 1; j <= sched.stages_per_epoch;) {
       const double target = stage_target(sched, j);
-      ++stats.stages;
-      int steps_this_stage = 0;
-      int rows_this_stage = 0;
       unsat_.clear();
       for (InstanceId i : members_)
         if (unsatisfied(i, rule, target)) unsat_.push_back(i);
+      ++scanned;
+      if (unsat_.empty()) {
+        // Stages j .. next - 1 are idle in the central reference too: it
+        // only counts them (under lockstep, budget idle steps apiece).
+        const int next = next_failing_stage(sched, rule, j);
+        const std::int64_t idle = next - j;
+        stats.stages += idle;
+        if (config_.lockstep) {
+          const std::int64_t idle_steps = idle * sched.lockstep_budget;
+          stats.steps += idle_steps;
+          stats.mis_rounds += 2 * idle_steps;
+          stats.comm_rounds += 3 * idle_steps;
+          stats.max_steps_in_stage =
+              std::max(stats.max_steps_in_stage, sched.lockstep_budget);
+        }
+        j = next;
+        continue;
+      }
+      ++stats.stages;
+      int steps_this_stage = 0;
+      int rows_this_stage = 0;
       for (;;) {
         if (config_.lockstep) {
           if (steps_this_stage >= sched.lockstep_budget) {
@@ -509,7 +554,11 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
       }
       stats.max_steps_in_stage =
           std::max(stats.max_steps_in_stage, steps_this_stage);
+      ++j;
     }
+    epoch_span.arg("members", static_cast<std::int64_t>(members_.size()));
+    epoch_span.arg("stages_scanned", scanned);
+    epoch_span.arg("stages_skipped", sched.stages_per_epoch - scanned);
   }
 
   // Certification: every instance reports its own satisfaction level
@@ -597,12 +646,21 @@ StageParams class_stage_params(RaiseRuleKind rule, int delta, double h_min,
   // xi within rounding of 1, so b can exceed int or (xi == 1.0) be -inf.
   // Running fewer stages than b would leave the class under its target
   // slackness and the ratio bound unsound, so such a class is rejected.
+  // The stage loops count to b + 1, so that must fit in an int too.
   const double stages =
       std::ceil(std::log(epsilon) / std::log(params.xi));
   check_input(std::isfinite(stages) &&
-                  stages <= std::numeric_limits<int>::max(),
+                  stages < std::numeric_limits<int>::max(),
               "stage count ceil(log eps / log xi) overflows int: xi is "
               "within rounding of 1 (a minimum height near 0)");
+  // The incremental engine jumps over idle stages on the premise that the
+  // computed targets 1 - xi^j never decrease in j; consecutive powers lie
+  // a factor xi apart, so this margin keeps them far beyond pow's
+  // rounding error.  Under the int rule above it binds only for
+  // eps > 0.998.
+  check_input(1.0 - params.xi >= 0x1p-40,
+              "stage decay base xi is within 2^-40 of 1 (or above it): the "
+              "stage targets 1 - xi^j are not separated");
   params.stages_per_epoch = std::max(1, static_cast<int>(stages));
   return params;
 }

@@ -41,6 +41,32 @@
 //    full member rescan with a from-scratch beta walk every step), kept
 //    as the parity oracle.  Both implementations are bit-identical on
 //    all outputs (tests/test_engine_parity.cpp).
+//
+// Stage cost.  An epoch runs b = ceil(log_xi eps) stages, and the narrow
+// rule's xi = c/(c + h_min) makes b grow like 1/h_min, so most stages
+// have no unsatisfied member.  The central reference scans every member
+// in every stage.  The incremental engine scans a stage only when it
+// can have work: when a stage's scan finds nobody unsatisfied, it jumps
+// to the first later stage at which some member's cached LHS fails the
+// `unsatisfied` test and charges the skipped stages in closed form (one
+// stage each; under lockstep also the budget's idle steps, 2 MIS rounds
+// and 1 propagation round per step).  An epoch costs one scan per stage
+// with work plus one search pass over the members per run of idle
+// stages, not one scan per stage.  The jump is exact:
+//  - after an idle scan every member's cached LHS is fresh, and no LHS
+//    moves before the next raise;
+//  - the test `lhs < t(j) p - kEps p` with t(j) = 1 - xi^j is monotone in
+//    j — t never decreases and every rounding in the test is monotone —
+//    so a member that passes at stage j' passes at every earlier stage;
+//  - so when nobody fails at stage j' - 1, stages j .. j' - 1 are idle in
+//    the central reference too: no oracle call, no raise, no stack row
+//    or StackTag, only the counts the jump charges.
+// Monotone t needs consecutive powers xi^j to lie further apart than
+// pow's rounding error (well under 2^-50 relative): class_stage_params
+// admits only classes with 1 - xi >= 2^-40.  Under its finite-int stage
+// count rule that margin binds only when eps > 0.998.  The message-level
+// protocol keeps stepping every stage: the paper's processors cannot
+// test global emptiness.
 #pragma once
 
 #include <memory>
@@ -153,8 +179,10 @@ struct SolverConfig {
 
 struct SolveStats {
   int epochs = 0;          // non-empty groups processed
-  int stages = 0;          // stages actually run
-  int steps = 0;           // framework iterations (MIS + raise)
+  // Stages of the schedule, skipped idle ones included (an epoch runs up
+  // to INT_MAX - 1 of them, so a run's total can pass 2^31).
+  std::int64_t stages = 0;
+  std::int64_t steps = 0;  // framework iterations (MIS + raise), idle too
   int max_steps_in_stage = 0;
   std::int64_t raises = 0;          // total instances raised
   std::int64_t mis_rounds = 0;      // rounds consumed by MIS computations
@@ -299,6 +327,11 @@ class TwoPhaseEngine {
     return cached_lhs(i, rule.beta_coeff(inst)) <
            target * inst.profit - kEps * inst.profit;
   }
+  // After an idle scan of `stage`: the first later stage at which some
+  // member fails `unsatisfied`, or stages_per_epoch + 1 when none does
+  // (see "Stage cost" in the header comment).
+  int next_failing_stage(const StageSchedule& sched, const RaiseRule& rule,
+                         int stage);
   // Marks stale the cached LHS of every instance that reads a variable a
   // raise of i writes — alpha(a_i) and beta on i's critical edges.
   // Instances outside the current group or the active set are not read
@@ -388,7 +421,10 @@ double target_lambda(StageMode mode, double epsilon);
 // stage targets for the same instance class (which would break the
 // exact protocol-vs-engine parity the test suite enforces).  A class
 // whose b is not a finite int (h_min near 0 puts xi within rounding of
-// 1) is rejected with a check_input diagnostic.
+// 1), or whose 1 - xi is below 2^-40 (the margin that keeps the stage
+// targets monotone, see "Stage cost" above), is rejected with a
+// check_input diagnostic.  The int rule stays because the stage index
+// is an int and snapshots store stages_per_epoch as i32.
 struct StageParams {
   bool any_active = false;
   int delta = 0;
@@ -402,7 +438,7 @@ StageParams derive_stage_params(const Problem& problem,
                                 RaiseRuleKind rule, double epsilon,
                                 double xi_override = 0.0);
 // The arithmetic behind derive_stage_params, for a class with the given
-// Delta and h_min: xi and b, with the same check_input rejection.  b
+// Delta and h_min: xi and b, with the same check_input rejections.  b
 // grows with Delta and shrinks with h_min, so the online service calls
 // it at the largest Delta its decompositions allow and a batch's
 // smallest height to reject, at admission, a batch that would leave a

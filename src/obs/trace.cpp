@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <mutex>
 
@@ -114,7 +115,7 @@ void append_escaped(std::string& out, const char* s) {
 void append_span_args(std::string& out, const SpanRecord& rec) {
   out += ",\"args\":{";
   bool first = true;
-  for (int k = 0; k < 2; ++k) {
+  for (int k = 0; k < kSpanArgs; ++k) {
     if (rec.arg_key[k] == nullptr) continue;
     if (!first) out.push_back(',');
     first = false;
@@ -198,10 +199,8 @@ void SpanGuard::end() {
   rec.name = name_;
   rec.start_ns = start_ns_;
   rec.dur_ns = trace_now_ns() - start_ns_;
-  rec.arg_key[0] = key_[0];
-  rec.arg_val[0] = val_[0];
-  rec.arg_key[1] = key_[1];
-  rec.arg_val[1] = val_[1];
+  std::copy(std::begin(key_), std::end(key_), rec.arg_key);
+  std::copy(std::begin(val_), std::end(val_), rec.arg_val);
   push_record(rec);
 }
 

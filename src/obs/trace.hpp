@@ -44,6 +44,9 @@
 
 namespace treesched::obs {
 
+// Arg slots per span.
+inline constexpr int kSpanArgs = 4;
+
 // One closed span.  arg_key[k] == nullptr marks an unused arg slot.
 struct SpanRecord {
   const char* category = nullptr;
@@ -52,8 +55,8 @@ struct SpanRecord {
   std::int64_t dur_ns = 0;
   int tid = 0;                // recorder slot id (0 = first recorder)
   std::uint64_t seq = 0;      // per-thread record sequence number
-  const char* arg_key[2] = {nullptr, nullptr};
-  std::int64_t arg_val[2] = {0, 0};
+  const char* arg_key[kSpanArgs] = {};
+  std::int64_t arg_val[kSpanArgs] = {};
 };
 
 struct TraceOptions {
@@ -143,16 +146,15 @@ class SpanGuard {
   SpanGuard(const SpanGuard&) = delete;
   SpanGuard& operator=(const SpanGuard&) = delete;
 
-  // Attaches an arg discovered after construction (first free slot of
-  // the two).  No-op when inactive or both slots are taken.
+  // Attaches an arg discovered after construction (first free slot).
+  // No-op when inactive or every slot is taken.
   void arg(const char* key, std::int64_t value) {
     if (!active_) return;
-    if (key_[0] == nullptr) {
-      key_[0] = key;
-      val_[0] = value;
-    } else if (key_[1] == nullptr) {
-      key_[1] = key;
-      val_[1] = value;
+    for (int k = 0; k < kSpanArgs; ++k) {
+      if (key_[k] != nullptr) continue;
+      key_[k] = key;
+      val_[k] = value;
+      return;
     }
   }
 
@@ -164,8 +166,8 @@ class SpanGuard {
   const char* name_ = nullptr;
   std::int64_t start_ns_ = 0;
   bool active_ = false;
-  const char* key_[2] = {nullptr, nullptr};
-  std::int64_t val_[2] = {0, 0};
+  const char* key_[kSpanArgs] = {};
+  std::int64_t val_[kSpanArgs] = {};
 };
 
 #else  // TREESCHED_TRACING_DISABLED

@@ -333,8 +333,9 @@ void OnlineScheduler::check_batch(const EventBatch& batch) const {
     check_input(live && departing.insert(key).second,
                 "online departure: demand key is not live");
   }
-  // Throws unless the narrow class's stage count stays a finite int with
-  // this batch's smallest height, at any Delta the plans can produce.
+  // Throws unless the narrow class's schedule stays admissible (see the
+  // header) with this batch's smallest height, at any Delta the plans
+  // can produce.
   if (any_narrow)
     class_stage_params(RaiseRuleKind::kNarrow, max_critical_, narrow_h_min,
                        config_.solver.epsilon, config_.solver.xi_override);

@@ -132,7 +132,13 @@ class OnlineScheduler {
   // positive and finite, a height outside (0, 1], an access network out
   // of range, or a key already in use (or repeated in the batch); a
   // departure of a key that is not live (or departs twice); or a narrow
-  // height whose class schedule would not be a finite int stage count.
+  // height the engine's class_stage_params would not admit at the largest
+  // Delta the plans allow.  That admits a class only if its stage count
+  // b = ceil(log_xi eps) stays below INT_MAX (the stage index is an int,
+  // and snapshots store stages_per_epoch as i32) and 1 - xi >= 2^-40 (the
+  // engine jumps over idle stages on the premise that the stage targets
+  // never decrease; see two_phase.hpp).  No rule bounds b for time: the
+  // engine skips idle stages, so a large b costs a re-solve little.
   // step() calls it before changing any state, and DurableOnlineService
   // before the journal append, so a rejected batch is never journaled
   // and an admitted batch cannot throw.

@@ -18,8 +18,11 @@
 
 #include "decomp/layered.hpp"
 #include "dist/luby_mis.hpp"
+#include "common/rng.hpp"
+#include "model/line_problem.hpp"
 #include "obs/trace.hpp"
 #include "test_util.hpp"
+#include "workload/line_gen.hpp"
 #include "workload/scenario.hpp"
 
 namespace treesched {
@@ -37,11 +40,26 @@ using testutil::require_feasible;
 using testutil::small_line_problem;
 using testutil::small_tree_problem;
 
+// Whether some epoch's consecutive raise rows lie three or more stages
+// apart: the stages between them were idle, and the incremental engine
+// skipped them with one jump that had to land on the later row's stage.
+bool has_multi_stage_jump(const std::vector<StackTag>& tags) {
+  for (std::size_t k = 1; k < tags.size(); ++k)
+    if (tags[k].group == tags[k - 1].group &&
+        tags[k].stage >= tags[k - 1].stage + 3)
+      return true;
+  return false;
+}
+
 // Compares two runs field by field with exact equality.
 void expect_identical(const SolveResult& ref, const SolveResult& got,
                       const std::string& what) {
   EXPECT_EQ(ref.solution.selected, got.solution.selected) << what;
   EXPECT_EQ(ref.raise_stack, got.raise_stack) << what;
+  // The online warm-start cache splices rows by these tags and caches the
+  // final LHS, so both must match too.
+  EXPECT_EQ(ref.stack_tags, got.stack_tags) << what;
+  EXPECT_EQ(ref.final_lhs, got.final_lhs) << what;
   EXPECT_EQ(ref.stats.epochs, got.stats.epochs) << what;
   EXPECT_EQ(ref.stats.stages, got.stats.stages) << what;
   EXPECT_EQ(ref.stats.steps, got.stats.steps) << what;
@@ -69,22 +87,30 @@ void expect_identical(const SolveResult& ref, const SolveResult& got,
 
 // Runs the reference engine and the incremental engine (threads = 1 and
 // threads = 4) on the same problem/plan/config and demands bitwise
-// equality: all three runs must coincide exactly.  Returns the reference
-// run.
+// equality: all three runs must coincide exactly.  A nonzero luby_seed
+// gives each run a fresh LubyMis on that seed instead of GreedyMis.
+// Returns the reference run.
 SolveResult expect_parity(const Problem& p, const LayeredPlan& plan,
-                          SolverConfig config, const std::string& what) {
+                          SolverConfig config, const std::string& what,
+                          std::uint64_t luby_seed = 0) {
   config.keep_stack = true;
+  config.keep_lhs = true;
   config.count_messages = true;
+  const auto solve = [&](const SolverConfig& run_config) {
+    if (luby_seed == 0) return solve_with_plan(p, plan, run_config);
+    LubyMis oracle(p, luby_seed);
+    return solve_with_plan(p, plan, run_config, &oracle);
+  };
 
   SolverConfig central = config;
   central.engine = EngineImpl::kCentralReference;
-  const SolveResult ref = solve_with_plan(p, plan, central);
+  const SolveResult ref = solve(central);
 
   for (const int threads : {1, 4}) {
     SolverConfig incremental = config;
     incremental.engine = EngineImpl::kIncremental;
     incremental.threads = threads;
-    const SolveResult got = solve_with_plan(p, plan, incremental);
+    const SolveResult got = solve(incremental);
     expect_identical(ref, got,
                      what + " threads=" + std::to_string(threads));
     require_feasible(p, got.solution);
@@ -312,6 +338,122 @@ TEST(EngineParity, NonUniformCapacitiesAndXiOverride) {
           EXPECT_TRUE(std::isfinite(ref.stats.dual_upper_bound)) << what;
         }
       }
+    }
+  }
+}
+
+TEST(EngineParity, TinyHeightsJumpOverIdleStages) {
+  // Narrow-only problems with one demand pinned at h_min: xi = c/(c+h_min)
+  // runs ~c ln(1/eps)/h_min stages per epoch (~10^3 to ~10^6 here), nearly
+  // all idle, so the incremental engine jumps over almost every stage the
+  // central reference steps through, under both schedules and both
+  // oracles.
+  for (const double h_min : {1e-2, 1e-3, 1e-4}) {
+    LineProblem line(12, 1);
+    line.add_demand(0, 4, 3, 5.0, 0.5);
+    line.add_demand(1, 4, 2, 2.0, h_min);
+    line.add_demand(0, 7, 6, 3.0, 0.3);
+    line.add_demand(3, 9, 4, 4.0, 0.2);
+    const Problem line_p = line.lower();
+    const LayeredPlan line_plan = build_line_layered_plan(line_p);
+
+    TreeScenarioSpec spec;
+    spec.num_vertices = 12;
+    spec.num_networks = 2;
+    spec.demands.num_demands = 5;
+    spec.demands.heights = HeightLaw::kNarrowOnly;
+    spec.demands.profit_max = 20.0;
+    spec.seed = 17;
+    Problem tree_p = make_tree_problem(spec);
+    tree_p.reopen();
+    tree_p.add_demand(0, 5, 7.0, h_min);
+    tree_p.finalize();
+    const LayeredPlan tree_plan =
+        build_tree_layered_plan(tree_p, DecompKind::kIdeal);
+
+    for (const bool lockstep : {false, true}) {
+      for (const std::uint64_t luby_seed : {0, 5}) {
+        SolverConfig config;
+        config.rule = RaiseRuleKind::kNarrow;
+        config.lockstep = lockstep;
+        char what[64];
+        std::snprintf(what, sizeof what, "h_min=%g lockstep=%d luby=%d",
+                      h_min, lockstep, static_cast<int>(luby_seed));
+        const SolveResult on_line = expect_parity(
+            line_p, line_plan, config, std::string("line ") + what,
+            luby_seed);
+        const SolveResult on_tree = expect_parity(
+            tree_p, tree_plan, config, std::string("tree ") + what,
+            luby_seed);
+        EXPECT_GE(on_line.stats.stages_per_epoch, 1000) << what;
+        EXPECT_GE(on_tree.stats.stages_per_epoch, 1000) << what;
+        EXPECT_TRUE(has_multi_stage_jump(on_line.stack_tags) ||
+                    has_multi_stage_jump(on_tree.stack_tags))
+            << what;
+      }
+    }
+  }
+}
+
+TEST(EngineParity, LaterEpochsIdleInEveryStage) {
+  // batch-line's pattern at a small size: a line with wide windows, so
+  // every demand has many placements.  The first epochs raise one
+  // placement of every demand, whose alpha then satisfies the other
+  // placements, so the later epochs find nobody unsatisfied in any
+  // stage: one scan and one jump each.
+  LineGenConfig cfg;
+  cfg.num_slots = 64;
+  cfg.num_resources = 2;
+  cfg.num_demands = 48;
+  cfg.min_proc_time = 2;
+  cfg.max_proc_time = 32;
+  cfg.window_slack = 2.0;
+  cfg.profit_max = 1e3;
+  Rng rng(1);
+  const Problem p = make_random_line_problem(cfg, rng).lower();
+  const LayeredPlan plan = build_line_layered_plan(p);
+  for (const bool lockstep : {false, true}) {
+    SolverConfig config;
+    config.lockstep = lockstep;
+    const SolveResult ref = expect_parity(
+        p, plan, config, "idle epochs lockstep=" + std::to_string(lockstep));
+    // Some epoch has members but no raise row: every stage was idle.
+    std::vector<char> raised(static_cast<std::size_t>(plan.num_groups), 0);
+    for (const StackTag& tag : ref.stack_tags)
+      raised[static_cast<std::size_t>(tag.group)] = 1;
+    int idle_epochs = 0;
+    for (int g = 0; g < plan.num_groups; ++g)
+      if (!plan.members[static_cast<std::size_t>(g)].empty() &&
+          !raised[static_cast<std::size_t>(g)])
+        ++idle_epochs;
+    EXPECT_GT(idle_epochs, 0) << "lockstep=" << lockstep;
+  }
+}
+
+TEST(EngineParity, JumpLandsOnFirstFailingStage) {
+  // Three demands on an 8-vertex line share one epoch.  Stage 1 raises
+  // the long demand, whose beta leaves the two short ones part-satisfied;
+  // each then passes every stage until the target first exceeds its
+  // level, so the epoch's next row lands after a run of idle stages.  The
+  // sweep over the middle demand's profit moves its level, and with it
+  // the landing stage (6 to 15 of 15); the tags must match the central
+  // reference's every time.
+  for (int k = 1; k <= 24; ++k) {
+    std::vector<TreeNetwork> networks;
+    networks.push_back(TreeNetwork::line(8));
+    Problem p(8, std::move(networks));
+    p.add_demand(0, 7, 10.0);
+    p.add_demand(3, 4, 0.25 * k);
+    p.add_demand(1, 3, 4.0);
+    p.finalize();
+    const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
+    for (const bool lockstep : {false, true}) {
+      SolverConfig config;
+      config.lockstep = lockstep;
+      const std::string what =
+          "k=" + std::to_string(k) + " lockstep=" + std::to_string(lockstep);
+      const SolveResult ref = expect_parity(p, plan, config, what);
+      EXPECT_TRUE(has_multi_stage_jump(ref.stack_tags)) << what;
     }
   }
 }

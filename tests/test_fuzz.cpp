@@ -1069,6 +1069,31 @@ TEST(Fuzz, NearZeroHeightsAreRejectedNotMiscertified) {
             testutil::exact_opt(p) - 1e-6);
 }
 
+TEST(Fuzz, StageDecayBaseWithin2ToTheMinus40OfOneIsRejected) {
+  // At eps = 0.999 the int stage-count rule admits 1 - xi down to ~4.7e-13,
+  // so the 2^-40 margin the idle-stage jump needs is the binding check:
+  // 1 - xi = 2^-40 (b ~ 1.1e9) is admitted, 1 - xi = 0.75 * 2^-40
+  // (b ~ 1.5e9, still a finite int) is rejected, whether xi is given or
+  // derived from h_min (Delta = 0 makes xi = 1/(1 + h_min)).
+  const double eps = 0.999;
+  ASSERT_LT(std::ceil(std::log(eps) / std::log(1.0 - 0x3p-42)),
+            std::numeric_limits<int>::max());
+  for (const RaiseRuleKind rule :
+       {RaiseRuleKind::kUnit, RaiseRuleKind::kNarrow}) {
+    const StageParams at =
+        class_stage_params(rule, 3, 0.5, eps, 1.0 - 0x1p-40);
+    EXPECT_GT(at.stages_per_epoch, 1000000000);
+    expect_diagnostic(
+        [&] { class_stage_params(rule, 3, 0.5, eps, 1.0 - 0x3p-42); },
+        std::string("xi override, rule ") + to_string(rule));
+  }
+  EXPECT_NO_THROW(
+      class_stage_params(RaiseRuleKind::kNarrow, 0, 0x1.1p-40, eps));
+  expect_diagnostic(
+      [&] { class_stage_params(RaiseRuleKind::kNarrow, 0, 0x3p-42, eps); },
+      "h_min = 0.75 * 2^-40");
+}
+
 TEST(Fuzz, ExactSolverOnDenseConflicts) {
   // Dense all-pairs conflicts: B&B must still complete quickly because
   // the per-demand branching collapses.

@@ -15,12 +15,14 @@
 #include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "decomp/layered.hpp"
 #include "dist/runtime.hpp"
 #include "dist/scheduler.hpp"
 #include "framework/two_phase.hpp"
 #include "obs/metrics.hpp"
 #include "test_util.hpp"
+#include "workload/line_gen.hpp"
 
 namespace treesched {
 namespace {
@@ -90,6 +92,27 @@ TEST(ObsTrace, SpansRecordNestingAndArgs) {
   EXPECT_EQ(spans[1].arg_val[1], 7);
   EXPECT_STREQ(spans[2].arg_key[0], "found");
   EXPECT_EQ(spans[2].arg_val[0], 42);
+}
+
+TEST(ObsTrace, LateArgsFillEverySlotThenDrop) {
+  TraceReset guard;
+  obs::enable_tracing();
+  {
+    obs::SpanGuard span("test", "four_args", "a", 1);
+    span.arg("b", 2);
+    span.arg("c", 3);
+    span.arg("d", 4);
+    span.arg("e", 5);  // no slot left
+  }
+  obs::disable_tracing();
+  const std::vector<obs::SpanRecord> spans = obs::collect_spans();
+  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_EQ(obs::kSpanArgs, 4);
+  for (int k = 0; k < obs::kSpanArgs; ++k) {
+    EXPECT_EQ(std::string(spans[0].arg_key[k]), std::string(1, 'a' + k));
+    EXPECT_EQ(spans[0].arg_val[k], k + 1);
+  }
+  EXPECT_NE(obs::chrome_trace_string().find("\"d\":4"), std::string::npos);
 }
 
 TEST(ObsTrace, MultiThreadMergeIsDeterministicAndTidsAreStable) {
@@ -358,6 +381,56 @@ TEST(ObsTrace, WireSpansAccountForEveryRoundStepped) {
   EXPECT_GT(stretches, 0);
   EXPECT_GT(idle, traffic);  // the schedule is mostly idle
   EXPECT_EQ(obs::trace_stats().overwritten, 0);
+}
+
+TEST(ObsTrace, EpochSpansCountScannedAndSkippedStages) {
+  // Each engine/epoch span says what its epoch did: its members, the
+  // stages it scanned and the idle stages it jumped over, which together
+  // make the schedule's stages per epoch.  On a line with wide windows
+  // the later epochs have nobody unsatisfied in any stage, so each shows
+  // as one scan.
+  TraceReset guard;
+  LineGenConfig cfg;
+  cfg.num_slots = 64;
+  cfg.num_resources = 2;
+  cfg.num_demands = 48;
+  cfg.min_proc_time = 2;
+  cfg.max_proc_time = 32;
+  cfg.window_slack = 2.0;
+  cfg.profit_max = 1e3;
+  Rng rng(1);
+  const Problem p = make_random_line_problem(cfg, rng).lower();
+  const LayeredPlan plan = build_line_layered_plan(p);
+  obs::enable_tracing();
+  const SolveResult run = solve_with_plan(p, plan, SolverConfig{});
+  obs::disable_tracing();
+
+  int epochs = 0, one_scan = 0;
+  for (const obs::SpanRecord& rec : obs::collect_spans()) {
+    if (std::string(rec.category) != "engine" ||
+        std::string(rec.name) != "epoch")
+      continue;
+    std::int64_t group = -1, members = -1, scanned = -1, skipped = -1;
+    for (int k = 0; k < obs::kSpanArgs; ++k) {
+      if (rec.arg_key[k] == nullptr) continue;
+      const std::string key = rec.arg_key[k];
+      if (key == "group") group = rec.arg_val[k];
+      if (key == "members") members = rec.arg_val[k];
+      if (key == "stages_scanned") scanned = rec.arg_val[k];
+      if (key == "stages_skipped") skipped = rec.arg_val[k];
+    }
+    ASSERT_GE(group, 0);
+    EXPECT_EQ(members,
+              static_cast<std::int64_t>(
+                  plan.members[static_cast<std::size_t>(group)].size()));
+    EXPECT_GE(scanned, 1);
+    EXPECT_GE(skipped, 0);
+    EXPECT_EQ(scanned + skipped, run.stats.stages_per_epoch);
+    ++epochs;
+    if (scanned == 1) ++one_scan;
+  }
+  EXPECT_EQ(epochs, run.stats.epochs);
+  EXPECT_GT(one_scan, 0);
 }
 
 #endif  // TREESCHED_TRACING_DISABLED

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "decomp/layered.hpp"
+#include "model/line_problem.hpp"
 #include "test_util.hpp"
 
 namespace treesched {
@@ -241,6 +242,33 @@ TEST(TwoPhase, EmptyMisResultDoesNotAbort) {
   }
 }
 
+TEST(TwoPhase, StageTotalsPast32Bits) {
+  // One wide demand and two narrow ones at h = 3e-8 on a 12-slot line:
+  // the narrow class runs 1,458,303,949 stages per epoch over two epochs,
+  // and the wide class 20 stages, so the run's stage total passes 2^31.
+  // Idle stages cost nothing, so this takes milliseconds; the central
+  // reference would step through every stage for minutes.
+  LineProblem line(12, 1);
+  line.add_demand(0, 10, 3, 5.0, 1.0);
+  line.add_demand(1, 8, 3, 2.0, 3e-8);
+  line.add_demand(0, 11, 6, 3.0, 3e-8);
+  const Problem p = line.lower();
+  const LayeredPlan plan = build_line_layered_plan(p);
+  const int budget = lockstep_step_budget(p, SolverConfig{}.lockstep_slack);
+  for (const bool lockstep : {false, true}) {
+    SolverConfig config;
+    config.lockstep = lockstep;
+    const SolveResult run = solve_height_split(p, plan, config);
+    EXPECT_EQ(run.stats.stages, 2916607918) << "lockstep=" << lockstep;
+    if (lockstep) {
+      EXPECT_EQ(run.stats.steps, run.stats.stages * budget);
+      EXPECT_EQ(run.stats.max_steps_in_stage, budget);
+    }
+    EXPECT_TRUE(run.stats.lockstep_ok) << "lockstep=" << lockstep;
+    require_feasible(p, run.solution);
+  }
+}
+
 TEST(TwoPhase, StatsMergeTakesWorstLambdaAndSums) {
   SolveStats a, b;
   a.steps = 3;
@@ -264,7 +292,7 @@ TEST(TwoPhase, StatsMergeCoversEveryField) {
   // The static_assert trips whenever the struct grows or shrinks; when
   // it fires, extend merge(), then teach THIS test the new field's merge
   // semantics, then update the expected size.
-  static_assert(sizeof(SolveStats) == 160,
+  static_assert(sizeof(SolveStats) == 176,
                 "SolveStats changed size: update SolveStats::merge and "
                 "TwoPhase.StatsMergeCoversEveryField");
 

@@ -187,9 +187,10 @@ void report(const Problem& problem, const Solution& solution, double bound,
                 stats.dual_upper_bound /
                     std::max(solution.profit(problem), 1e-9));
   if (stats.comm_rounds > 0)
-    std::printf("rounds: %lld (epochs %d, stages %d, steps %d)\n",
+    std::printf("rounds: %lld (epochs %d, stages %lld, steps %lld)\n",
                 static_cast<long long>(stats.comm_rounds), stats.epochs,
-                stats.stages, stats.steps);
+                static_cast<long long>(stats.stages),
+                static_cast<long long>(stats.steps));
   if (!stats.mis_ok)
     std::printf("warning: MIS budget exhausted in %lld step(s) — the run "
                 "degraded (mis_ok=false); quality certificates still hold "
