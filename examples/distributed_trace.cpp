@@ -66,12 +66,18 @@ int main() {
                                                    DecompKind::kIdeal);
   ProtocolOptions poptions;
   poptions.epsilon = 0.2;
+  poptions.keep_stack = true;  // the raise log: one row per raising tuple
   const ProtocolRunResult run =
       run_distributed_protocol(problem, plan, poptions);
   const auto report = check_feasibility(problem, run.solution);
-  std::printf("\nfull protocol run: %d epochs x %d stages x %d steps, "
-              "Luby budget %d\n", run.epochs, run.stages_per_epoch,
-              run.steps_per_stage, run.luby_budget);
+  std::printf("\nfull protocol run: %d epochs, %d steps per stage, "
+              "Luby budget %d\n", run.epochs, run.steps_per_stage,
+              run.luby_budget);
+  for (const ProtocolPass& pass : run.passes)
+    std::printf("  %s pass: %d stages per epoch, %lld tuples, %zu raising\n",
+                to_string(pass.rule), pass.stages_per_epoch,
+                static_cast<long long>(pass.tuples),
+                pass.raise_stack.size());
   std::printf("  rounds %lld (%lld discovery), messages %lld (%lld bytes); "
               "duals sharded per processor\n",
               static_cast<long long>(run.rounds),

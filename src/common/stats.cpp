@@ -1,5 +1,6 @@
 #include "common/stats.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/prelude.hpp"

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@ class RunningStats {
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const;  // sample variance (n-1 denominator)
-  double stddev() const { return std::sqrt(variance()); }
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return sum_; }

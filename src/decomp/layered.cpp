@@ -92,19 +92,13 @@ LayeredPlan build_tree_layered_plan(const Problem& problem, DecompKind kind,
 LayeredPlan build_tree_layered_plan(
     const Problem& problem, const std::vector<TreeDecomposition>& decomps,
     bool mu_wings_only) {
-  TS_REQUIRE(problem.finalized());
-  TS_REQUIRE(static_cast<int>(decomps.size()) == problem.num_networks());
+  // An empty plan extended over every instance: the group count is the
+  // only thing the extension does not derive.
   LayeredPlan plan;
-  plan.group.assign(static_cast<std::size_t>(problem.num_instances()), 0);
-  plan.critical.assign(static_cast<std::size_t>(problem.num_instances()), {});
-
   plan.num_groups = 1;
   for (const auto& d : decomps)
     plan.num_groups = std::max(plan.num_groups, d.max_depth());
-
-  for (InstanceId i = 0; i < problem.num_instances(); ++i)
-    plan_tree_instance(problem, decomps, mu_wings_only, i, plan);
-  finalize_plan(problem, plan);
+  extend_tree_layered_plan(problem, decomps, plan, mu_wings_only);
   return plan;
 }
 

@@ -54,7 +54,8 @@ LayeredPlan build_tree_layered_plan(const Problem& problem, DecompKind kind,
 // on the demand set, so a caller whose demands churn against a fixed
 // topology (the online scheduler) computes them once and rebuilds the
 // per-instance plan cheaply per batch.  build_tree_layered_plan(problem,
-// kind) is exactly this with freshly built decompositions.
+// kind) is exactly this with freshly built decompositions, and this is
+// extend_tree_layered_plan run on an empty plan.
 LayeredPlan build_tree_layered_plan(
     const Problem& problem, const std::vector<TreeDecomposition>& decomps,
     bool mu_wings_only = false);

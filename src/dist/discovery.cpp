@@ -58,7 +58,7 @@ DiscoveredNeighborhoods discover_conflicts(const Problem& problem,
   result.neighbors.resize(members.size());
   if (k == 0) return result;
 
-  const int rounds_before = rt.round();
+  const std::int64_t rounds_before = rt.round();
   const std::int64_t messages_before = rt.messages_sent();
   const std::int64_t bytes_before = rt.bytes_sent();
 

@@ -236,10 +236,9 @@ MisResult LubyMis::run(std::span<const InstanceId> candidates) {
 // as a modeled oracle (see header).
 
 ProtocolLubyMis::ProtocolLubyMis(const Problem& problem, std::uint64_t seed,
-                                 int luby_budget, int max_retries)
+                                 int luby_budget)
     : budget_(luby_budget > 0 ? luby_budget
                               : default_luby_budget(problem.num_instances())),
-      max_retries_(std::max(max_retries, 0)),
       streams_(make_node_streams(seed, problem.num_instances())),
       cliques_(problem) {
   TS_REQUIRE(budget_ >= 1);
@@ -273,7 +272,7 @@ MisResult ProtocolLubyMis::run(std::span<const InstanceId> candidates) {
   // Unlike the fixed main schedule, retry rounds are adaptive: only
   // iterations actually executed are charged (2 rounds each).
   int attempt = 0;
-  while (!live.empty() && attempt < max_retries_) {
+  while (!live.empty() && attempt < kMisMaxRetries) {
     ++attempt;
     ++result.retries;
     const int extra = budget_ << attempt;

@@ -52,14 +52,13 @@ std::vector<Rng> make_node_streams(std::uint64_t seed, int count);
 // the modeled mirror oracle and the tests derive the same number.
 int default_luby_budget(int n);
 
-// Adaptive budget retry: when a fixed-budget MIS stage ends with
-// undecided nodes, the stage re-runs with the budget doubled (2x, then
-// 4x, ...) up to this many attempts before accepting the leftover as
-// undecided — the starved stage recovers instead of silently degrading
-// into mis_ok=false.  Shared default of the modeled oracle
-// (ProtocolLubyMis) and the wire protocol (ProtocolOptions) so their
-// lockstep parity is preserved.
-inline constexpr int kDefaultMisMaxRetries = 2;
+// Adaptive budget retry: when a fixed-budget MIS computation ends with
+// undecided nodes, it re-runs with the budget doubled (2x, then 4x) up to
+// this many attempts before accepting the leftover as undecided — the
+// starved step recovers instead of silently degrading into mis_ok=false.
+// One constant, not a setting: the wire protocol and its modeled twin
+// ProtocolLubyMis both read it, so their lockstep parity cannot drift.
+inline constexpr int kMisMaxRetries = 2;
 
 // Outcome of a message-level Luby run: selected member indexes plus the
 // Runtime's accounting, with the discovery share broken out (totals
@@ -185,24 +184,20 @@ class LubyMis : public MisOracle {
 // parity suite (tests/test_protocol_parity.cpp) compares with ==.
 class ProtocolLubyMis : public MisOracle {
  public:
-  // `luby_budget` <= 0 derives default_luby_budget(num_instances).
-  // `max_retries` bounds the adaptive budget retry: a run() whose fixed
-  // budget ends with undecided candidates re-runs with the budget
-  // doubled per attempt (2x, 4x, ...), up to max_retries attempts,
-  // reporting the attempts in MisResult::retries and the extra
-  // iterations in MisResult::rounds.  0 restores the old silent-degrade
-  // behavior.
+  // `luby_budget` <= 0 derives default_luby_budget(num_instances).  A
+  // run() whose fixed budget ends with undecided candidates re-runs with
+  // the budget doubled per attempt (2x, 4x), up to kMisMaxRetries
+  // attempts, reporting the attempts in MisResult::retries and the extra
+  // iterations in MisResult::rounds.
   ProtocolLubyMis(const Problem& problem, std::uint64_t seed,
-                  int luby_budget = 0, int max_retries = kDefaultMisMaxRetries);
+                  int luby_budget = 0);
 
   MisResult run(std::span<const InstanceId> candidates) override;
 
   int luby_budget() const { return budget_; }
-  int max_retries() const { return max_retries_; }
 
  private:
   int budget_ = 1;
-  int max_retries_ = kDefaultMisMaxRetries;
   std::vector<Rng> streams_;  // one per instance
   CliqueLuby cliques_;
 };

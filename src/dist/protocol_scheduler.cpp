@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/rng.hpp"
 #include "dist/discovery.hpp"
@@ -22,12 +21,6 @@ namespace {
 // the rendezvous rounds (kTagRegister/kTagBucket).
 constexpr int kTagRaise = 2;  // payload: encode_raise() wire format
 constexpr int kTagKeep = 3;   // phase 2: {}
-
-// The wire's adaptive MIS retry bound must track the mirror oracle's
-// default, or the lockstep engine parity (compared with ==) breaks.
-static_assert(ProtocolOptions{}.mis_max_retries == kDefaultMisMaxRetries,
-              "ProtocolOptions::mis_max_retries must equal "
-              "kDefaultMisMaxRetries (dist/luby_mis.hpp)");
 
 // State shared by the passes of one protocol run: the runtime, the
 // discovered neighborhoods, and the per-processor random streams.  The
@@ -108,12 +101,9 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
 
   const auto unsatisfied = [&](InstanceId i, double target) {
     // A purely local test: the shard holds every variable of i's
-    // constraint, kept current by the applied raise propagations.  The
-    // ordered (ascending-edge) beta walk replays the central DualState's
-    // float operation order — the engine-parity suite compares with ==.
+    // constraint, kept current by the applied raise propagations.
     const DemandInstance& inst = problem.instance(i);
-    return shard[static_cast<std::size_t>(i)].lhs_ordered(
-               rule.beta_coeff(inst)) <
+    return shard[static_cast<std::size_t>(i)].lhs(rule.beta_coeff(inst)) <
            target * inst.profit - kEps * inst.profit;
   };
   // Drains every inbox holding mail, applying raise propagations to the
@@ -137,24 +127,28 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
   };
 
   // ---- Phase 1: raise, one fixed-length tuple at a time -------------------
-  // The internal stack keeps one entry per tuple (idle tuples included)
-  // so phase 2 can replay the full fixed schedule; the *reported* stack
-  // strips the empty entries, matching the modeled engine's.
-  std::vector<std::vector<InstanceId>> stack;
-  // Raise amounts, parallel to `stack` (one entry per winner, in raise
-  // order): the degraded-mode certificate replays them centrally.
+  // Every tuple is stepped, idle or not, but only a *raising* tuple is
+  // logged: its index in the fixed schedule, its sorted winners (a row of
+  // pass.raise_stack, the modeled engine's stack) and their raise
+  // amounts (which the degraded-mode certificate replays).  The log costs
+  // O(raises), however long the schedule.
+  std::vector<std::vector<InstanceId>>& rows = pass.raise_stack;
   std::vector<std::vector<double>> amount_log;
+  std::vector<std::int64_t> row_tuple;
+  std::vector<int> participants;
+  std::vector<InstanceId> winners;
   std::vector<double> increments;
+  std::int64_t tuple = 0;
 
   for (int g = 0; g < plan.num_groups; ++g) {
     const auto& members = plan.members[static_cast<std::size_t>(g)];
     for (int j = 1; j <= pass.stages_per_epoch; ++j) {
       const double target = 1.0 - std::pow(pass.xi, j);
       TRACE_SPAN2("protocol", "stage", "epoch", g, "stage", j);
-      for (int s = 0; s < pass.steps_per_stage; ++s) {
+      for (int s = 0; s < pass.steps_per_stage; ++s, ++tuple) {
         // Participants: the pass's group members still below the stage
         // target (a local test against the processor's own shard).
-        std::vector<int> participants;
+        participants.clear();
         for (InstanceId i : members)
           if (active[static_cast<std::size_t>(i)] && unsatisfied(i, target))
             participants.push_back(i);
@@ -162,26 +156,26 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
 
         // Luby MIS, exactly luby_budget iterations of 2 rounds each.
         // Decided processors sit out the remaining iterations in silence.
-        std::vector<InstanceId> winners;
+        winners.clear();
         for (int iter = 0; iter < luby_budget; ++iter) {
           const std::vector<int> won = luby_iteration(
               neighbors, st.rt, participants, st.live, st.draw, st.node_rng);
           winners.insert(winners.end(), won.begin(), won.end());
         }
         // Adaptive budget retry: a starved step re-runs with the budget
-        // doubled per attempt, up to options.mis_max_retries attempts —
-        // the same loop (condition order, early exit, stream
-        // consumption) as the mirror oracle ProtocolLubyMis::run, so the
-        // engine parity stays exact.  The extra rounds are the adaptive
-        // part of the otherwise-fixed schedule, broken out into
-        // mis_retry_rounds to keep the round identity checkable.
+        // doubled per attempt, up to kMisMaxRetries attempts — the same
+        // loop (condition order, early exit, stream consumption) as the
+        // mirror oracle ProtocolLubyMis::run, so the engine parity stays
+        // exact.  The extra rounds are the adaptive part of the
+        // otherwise-fixed schedule, broken out into mis_retry_rounds to
+        // keep the round identity checkable.
         const auto any_live = [&] {
           for (int v : participants)
             if (st.live[static_cast<std::size_t>(v)]) return true;
           return false;
         };
         int attempt = 0;
-        while (attempt < options.mis_max_retries && any_live()) {
+        while (attempt < kMisMaxRetries && any_live()) {
           ++attempt;
           ++pass.mis_retries;
           TRACE_COUNTER("protocol.mis_retries", 1);
@@ -210,19 +204,21 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
         // rule is capacity-aware — so the wire format carries the
         // non-uniform rules unchanged.
         std::sort(winners.begin(), winners.end());
-        std::vector<double>& amounts = amount_log.emplace_back();
-        amounts.reserve(winners.size());
+        if (!winners.empty()) {
+          row_tuple.push_back(tuple);
+          rows.push_back(winners);
+          amount_log.emplace_back().reserve(winners.size());
+        }
         for (InstanceId i : winners) {
           const DemandInstance& inst = problem.instance(i);
           const auto& critical = plan.critical[static_cast<std::size_t>(i)];
           DualShard& mine = shard[static_cast<std::size_t>(i)];
-          const double slack =
-              inst.profit - mine.lhs_ordered(rule.beta_coeff(inst));
+          const double slack = inst.profit - mine.lhs(rule.beta_coeff(inst));
           // tight_raise is the same call the modeled engine makes — one
           // raise arithmetic for every implementation.
           const double amount =
               rule.tight_raise(inst, critical, slack, increments);
-          amounts.push_back(amount);
+          amount_log.back().push_back(amount);
           mine.raise_alpha(amount);
           for (std::size_t c = 0; c < critical.size(); ++c)
             mine.raise_beta(critical[c], increments[c]);
@@ -234,7 +230,6 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
         }
         st.rt.step();
         drain_and_apply();
-        stack.push_back(std::move(winners));
       }
       // Lemma 5.1: the fixed step budget must have satisfied the stage.
       for (InstanceId i : members)
@@ -242,21 +237,27 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
           pass.schedule_ok = false;
     }
   }
+  pass.tuples = tuple;
 
   // ---- Phase 2: reverse replay, 1 keep/drop round per tuple ---------------
+  // The tuple indices run backwards; a logged tuple posts its kept
+  // winners' keep notifications, an idle one is a silent round.
   TRACE_SPAN("protocol", "phase2_replay");
-  pass.solution = prune_stack(problem, stack);
+  pass.solution = prune_stack(problem, rows);
   std::vector<char> kept(static_cast<std::size_t>(std::max(n, 1)), 0);
   for (InstanceId i : pass.solution.selected)
     kept[static_cast<std::size_t>(i)] = 1;
   std::vector<char> announced(static_cast<std::size_t>(std::max(n, 1)), 0);
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-    for (InstanceId i : *it) {
-      if (!kept[static_cast<std::size_t>(i)]) continue;
-      if (announced[static_cast<std::size_t>(i)]) continue;
-      announced[static_cast<std::size_t>(i)] = 1;
-      for (int u : neighbors[static_cast<std::size_t>(i)])
-        st.rt.post(Message{i, u, kTagKeep, {}});
+  std::size_t row = rows.size();
+  for (std::int64_t t = pass.tuples - 1; t >= 0; --t) {
+    if (row > 0 && row_tuple[row - 1] == t) {
+      for (InstanceId i : rows[--row]) {
+        if (!kept[static_cast<std::size_t>(i)]) continue;
+        if (announced[static_cast<std::size_t>(i)]) continue;
+        announced[static_cast<std::size_t>(i)] = 1;
+        for (int u : neighbors[static_cast<std::size_t>(i)])
+          st.rt.post(Message{i, u, kTagKeep, {}});
+      }
     }
     st.rt.step();
     st.rt.drain_mail([](int, const std::vector<Message>&) {});
@@ -273,7 +274,7 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
   for (InstanceId i = 0; i < n; ++i) {
     const DemandInstance& inst = problem.instance(i);
     const double lhs =
-        shard[static_cast<std::size_t>(i)].lhs_ordered(rule.beta_coeff(inst));
+        shard[static_cast<std::size_t>(i)].lhs(rule.beta_coeff(inst));
     pass.final_lhs[static_cast<std::size_t>(i)] = lhs;
     if (!active[static_cast<std::size_t>(i)]) continue;
     const double level = lhs / inst.profit;
@@ -282,30 +283,23 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
   }
   pass.lambda_observed = any ? lambda : 1.0;
 
-  pass.tuples = static_cast<std::int64_t>(pass.epochs) *
-                pass.stages_per_epoch * pass.steps_per_stage;
   pass.rounds = st.rt.round() - rounds_before;
   pass.messages = st.rt.messages_sent() - messages_before;
   pass.bytes = st.rt.bytes_sent() - bytes_before;
 
   // Degraded-mode contract: if the recovery layer lost a frame, the
   // shard-reported certificate may undercount — re-validate it against a
-  // central replay of the raises actually applied (framework/certify.hpp)
-  // before the stack is handed off below.
+  // central replay of the logged raises (framework/certify.hpp).
   pass.degraded = st.rt.degraded();
   if (pass.degraded) {
     const ShardCertificate cert = validate_shard_certificate(
-        problem, plan, rule, stack, amount_log,
+        problem, plan, rule, rows, amount_log,
         {pass.final_lhs.data(), pass.final_lhs.size()}, pass.lambda_observed,
         active);
     pass.certificate_ok = cert.valid;
   }
 
-  if (options.keep_stack) {
-    pass.raise_stack.reserve(stack.size());
-    for (auto& step : stack)
-      if (!step.empty()) pass.raise_stack.push_back(std::move(step));
-  }
+  if (!options.keep_stack) pass.raise_stack = {};
   return pass;
 }
 
@@ -335,15 +329,6 @@ ProtocolRunResult init_result(const Problem& problem, const LayeredPlan& plan,
   result.steps_per_stage =
       lockstep_step_budget(problem, options.lockstep_slack);
   return result;
-}
-
-// Mirrors a lone pass into the top-level convenience fields.
-void mirror_single_pass(ProtocolRunResult& result, bool keep_stack) {
-  const ProtocolPass& pass = result.passes.front();
-  result.stages_per_epoch = pass.stages_per_epoch;
-  result.solution = pass.solution;
-  result.final_lhs = pass.final_lhs;
-  if (keep_stack) result.raise_stack = pass.raise_stack;
 }
 
 void finish_run(ProtocolRunResult& result, const ProtocolState& st) {
@@ -392,7 +377,7 @@ ProtocolRunResult run_distributed_protocol(const Problem& problem,
   if (n > 0) {
     result.passes.push_back(run_pass(problem, plan, options.rule, all,
                                      options, result.luby_budget, st));
-    mirror_single_pass(result, options.keep_stack);
+    result.solution = result.passes.front().solution;
   }
   finish_run(result, st);
   return result;
@@ -420,7 +405,7 @@ ProtocolRunResult run_height_split_protocol(const Problem& problem,
                                      result.luby_budget, st));
 
   if (result.passes.size() == 1) {
-    mirror_single_pass(result, options.keep_stack);
+    result.solution = result.passes.front().solution;
   } else if (result.passes.size() == 2) {
     // Per-network better-of combination (paper, Theorem 6.3): the same
     // helper the modeled solve_height_split uses — the two entry points

@@ -38,6 +38,9 @@
 // Luby protocol plus 1 dual-propagation round, whether or not any work
 // remains — idle processors execute the rounds in silence.  Phase 2
 // replays the tuples in reverse, 1 round each (keep/drop notification).
+// Every tuple is stepped, but only a tuple whose MIS raised somebody is
+// stored (ProtocolPass::raise_stack), so a pass holds O(n + raises)
+// state however long its fixed schedule runs.
 // A two-pass run additionally charges the per-network better-of
 // combination an honest converge-cast (better_of_convergecast_rounds in
 // framework/two_phase.hpp: the profit totals cast up each tree, the
@@ -61,7 +64,7 @@
 // selected set, raise stack, per-instance final LHS (also against a
 // central DualState replay) and lambda, bit for bit.  To that end every
 // satisfaction test and slack computation reads the shard through
-// lhs_ordered (the ascending-edge beta walk), the float-for-float
+// DualShard::lhs, whose ascending-edge beta walk is the float-for-float
 // operation order of the central DualState.
 #pragma once
 
@@ -89,6 +92,8 @@ struct ProtocolOptions {
   // SolverConfig::lockstep_slack of the modeled engine).
   int lockstep_slack = 2;
   // Luby iterations per MIS computation; 0 derives default_luby_budget(n).
+  // A starved computation retries with a doubled budget, up to
+  // kMisMaxRetries (dist/luby_mis.hpp) times.
   int luby_budget = 0;
   // Retain the per-pass raise stacks in the result (test oracle for the
   // central-replay and engine parity checks).
@@ -104,13 +109,6 @@ struct ProtocolOptions {
   // to the fault-free run; when the retransmit budget exhausts, the run
   // is flagged degraded and its certificate is re-validated centrally.
   FaultPlan faults;
-  // Adaptive MIS budget retry bound: a step whose fixed Luby budget
-  // leaves undecided participants re-runs with the budget doubled per
-  // attempt, up to this many attempts (0 = old silent-degrade
-  // behavior).  Must equal the mirror oracle's default
-  // (kDefaultMisMaxRetries in dist/luby_mis.hpp, asserted there) or the
-  // lockstep parity with the modeled engine breaks.
-  int mis_max_retries = 2;
 };
 
 // One executed pass of the protocol: a raising rule over an instance
@@ -159,18 +157,18 @@ struct ProtocolPass {
   // so the whole vector must match a central DualState replay of the
   // pass's raise stack (and does, exactly).
   std::vector<double> final_lhs;
-  // One entry per *raising* phase-1 step in raise order (idle tuples
-  // contribute no entry, matching the modeled engine's stack exactly);
-  // only when keep_stack.
+  // The pass's raise log: one row per *raising* tuple, in raise order,
+  // holding its winners in ascending id — exactly the modeled engine's
+  // stack.  Idle tuples leave no row.  Phase 2 and the degraded-mode
+  // certificate read it; the result keeps it only when keep_stack.
   std::vector<std::vector<InstanceId>> raise_stack;
 };
 
 struct ProtocolRunResult {
   Solution solution;
-  // The fixed schedule of a single-pass run (mirrors passes[0]; for a
-  // two-pass run stages_per_epoch differs per pass and is left 0 here).
+  // The schedule scalars every pass shares.  Stage counts, raise stacks
+  // and final LHS are per pass: read them from passes[].
   int epochs = 0;
-  int stages_per_epoch = 0;
   int steps_per_stage = 0;
   int luby_budget = 0;
   // Runtime accounting (totals include the discovery share, which is
@@ -196,10 +194,6 @@ struct ProtocolRunResult {
   bool schedule_ok = true;
   // Merged slackness over the passes (min, as SolveStats::merge takes it).
   double lambda_observed = 0.0;
-  // Single-pass conveniences mirroring passes[0] (kept for the existing
-  // oracles; empty/unset on a two-pass run, use passes[] there).
-  std::vector<double> final_lhs;
-  std::vector<std::vector<InstanceId>> raise_stack;
   // One entry per executed pass (an instance class with no members is
   // skipped and contributes no pass, like the modeled height split).
   std::vector<ProtocolPass> passes;

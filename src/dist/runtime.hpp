@@ -102,7 +102,7 @@ class Runtime {
   }
 
   int num_nodes() const { return num_nodes_; }
-  int round() const { return round_; }
+  std::int64_t round() const { return round_; }
   std::int64_t messages_sent() const { return messages_sent_; }
   std::int64_t bytes_sent() const { return bytes_sent_; }
 
@@ -143,7 +143,7 @@ class Runtime {
   std::vector<std::uint8_t> node_flags_;      // kStaged | kHasMail | kListed
   std::vector<int> staged_;  // nodes posted to since the last step()
   std::vector<int> mail_;    // nodes listed for the next drain_mail()
-  int round_ = 0;
+  std::int64_t round_ = 0;
   std::int64_t messages_sent_ = 0;
   std::int64_t bytes_sent_ = 0;
   // Trace marks: where the current round (or idle stretch) began (-1 =

@@ -25,7 +25,6 @@ bool DualShard::raise_beta(EdgeId e, double amount) {
   if (idx < 0) return false;
   TS_DCHECK(amount >= 0.0);
   beta_[static_cast<std::size_t>(idx)] += amount;
-  beta_sum_ += amount;
   return true;
 }
 

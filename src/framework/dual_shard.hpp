@@ -39,35 +39,28 @@ class DualShard {
   DemandId demand() const { return demand_; }
   double alpha() const { return alpha_; }
   double beta(EdgeId e) const;  // 0 when e is off the local path
-  double beta_sum() const { return beta_sum_; }
 
-  // LHS of the local dual constraint under the rule's beta coefficient.
-  double lhs(double beta_coeff) const {
-    return alpha_ + beta_coeff * beta_sum_;
-  }
-
-  // Ordered beta sum: accumulates beta_ in ascending-edge order, exactly
-  // the walk DualState::beta_sum performs over the same path.  The running
-  // beta_sum_ adds increments in *arrival* order instead, which is the
-  // same real number but not always the same double.  The message-level
-  // protocol uses this form so its satisfaction tests and raise amounts
-  // are bit-identical to the modeled engine — the parity suite
-  // (tests/test_protocol_parity.cpp) compares them with ==, not
-  // tolerances.
-  double beta_sum_ordered() const {
+  // The beta sum over the local path, accumulated in ascending-edge
+  // order: exactly the walk DualState::beta_sum performs over the same
+  // path.  (A running sum would add increments in *arrival* order, the
+  // same real number but not always the same double.)  So the protocol's
+  // satisfaction tests and raise amounts are bit-identical to the
+  // modeled engine's — the parity suite (tests/test_protocol_parity.cpp)
+  // compares them with ==, not tolerances.
+  double beta_sum() const {
     double s = 0.0;
     for (double b : beta_) s += b;
     return s;
   }
-  double lhs_ordered(double beta_coeff) const {
-    return alpha_ + beta_coeff * beta_sum_ordered();
+  // LHS of the local dual constraint under the rule's beta coefficient.
+  double lhs(double beta_coeff) const {
+    return alpha_ + beta_coeff * beta_sum();
   }
 
   void raise_alpha(double amount);
   // Applies the increment when e is on the local path; returns whether it
   // was.  (Remote raises legitimately carry edges this shard ignores.)
   bool raise_beta(EdgeId e, double amount);
-  int path_length() const { return static_cast<int>(edges_.size()); }
 
   // Applies a neighbor's raise notification (encode_raise wire format).
   void apply_raise(std::span<const double> payload);
@@ -79,7 +72,6 @@ class DualShard {
   std::vector<EdgeId> edges_;  // sorted ascending
   std::vector<double> beta_;   // parallel to edges_
   double alpha_ = 0.0;
-  double beta_sum_ = 0.0;
 };
 
 // Wire format of a kTagRaise payload:

@@ -47,7 +47,6 @@ class RaiseRule {
         capacity_aware_(capacity_aware) {}
 
   RaiseRuleKind kind() const { return kind_; }
-  bool raises_alpha() const { return raise_alpha_; }
 
   // Coefficient of the beta-sum in the dual constraint LHS: 1 for the
   // unit LP, h(d) for the height LP.

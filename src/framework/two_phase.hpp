@@ -431,6 +431,8 @@ struct StageParams {
   double h_min = 1.0;
   double xi = 0.0;
   int stages_per_epoch = 1;
+
+  friend bool operator==(const StageParams&, const StageParams&) = default;
 };
 StageParams derive_stage_params(const Problem& problem,
                                 const LayeredPlan& plan,

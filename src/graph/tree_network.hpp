@@ -56,12 +56,7 @@ class TreeNetwork {
   // Rooted-at-0 structure used internally for LCA; exposed because the
   // root-fixing decomposition and several tests reuse it.
   VertexId parent(VertexId v) const { check_vertex(v); return parent_[v]; }
-  EdgeId parent_edge(VertexId v) const {
-    check_vertex(v);
-    return parent_edge_[v];
-  }
   int depth(VertexId v) const { check_vertex(v); return depth_[v]; }
-  const std::vector<VertexId>& bfs_order() const { return bfs_order_; }
 
   // Lowest common ancestor w.r.t. the internal root (vertex 0).
   VertexId lca(VertexId u, VertexId v) const;

@@ -249,9 +249,4 @@ void save_solution(const std::string& path, const Solution& solution) {
   write_solution(os, solution);
 }
 
-Solution load_solution(const std::string& path) {
-  auto is = open_in(path);
-  return read_solution(is);
-}
-
 }  // namespace treesched

@@ -27,6 +27,5 @@ Solution read_solution(std::istream& is);
 void save_problem(const std::string& path, const Problem& problem);
 Problem load_problem(const std::string& path);
 void save_solution(const std::string& path, const Solution& solution);
-Solution load_solution(const std::string& path);
 
 }  // namespace treesched

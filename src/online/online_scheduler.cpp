@@ -23,12 +23,6 @@ bool in_class(const DemandInstance& inst, RaiseRuleKind rule) {
                                       : !is_wide_instance(inst);
 }
 
-bool params_equal(const StageParams& a, const StageParams& b) {
-  return a.any_active == b.any_active && a.delta == b.delta &&
-         a.h_min == b.h_min && a.xi == b.xi &&
-         a.stages_per_epoch == b.stages_per_epoch;
-}
-
 // Combines the per-class artifacts exactly as solve_height_split does:
 // better-of per network when both classes ran, pass-through otherwise.
 void combine_classes(const Problem& problem, OnlineSolveArtifacts& out) {
@@ -73,7 +67,7 @@ OnlineScheduler::OnlineScheduler(const Problem& base, OnlineConfig config)
   records_.reserve(static_cast<std::size_t>(base.num_demands()));
   for (DemandId d = 0; d < base.num_demands(); ++d) {
     const Demand& dem = base.demand(d);
-    DemandRecord rec;
+    SnapshotDemandRecord rec;
     rec.u = dem.u;
     rec.v = dem.v;
     rec.profit = dem.profit;
@@ -109,16 +103,8 @@ OnlineScheduler::OnlineScheduler(const Problem& base, OnlineConfig config,
                 "snapshot: record endpoint out of range for this base");
     check_input(index_of_key_.find(r.key) == index_of_key_.end(),
                 "snapshot: duplicate demand key");
-    DemandRecord rec;
-    rec.u = r.u;
-    rec.v = r.v;
-    rec.profit = r.profit;
-    rec.height = r.height;
-    rec.access = r.access;
-    rec.key = r.key;
-    rec.alive = r.alive;
-    index_of_key_[rec.key] = static_cast<int>(records_.size());
-    records_.push_back(std::move(rec));
+    index_of_key_[r.key] = static_cast<int>(records_.size());
+    records_.push_back(r);
     if (r.alive)
       ++live_demands_;
     else
@@ -140,18 +126,7 @@ OnlineScheduler::OnlineScheduler(const Problem& base, OnlineConfig config,
 SchedulerSnapshot OnlineScheduler::capture() const {
   SchedulerSnapshot snap;
   snap.batches_applied = static_cast<std::uint32_t>(batches_applied_);
-  snap.records.reserve(records_.size());
-  for (const DemandRecord& rec : records_) {
-    SnapshotDemandRecord r;
-    r.u = rec.u;
-    r.v = rec.v;
-    r.profit = rec.profit;
-    r.height = rec.height;
-    r.access = rec.access;
-    r.key = rec.key;
-    r.alive = rec.alive;
-    snap.records.push_back(std::move(r));
-  }
+  snap.records = records_;
   capture_class(wide_, snap.wide);
   capture_class(narrow_, snap.narrow);
   return snap;
@@ -160,7 +135,7 @@ SchedulerSnapshot OnlineScheduler::capture() const {
 void OnlineScheduler::capture_class(const ClassState& cls,
                                     ClassSnapshot& out) const {
   out.valid = cls.valid;
-  out.set_params(cls.params);
+  out.params = cls.params;
   out.mask = cls.mask;
   out.components.clear();
   if (!cls.valid) return;
@@ -171,20 +146,13 @@ void OnlineScheduler::capture_class(const ClassState& cls,
   for (int c = 0; c < comps; ++c) {
     const auto it = cls.cache.find(cls.forest.component_members(c).front());
     TS_REQUIRE(it != cls.cache.end());
-    const CompCache& cc = it->second;
-    SnapshotComponent sc;
-    sc.members = cc.members;
-    sc.rows = cc.rows;
-    sc.tags = cc.tags;
-    sc.lhs = cc.lhs;
-    sc.lambda = cc.lambda;
-    out.components.push_back(std::move(sc));
+    out.components.push_back(it->second);
   }
 }
 
 void OnlineScheduler::restore_class(ClassState& cls,
                                     const ClassSnapshot& snap) {
-  cls.params = snap.params();
+  cls.params = snap.params;
   cls.mask = snap.mask;
   cls.valid = snap.valid;
   cls.cache.clear();
@@ -210,13 +178,7 @@ void OnlineScheduler::restore_class(ClassState& cls,
     check_input(sc.lhs.size() == sc.members.size() &&
                     sc.tags.size() == sc.rows.size(),
                 "snapshot: component cache shape mismatch");
-    CompCache cc;
-    cc.members = sc.members;
-    cc.rows = sc.rows;
-    cc.tags = sc.tags;
-    cc.lhs = sc.lhs;
-    cc.lambda = sc.lambda;
-    cls.cache.emplace(cc.members.front(), std::move(cc));
+    cls.cache.emplace(sc.members.front(), sc);
   }
 }
 
@@ -234,7 +196,7 @@ void OnlineScheduler::rebuild_problem() {
     p.reopen();
     for (std::size_t r = static_cast<std::size_t>(old_demands);
          r < records_.size(); ++r) {
-      const DemandRecord& rec = records_[r];
+      const SnapshotDemandRecord& rec = records_[r];
       const DemandId d = p.add_demand(rec.u, rec.v, rec.profit, rec.height);
       if (!rec.access.empty()) p.set_access(d, rec.access);
     }
@@ -254,7 +216,7 @@ void OnlineScheduler::rebuild_problem() {
     // Every record is materialized — dead ones included.  Tombstones keep
     // demand and instance ids append-stable between compactions, which is
     // what lets the per-component caches survive a batch.
-    for (const DemandRecord& rec : records_) {
+    for (const SnapshotDemandRecord& rec : records_) {
       const DemandId d = p.add_demand(rec.u, rec.v, rec.profit, rec.height);
       if (!rec.access.empty()) p.set_access(d, rec.access);
     }
@@ -266,10 +228,10 @@ void OnlineScheduler::rebuild_problem() {
 
 void OnlineScheduler::compact() {
   TRACE_SPAN1("online", "compact", "dead", dead_demands_);
-  std::vector<DemandRecord> survivors;
+  std::vector<SnapshotDemandRecord> survivors;
   survivors.reserve(static_cast<std::size_t>(live_demands_));
   index_of_key_.clear();
-  for (DemandRecord& rec : records_) {
+  for (SnapshotDemandRecord& rec : records_) {
     if (!rec.alive) continue;
     index_of_key_[rec.key] = static_cast<int>(survivors.size());
     survivors.push_back(std::move(rec));
@@ -354,7 +316,7 @@ OnlineBatchReport OnlineScheduler::step(const EventBatch& batch) {
 
   for (const OnlineArrival& arrival : batch.arrivals) {
     TS_REQUIRE(index_of_key_.find(arrival.key) == index_of_key_.end());
-    DemandRecord rec;
+    SnapshotDemandRecord rec;
     rec.u = arrival.draw.u;
     rec.v = arrival.draw.v;
     rec.profit = arrival.draw.profit;
@@ -368,7 +330,7 @@ OnlineBatchReport OnlineScheduler::step(const EventBatch& batch) {
   for (const DemandKey key : batch.departures) {
     const auto it = index_of_key_.find(key);
     TS_REQUIRE(it != index_of_key_.end());
-    DemandRecord& rec = records_[static_cast<std::size_t>(it->second)];
+    SnapshotDemandRecord& rec = records_[static_cast<std::size_t>(it->second)];
     TS_REQUIRE(rec.alive);
     rec.alive = false;
     --live_demands_;
@@ -433,7 +395,7 @@ void OnlineScheduler::refresh_class(ClassState& cls,
   const StageParams params =
       derive_stage_params(problem, plan_, mask, cls.rule,
                           config_.solver.epsilon, config_.solver.xi_override);
-  const bool params_changed = !params_equal(params, cls.params);
+  const bool params_changed = params != cls.params;
   if (params_changed && cls.valid) report.params_changed = true;
 
   if (cls.valid)
@@ -451,7 +413,7 @@ void OnlineScheduler::refresh_class(ClassState& cls,
   const int comps = cls.forest.num_components();
   std::vector<int> touched;
   std::vector<InstanceId> touched_union;
-  std::unordered_map<InstanceId, CompCache> next_cache;
+  std::unordered_map<InstanceId, SnapshotComponent> next_cache;
   next_cache.reserve(static_cast<std::size_t>(comps));
   for (int c = 0; c < comps; ++c) {
     const auto ids = cls.forest.component_members(c);
@@ -485,11 +447,11 @@ void OnlineScheduler::refresh_class(ClassState& cls,
     const SolveResult run = engine.run_warm(params);
 
     std::vector<int> slot(static_cast<std::size_t>(comps), -1);
-    std::vector<CompCache> fresh(touched.size());
+    std::vector<SnapshotComponent> fresh(touched.size());
     for (std::size_t s = 0; s < touched.size(); ++s) {
       slot[static_cast<std::size_t>(touched[s])] = static_cast<int>(s);
       const auto ids = cls.forest.component_members(touched[s]);
-      CompCache& cc = fresh[s];
+      SnapshotComponent& cc = fresh[s];
       cc.members.assign(ids.begin(), ids.end());
       cc.lhs.resize(ids.size());
       double lambda = 1.0;
@@ -512,7 +474,7 @@ void OnlineScheduler::refresh_class(ClassState& cls,
     for (std::size_t r = 0; r < run.raise_stack.size(); ++r) {
       const StackTag tag = run.stack_tags[r];
       for (const InstanceId i : run.raise_stack[r]) {
-        CompCache& cc = fresh[static_cast<std::size_t>(
+        SnapshotComponent& cc = fresh[static_cast<std::size_t>(
             slot[static_cast<std::size_t>(cls.forest.component_of(i))])];
         if (cc.tags.empty() || !(cc.tags.back() == tag)) {
           cc.tags.push_back(tag);
@@ -521,7 +483,7 @@ void OnlineScheduler::refresh_class(ClassState& cls,
         cc.rows.back().push_back(i);
       }
     }
-    for (CompCache& cc : fresh)
+    for (SnapshotComponent& cc : fresh)
       next_cache.emplace(cc.members.front(), std::move(cc));
   }
 
@@ -549,7 +511,7 @@ ClassArtifacts OnlineScheduler::assemble_class(const ClassState& cls) const {
   for (int c = 0; c < comps; ++c) {
     const auto it = cls.cache.find(cls.forest.component_members(c).front());
     TS_REQUIRE(it != cls.cache.end());
-    const CompCache& cc = it->second;
+    const SnapshotComponent& cc = it->second;
     for (std::size_t k = 0; k < cc.members.size(); ++k)
       art.final_lhs[static_cast<std::size_t>(cc.members[k])] = cc.lhs[k];
     lambda = any ? std::min(lambda, cc.lambda) : cc.lambda;

@@ -15,9 +15,10 @@
 //    (the conflict components across all plan groups), revised per
 //    batch by ComponentForest::update — add/remove of member instances,
 //    with the untouched components re-united without path walks;
-//  * a per-component cache: member ids, the component's raise-stack
-//    rows with their (group, stage, step) tags, the members' final
-//    LHS (SolveResult::final_lhs) and the component's observed lambda.
+//  * a per-component cache (a SnapshotComponent): member ids, the
+//    component's raise-stack rows with their (group, stage, step) tags,
+//    the members' final LHS (SolveResult::final_lhs) and the
+//    component's observed lambda.
 // A component whose member set is unchanged by the batch (and whose
 // class-wide stage parameters did not move) is *skipped*: its cached
 // rows, duals and lambda are exactly what a cold solve would recompute.
@@ -160,34 +161,16 @@ class OnlineScheduler {
   int batches_applied() const { return batches_applied_; }
 
  private:
-  // One demand's whole service lifetime; the record index is its demand
-  // id in the materialized problem until a compaction renumbers.
-  struct DemandRecord {
-    VertexId u = kNoVertex;
-    VertexId v = kNoVertex;
-    Profit profit = 0.0;
-    Height height = 1.0;
-    std::vector<NetworkId> access;  // empty = all networks
-    DemandKey key = 0;
-    bool alive = true;
-  };
-
-  // Cached state of one conflict component (identified by its member
-  // list; keyed by its smallest member id).
-  struct CompCache {
-    std::vector<InstanceId> members;               // ascending ids
-    std::vector<std::vector<InstanceId>> rows;     // this comp's stack rows
-    std::vector<StackTag> tags;                    // parallel to rows
-    std::vector<double> lhs;                       // parallel to members
-    double lambda = 1.0;                           // min level over members
-  };
-
+  // The scheduler's state is held in the snapshot's own types, so
+  // capture() and restore copy whole values.
   struct ClassState {
     RaiseRuleKind rule = RaiseRuleKind::kUnit;
     std::vector<char> mask;  // live AND in-class, per instance id
     StageParams params;
     ComponentForest forest;
-    std::unordered_map<InstanceId, CompCache> cache;
+    // Per conflict component (identified by its member list), keyed by
+    // its smallest member id.
+    std::unordered_map<InstanceId, SnapshotComponent> cache;
     bool valid = false;  // false => next refresh re-solves everything
   };
 
@@ -214,7 +197,9 @@ class OnlineScheduler {
   // is larger (the capture node's and each pivot bend's path wings).
   int max_critical_ = 0;
 
-  std::vector<DemandRecord> records_;  // index = demand id
+  // One record per demand over its whole service lifetime; the index
+  // is its demand id until a compaction renumbers.
+  std::vector<SnapshotDemandRecord> records_;
   std::unordered_map<DemandKey, int> index_of_key_;
   int live_demands_ = 0;
   int dead_demands_ = 0;

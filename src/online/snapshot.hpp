@@ -75,24 +75,9 @@ struct SnapshotComponent {
 
 struct ClassSnapshot {
   bool valid = false;
-  bool any_active = false;  // StageParams, flattened for the default ==
-  int delta = 0;
-  double h_min = 1.0;
-  double xi = 0.0;
-  int stages_per_epoch = 1;
+  StageParams params;      // the pinned class schedule
   std::vector<char> mask;  // live AND in-class, per instance id
   std::vector<SnapshotComponent> components;
-
-  StageParams params() const {
-    return {any_active, delta, h_min, xi, stages_per_epoch};
-  }
-  void set_params(const StageParams& p) {
-    any_active = p.any_active;
-    delta = p.delta;
-    h_min = p.h_min;
-    xi = p.xi;
-    stages_per_epoch = p.stages_per_epoch;
-  }
 
   friend bool operator==(const ClassSnapshot&, const ClassSnapshot&) = default;
 };

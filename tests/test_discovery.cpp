@@ -209,13 +209,13 @@ TEST(ShardedDual, ProtocolMatchesCentralReplay) {
 
     // The sharded run's per-instance LHS equals the central replay's.
     const std::vector<double> central =
-        replay_central_lhs(p, plan, run.raise_stack);
-    ASSERT_EQ(run.final_lhs.size(), central.size());
+        replay_central_lhs(p, plan, run.passes[0].raise_stack);
+    ASSERT_EQ(run.passes[0].final_lhs.size(), central.size());
     double lambda = 1.0;
     for (InstanceId i = 0; i < p.num_instances(); ++i) {
       const double scale =
           std::max(1.0, std::abs(central[static_cast<std::size_t>(i)]));
-      EXPECT_NEAR(run.final_lhs[static_cast<std::size_t>(i)],
+      EXPECT_NEAR(run.passes[0].final_lhs[static_cast<std::size_t>(i)],
                   central[static_cast<std::size_t>(i)], 1e-9 * scale)
           << "instance " << i << " seed " << seed;
       lambda = std::min(lambda, central[static_cast<std::size_t>(i)] /
@@ -224,7 +224,7 @@ TEST(ShardedDual, ProtocolMatchesCentralReplay) {
     EXPECT_NEAR(run.lambda_observed, lambda, 1e-12);
 
     // The selected set is the phase-2 prune of that same stack.
-    const Solution pruned = prune_stack(p, run.raise_stack);
+    const Solution pruned = prune_stack(p, run.passes[0].raise_stack);
     EXPECT_EQ(run.solution.selected, pruned.selected);
 
     // schedule_ok means every stage target was met, which the final
@@ -242,7 +242,8 @@ TEST(ShardedDual, RoundIdentityIncludesDiscovery) {
   options.epsilon = 0.2;
   const ProtocolRunResult run = run_distributed_protocol(p, plan, options);
   const std::int64_t tuples = static_cast<std::int64_t>(run.epochs) *
-                              run.stages_per_epoch * run.steps_per_stage;
+                              run.passes[0].stages_per_epoch *
+                              run.steps_per_stage;
   EXPECT_EQ(run.discovery_rounds, 2);
   EXPECT_EQ(run.rounds,
             run.discovery_rounds + tuples * (2 * run.luby_budget + 1) + tuples);
