@@ -37,7 +37,6 @@ int main() {
 
   DistOptions options;
   options.epsilon = 0.1;
-  options.count_messages = true;
   const DistResult result = solve_tree_arbitrary_distributed(problem,
                                                              options);
   const auto report = check_feasibility(problem, result.solution);
@@ -54,7 +53,6 @@ int main() {
   table.add_row({"proven worst-case bound", fmt(result.ratio_bound, 1)});
   table.add_row({"communication rounds",
                  std::to_string(result.stats.comm_rounds)});
-  table.add_row({"messages", std::to_string(result.stats.messages)});
   table.print(std::cout);
 
   // Which fabric carries the most profit?

@@ -37,7 +37,6 @@ int main() {
   // Run the distributed scheduler (ideal tree decomposition, Luby MIS).
   DistOptions options;
   options.epsilon = 0.1;
-  options.count_messages = true;
   const DistResult result = solve_tree_unit_distributed(problem, options);
 
   const auto report = check_feasibility(problem, result.solution);
@@ -46,10 +45,9 @@ int main() {
               result.profit, result.ratio_bound);
   std::printf("certified upper bound on OPT: %.1f\n",
               result.stats.dual_upper_bound);
-  std::printf("rounds:   %lld (MIS) + %lld steps; %lld messages\n",
+  std::printf("rounds:   %lld (MIS) + %lld steps\n",
               static_cast<long long>(result.stats.mis_rounds),
-              static_cast<long long>(result.stats.steps),
-              static_cast<long long>(result.stats.messages));
+              static_cast<long long>(result.stats.steps));
 
   for (InstanceId i : result.solution.selected) {
     const DemandInstance& inst = problem.instance(i);

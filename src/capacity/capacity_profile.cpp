@@ -83,9 +83,6 @@ int num_bottleneck_classes(const Problem& problem) {
 double max_path_capacity_spread(const Problem& problem) {
   double rho = 1.0;
   const InstanceId n = problem.num_instances();
-#ifdef TREESCHED_HAS_OPENMP
-#pragma omp parallel for reduction(max : rho) schedule(static)
-#endif
   for (InstanceId i = 0; i < n; ++i) {
     const std::span<const EdgeId> path = problem.path(i);
     Capacity lo = problem.capacity(path.front());

@@ -20,8 +20,6 @@ SolverConfig make_config(const NonuniformOptions& opt, RaiseRuleKind rule) {
   config.rule = rule;
   config.stage_mode = opt.dist.stage_mode;
   config.capacity_aware_raises = opt.capacity_aware;
-  config.count_messages = opt.dist.count_messages;
-  config.check_interference = opt.dist.check_interference;
   return config;
 }
 

@@ -1,7 +1,6 @@
 #include "decomp/layered.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 
 namespace treesched {
@@ -156,16 +155,7 @@ LayeredPlan build_line_layered_plan(const Problem& problem) {
 
 std::optional<std::string> interference_violation(const Problem& problem,
                                                   const LayeredPlan& plan) {
-  // The pair scan is quadratic; rows are independent, so it parallelizes
-  // trivially (the first violation found wins — which one is reported is
-  // unspecified, as documented).
-  std::optional<std::string> violation;
-  std::atomic<bool> found{false};
-#ifdef TREESCHED_HAS_OPENMP
-#pragma omp parallel for schedule(dynamic, 8)
-#endif
   for (InstanceId a = 0; a < problem.num_instances(); ++a) {
-    if (found.load(std::memory_order_relaxed)) continue;
     for (InstanceId b = 0; b < problem.num_instances(); ++b) {
       if (a == b) continue;
       // d1 = a raised no later than d2 = b (group(a) <= group(b)).
@@ -187,17 +177,11 @@ std::optional<std::string> interference_violation(const Problem& problem,
            << plan.group[static_cast<std::size_t>(a)] << ") and " << b
            << " (group " << plan.group[static_cast<std::size_t>(b)]
            << ") overlap but path(" << b << ") misses pi(" << a << ")";
-#ifdef TREESCHED_HAS_OPENMP
-#pragma omp critical(treesched_interference)
-#endif
-        {
-          if (!found.exchange(true)) violation = os.str();
-        }
-        break;
+        return os.str();
       }
     }
   }
-  return violation;
+  return std::nullopt;
 }
 
 }  // namespace treesched

@@ -194,8 +194,6 @@ class ProtocolLubyMis : public MisOracle {
 
   MisResult run(std::span<const InstanceId> candidates) override;
 
-  int luby_budget() const { return budget_; }
-
  private:
   int budget_ = 1;
   std::vector<Rng> streams_;  // one per instance

@@ -87,12 +87,11 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
   pass.h_min = params.h_min;
   pass.xi = params.xi;
   pass.stages_per_epoch = params.stages_per_epoch;
-  pass.steps_per_stage = lockstep_step_budget(problem, options.lockstep_slack);
+  pass.steps_per_stage = lockstep_step_budget(problem);
 
   // Per-processor dual shards, fresh for this pass: processor i stores
   // alpha of its demand and beta of its own path edges, nothing else.
-  const RaiseRule rule(kind, problem, /*raise_alpha=*/true,
-                       options.capacity_aware_raises);
+  const RaiseRule rule(kind, problem);
   std::vector<DualShard> shard;
   shard.reserve(static_cast<std::size_t>(n));
   for (InstanceId i = 0; i < n; ++i) {
@@ -314,7 +313,6 @@ void begin_run(const Problem& problem, const LayeredPlan& plan,
 // The shared preamble of both entry points: the fixed schedule scalars
 // every pass shares, plus the discovery share of the accounting.
 ProtocolRunResult init_result(const Problem& problem, const LayeredPlan& plan,
-                              const ProtocolOptions& options,
                               const ProtocolState& st) {
   ProtocolRunResult result;
   result.discovery_rounds = st.hood.rounds;
@@ -322,12 +320,9 @@ ProtocolRunResult init_result(const Problem& problem, const LayeredPlan& plan,
   result.discovery_bytes = st.hood.bytes;
   result.discovery_registration_bytes = st.hood.registration_bytes;
   result.discovery_reply_bytes = st.hood.reply_bytes;
-  result.luby_budget = options.luby_budget > 0
-                           ? options.luby_budget
-                           : default_luby_budget(problem.num_instances());
+  result.luby_budget = default_luby_budget(problem.num_instances());
   result.epochs = plan.num_groups;
-  result.steps_per_stage =
-      lockstep_step_budget(problem, options.lockstep_slack);
+  result.steps_per_stage = lockstep_step_budget(problem);
   return result;
 }
 
@@ -372,7 +367,7 @@ ProtocolRunResult run_distributed_protocol(const Problem& problem,
   const int n = problem.num_instances();
 
   ProtocolState st(problem, options);
-  ProtocolRunResult result = init_result(problem, plan, options, st);
+  ProtocolRunResult result = init_result(problem, plan, st);
   std::vector<char> all(static_cast<std::size_t>(std::max(n, 1)), 1);
   if (n > 0) {
     result.passes.push_back(run_pass(problem, plan, options.rule, all,
@@ -388,7 +383,7 @@ ProtocolRunResult run_height_split_protocol(const Problem& problem,
                                             const ProtocolOptions& options) {
   begin_run(problem, plan, options);
   ProtocolState st(problem, options);
-  ProtocolRunResult result = init_result(problem, plan, options, st);
+  ProtocolRunResult result = init_result(problem, plan, st);
 
   // The Section 6 classes, from the same builder the modeled
   // solve_height_split uses.  A class with no members is skipped

@@ -8,7 +8,8 @@
 //   epochs           = l_max (groups of the layered plan),
 //   stages_per_epoch = ceil(log_xi eps)            (Section 5/6),
 //   steps_per_stage  = O(log(pmax/pmin))           (Lemma 5.1/Claim 5.2),
-//   luby_budget      = O(log n) Luby iterations    (w.h.p. termination).
+//   luby_budget      = default_luby_budget(n) = O(log n) Luby iterations
+//                      (w.h.p. termination).
 // xi is derived per *pass* from the raising rule and the pass's observed
 // (Delta, h_min) through derive_stage_params — the same derivation the
 // modeled engine's prepare() uses, so the two cannot drift.
@@ -22,8 +23,9 @@
 //    *apply* — every satisfaction test reads only the local shard.  The
 //    kTagRaise payload carries the per-critical-edge increments exactly
 //    as RaiseRule::tight_raise computed them, i.e. capacity-normalized
-//    (delta/c(e) under kUnit) when capacity_aware_raises is on — the
-//    non-uniform profiles of src/capacity work end-to-end on the wire.
+//    (delta/c(e) under kUnit: the protocol always raises capacity-aware)
+//    — the non-uniform profiles of src/capacity work end-to-end on the
+//    wire.
 //
 // A *pass* runs one raising rule over one instance class on fresh dual
 // shards.  run_distributed_protocol executes a single pass under
@@ -85,16 +87,6 @@ struct ProtocolOptions {
   // Raising rule of the single-pass run (run_distributed_protocol).  The
   // two-pass wide/narrow schedule ignores it and uses kUnit + kNarrow.
   RaiseRuleKind rule = RaiseRuleKind::kUnit;
-  // Capacity-aware increments (DESIGN.md Sec. 6) on the wire; false ships
-  // the paper's uniform increments verbatim (the bench_t5 "naive" arm).
-  bool capacity_aware_raises = true;
-  // Extra steps on top of the Lemma 5.1 stage budget (matches
-  // SolverConfig::lockstep_slack of the modeled engine).
-  int lockstep_slack = 2;
-  // Luby iterations per MIS computation; 0 derives default_luby_budget(n).
-  // A starved computation retries with a doubled budget, up to
-  // kMisMaxRetries (dist/luby_mis.hpp) times.
-  int luby_budget = 0;
   // Retain the per-pass raise stacks in the result (test oracle for the
   // central-replay and engine parity checks).
   bool keep_stack = false;
@@ -170,6 +162,9 @@ struct ProtocolRunResult {
   // and final LHS are per pass: read them from passes[].
   int epochs = 0;
   int steps_per_stage = 0;
+  // Luby iterations per MIS computation, default_luby_budget(n); a
+  // starved computation retries with a doubled budget, up to
+  // kMisMaxRetries (dist/luby_mis.hpp) times.
   int luby_budget = 0;
   // Runtime accounting (totals include the discovery share, which is
   // also broken out; see dist/discovery.hpp for the registration/reply

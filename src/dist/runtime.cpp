@@ -89,7 +89,7 @@ void Runtime::note_post(int tag, [[maybe_unused]] std::int64_t bytes) {
   // The first message after an idle stretch ends the stretch: its
   // round's span starts here.
   if (idle_rounds_ > 0) close_idle_stretch(obs::trace_now_ns());
-  TRACE_HIST("wire.message_bytes", bytes);
+  TRACE_HIST("wire.bytes_per_message", bytes);
   // Per-tag counters via the macros' cached handles: the registry map
   // is consulted once per (site, tag), not once per message.  Tag
   // values: see protocol_scheduler.cpp / luby_mis.cpp / discovery.cpp.

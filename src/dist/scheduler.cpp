@@ -16,9 +16,6 @@ SolverConfig make_config(const DistOptions& options, RaiseRuleKind rule) {
   config.epsilon = options.epsilon;
   config.rule = rule;
   config.stage_mode = options.stage_mode;
-  config.lockstep = options.lockstep;
-  config.count_messages = options.count_messages;
-  config.check_interference = options.check_interference;
   return config;
 }
 

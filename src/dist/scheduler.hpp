@@ -13,12 +13,11 @@
 //
 // "Modeled" means the dual state is kept centrally while every
 // communication-relevant event is accounted exactly as the protocol would
-// spend it: each MIS costs the Luby oracle's 2 rounds per iteration, each
-// step one extra dual-propagation round, and (optionally) each raise one
-// notification message per conflicting neighbor.  The message-level
-// counterpart that actually puts these bits on the wire lives in
-// dist/protocol_scheduler.hpp; the modeled form is what benchmarks and
-// large-scale runs use.
+// spend it: each MIS costs the Luby oracle's 2 rounds per iteration and
+// each step one extra dual-propagation round.  Messages and bytes are
+// counted only by the message-level counterpart, which actually puts
+// these bits on the wire (dist/protocol_scheduler.hpp); the modeled form
+// is what benchmarks and large-scale runs use.
 //
 // The reported ratio_bound uses the *observed* Delta of the run, which
 // can be smaller than the theorem's worst case (ideal decomposition:
@@ -50,12 +49,6 @@ struct DistOptions {
   // kMultiStage = this paper; kSingleStagePS = Panconesi-Sozio baseline
   // with lambda = 1/(5+eps).
   StageMode stage_mode = StageMode::kMultiStage;
-  // Lockstep stage schedule (Section 5 "Distributed Implementation").
-  bool lockstep = false;
-  // Count per-raise notification messages in the stats.
-  bool count_messages = false;
-  // Runtime verification of the interference property (quadratic; tests).
-  bool check_interference = false;
 };
 
 struct DistResult {

@@ -54,10 +54,6 @@ std::int32_t get_i32(const std::uint8_t* p) {
   return v;
 }
 
-void fail(std::string* error, const char* what) {
-  if (error != nullptr) *error = what;
-}
-
 }  // namespace
 
 std::size_t encode_message(const Message& m, std::vector<std::uint8_t>& out) {

@@ -42,18 +42,34 @@ class DualState {
     return alpha_[static_cast<std::size_t>(a)];
   }
   double beta(EdgeId e) const { return beta_[static_cast<std::size_t>(e)]; }
+  std::span<const double> alphas() const { return alpha_; }
+  std::span<const double> betas() const { return beta_; }
 
   // sum of beta over the instance's path edges.
   double beta_sum(const DemandInstance& inst) const;
 
   // LHS of the dual constraint of `inst` under the given beta coefficient.
-  double lhs(const DemandInstance& inst, double beta_coeff) const;
+  double lhs(const DemandInstance& inst, double beta_coeff) const {
+    return dual_lhs(alpha_, beta_, inst.demand, problem_->path(inst.id),
+                    beta_coeff);
+  }
 
-  void raise_alpha(DemandId a, double amount);
-  void raise_beta(EdgeId e, double amount);
+  void raise_alpha(DemandId a, double amount) {
+    TS_DCHECK(amount >= 0.0);
+    alpha_[static_cast<std::size_t>(a)] += amount;
+    objective_ += amount;
+  }
+  void raise_beta(EdgeId e, double amount) {
+    TS_DCHECK(amount >= 0.0);
+    beta_[static_cast<std::size_t>(e)] += amount;
+    objective_ += problem_->capacity(e) * amount;
+  }
 
   // Dual objective sum alpha + sum c(e) beta(e), maintained incrementally.
   double objective() const { return objective_; }
+
+  // Back to all-zero duals, keeping the storage.
+  void reset();
 
   const Problem& problem() const { return *problem_; }
 

@@ -11,6 +11,13 @@
 
 namespace treesched {
 
+namespace {
+
+// Hard safety cap on the steps of one stage.
+constexpr int kMaxStepsPerStage = 200000;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // GreedyMis
 
@@ -54,8 +61,6 @@ void SolveStats::merge(const SolveStats& other) {
   raises += other.raises;
   mis_rounds += other.mis_rounds;
   comm_rounds += other.comm_rounds;
-  messages += other.messages;
-  message_bytes += other.message_bytes;
   dual_objective += other.dual_objective;
   dual_upper_bound += other.dual_upper_bound;
   // 0.0 means "no run contributed a lambda yet" — on either side.  An
@@ -69,7 +74,6 @@ void SolveStats::merge(const SolveStats& other) {
   delta = std::max(delta, other.delta);
   xi = std::max(xi, other.xi);
   stages_per_epoch = std::max(stages_per_epoch, other.stages_per_epoch);
-  interference_ok = interference_ok && other.interference_ok;
   lockstep_ok = lockstep_ok && other.lockstep_ok;
   mis_ok = mis_ok && other.mis_ok;
   mis_failed_steps += other.mis_failed_steps;
@@ -89,7 +93,7 @@ TwoPhaseEngine::TwoPhaseEngine(const Problem& problem, const LayeredPlan& plan,
       config_(config),
       oracle_(oracle),
       active_mask_(static_cast<std::size_t>(problem.num_instances()), 1),
-      demand_seen_stamp_(static_cast<std::size_t>(problem.num_demands()), 0) {
+      dual_(problem) {
   TS_REQUIRE(problem.finalized());
   TS_REQUIRE(plan.group.size() ==
              static_cast<std::size_t>(problem.num_instances()));
@@ -106,52 +110,6 @@ void TwoPhaseEngine::restrict_to(std::vector<InstanceId> active) {
     TS_REQUIRE(i >= 0 && i < problem_->num_instances());
     active_mask_[static_cast<std::size_t>(i)] = 1;
   }
-}
-
-void TwoPhaseEngine::count_notifications(InstanceId i, SolveStats& stats) {
-  // A raised processor transmits its new dual values to every processor
-  // owning an instance that shares an edge with the raised path (they
-  // share beta variables).  Message payload is one demand record: end
-  // points, network, profit, height and the raise amount (paper: O(M)
-  // bits per message); we charge 48 bytes.
-  ++notify_stamp_;
-  const DemandInstance& inst = problem_->instance(i);
-  std::int64_t neighbors = 0;
-  for (EdgeId e : problem_->path(i)) {
-    for (InstanceId other : problem_->instances_on_edge(e)) {
-      const DemandId od = problem_->instance(other).demand;
-      if (od == inst.demand) continue;
-      if (demand_seen_stamp_[static_cast<std::size_t>(od)] == notify_stamp_)
-        continue;
-      demand_seen_stamp_[static_cast<std::size_t>(od)] = notify_stamp_;
-      ++neighbors;
-    }
-  }
-  stats.messages += neighbors;
-  stats.message_bytes += neighbors * 48;
-}
-
-void TwoPhaseEngine::record_raise(InstanceId i, SolveStats& stats,
-                                  std::vector<InstanceId>& raised_order) {
-  ++stats.raises;
-  if (config_.check_interference) {
-    // Every previously raised overlapping instance must have a critical
-    // edge on path(i) (the interference property).
-    const std::span<const EdgeId> path_i = problem_->path(i);
-    for (InstanceId prev : raised_order) {
-      if (!problem_->overlap(prev, i)) continue;
-      bool hit = false;
-      for (EdgeId e : plan_->critical[static_cast<std::size_t>(prev)]) {
-        if (std::binary_search(path_i.begin(), path_i.end(), e)) {
-          hit = true;
-          break;
-        }
-      }
-      if (!hit) stats.interference_ok = false;
-    }
-  }
-  raised_order.push_back(i);
-  if (config_.count_messages) count_notifications(i, stats);
 }
 
 TwoPhaseEngine::StageSchedule TwoPhaseEngine::prepare(SolveStats& stats) const {
@@ -185,8 +143,7 @@ TwoPhaseEngine::StageSchedule TwoPhaseEngine::prepare(SolveStats& stats) const {
     sched.fixed_threshold = 1.0 / (5.0 + config_.epsilon);
   }
   stats.stages_per_epoch = sched.stages_per_epoch;
-  sched.lockstep_budget =
-      lockstep_step_budget(*problem_, config_.lockstep_slack);
+  sched.lockstep_budget = lockstep_step_budget(*problem_);
   return sched;
 }
 
@@ -230,6 +187,7 @@ SolveResult TwoPhaseEngine::run() {
     result.stats.lambda_observed = 1.0;
     return result;
   }
+  dual_.reset();
   if (config_.engine == EngineImpl::kCentralReference)
     run_central(sched, result);
   else
@@ -244,41 +202,35 @@ SolveResult TwoPhaseEngine::run_warm(const StageParams& pinned) {
   return result;
 }
 
+void TwoPhaseEngine::raise(InstanceId i, double lhs, const RaiseRule& rule,
+                           SolveStats& stats) {
+  const DemandInstance& inst = problem_->instance(i);
+  const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
+  const double slack = inst.profit - lhs;
+  TS_DCHECK(slack > 0.0);
+  const double delta = rule.tight_raise(inst, critical, slack, increments_);
+  if (config_.raise_alpha) dual_.raise_alpha(inst.demand, delta);
+  for (std::size_t c = 0; c < critical.size(); ++c)
+    dual_.raise_beta(critical[c], increments_[c]);
+  ++stats.raises;
+  // The raise must satisfy i's constraint tightly (paper, Section 3.2).
+  TS_DCHECK(std::abs(dual_.lhs(inst, rule.beta_coeff(inst)) - inst.profit) <=
+            1e-6 * std::max(1.0, inst.profit));
+}
+
 // ---------------------------------------------------------------------------
 // Central-reference engine: the pre-incremental implementation, kept as
 // the parity oracle.  Every step rescans the whole member list and
-// recomputes each LHS from scratch over the central DualState.
-
-void TwoPhaseEngine::raise(InstanceId i, DualState& dual,
-                           const RaiseRule& rule, SolveStats& stats,
-                           std::vector<InstanceId>& raised_order,
-                           std::vector<double>& increments) {
-  const DemandInstance& inst = problem_->instance(i);
-  const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
-  const double lhs = dual.lhs(inst, rule.beta_coeff(inst));
-  const double slack = inst.profit - lhs;
-  TS_DCHECK(slack > 0.0);
-  const double delta = rule.tight_raise(inst, critical, slack, increments);
-  if (config_.raise_alpha) dual.raise_alpha(inst.demand, delta);
-  for (std::size_t c = 0; c < critical.size(); ++c)
-    dual.raise_beta(critical[c], increments[c]);
-  // The raise must satisfy d's constraint tightly (paper, Section 3.2).
-  TS_DCHECK(std::abs(dual.lhs(inst, rule.beta_coeff(inst)) - inst.profit) <=
-            1e-6 * std::max(1.0, inst.profit));
-  record_raise(i, stats, raised_order);
-}
+// recomputes each LHS from scratch over the DualState.
 
 void TwoPhaseEngine::run_central(const StageSchedule& sched,
                                  SolveResult& result) {
   SolveStats& stats = result.stats;
-  DualState dual(*problem_);
   const RaiseRule rule(config_.rule, *problem_, config_.raise_alpha,
                        config_.capacity_aware_raises);
 
   std::vector<std::vector<InstanceId>> stack;
-  std::vector<InstanceId> raised_order;
   std::vector<InstanceId> members, unsatisfied;
-  std::vector<double> increments;
 
   for (int g = 0; g < plan_->num_groups; ++g) {
     members.clear();
@@ -298,7 +250,7 @@ void TwoPhaseEngine::run_central(const StageSchedule& sched,
         unsatisfied.clear();
         for (InstanceId i : members) {
           const DemandInstance& inst = problem_->instance(i);
-          const double lhs = dual.lhs(inst, rule.beta_coeff(inst));
+          const double lhs = dual_.lhs(inst, rule.beta_coeff(inst));
           if (lhs < target * inst.profit - kEps * inst.profit)
             unsatisfied.push_back(i);
         }
@@ -342,13 +294,15 @@ void TwoPhaseEngine::run_central(const StageSchedule& sched,
           stats.lockstep_ok = false;
           break;
         }
-        for (InstanceId i : mis.selected)
-          raise(i, dual, rule, stats, raised_order, increments);
+        for (InstanceId i : mis.selected) {
+          const DemandInstance& inst = problem_->instance(i);
+          raise(i, dual_.lhs(inst, rule.beta_coeff(inst)), rule, stats);
+        }
         if (config_.keep_stack)
           stack_tags_.push_back(StackTag{g, j, rows_this_stage});
         ++rows_this_stage;
         stack.push_back(mis.selected);
-        TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
+        TS_REQUIRE(steps_this_stage <= kMaxStepsPerStage);
       }
       stats.max_steps_in_stage =
           std::max(stats.max_steps_in_stage, steps_this_stage);
@@ -357,35 +311,32 @@ void TwoPhaseEngine::run_central(const StageSchedule& sched,
 
   // Certification: observed slackness over active instances and the
   // resulting feasible-dual upper bound (weak duality after scaling).
-  stats.dual_objective = dual.objective();
+  stats.dual_objective = dual_.objective();
   stats.lambda_observed =
-      observed_lambda(*problem_, dual, rule, active_mask_);
+      observed_lambda(*problem_, dual_, rule, active_mask_);
   if (config_.keep_lhs) {
     for (InstanceId i = 0; i < problem_->num_instances(); ++i) {
       if (!is_active(i)) continue;
       const DemandInstance& inst = problem_->instance(i);
       result.final_lhs[static_cast<std::size_t>(i)] =
-          dual.lhs(inst, rule.beta_coeff(inst));
+          dual_.lhs(inst, rule.beta_coeff(inst));
     }
   }
   finish(result, stack);
 }
 
 // ---------------------------------------------------------------------------
-// Incremental engine: one alpha per demand and one beta per global edge,
-// a cached LHS per instance and the per-stage unsatisfied frontier.  A
-// raise marks stale, through the CSR edge->instances index, exactly the
-// instances whose constraints read a raised variable; everyone else's
-// cached LHS stays valid.  A stale LHS is recomputed by the central
-// engine's walk (dual_lhs), the oracle sees the same candidate lists in
-// the same order, the raises happen in its decision order and the
-// objective accumulates in that order — so the two paths agree bit for
+// Incremental engine: the same DualState under a cached LHS per instance
+// and the per-stage unsatisfied frontier.  A raise marks stale, through
+// the CSR edge->instances index, exactly the instances whose constraints
+// read a raised variable; everyone else's cached LHS stays valid.  A
+// stale LHS is recomputed by the central engine's walk (dual_lhs), the
+// oracle sees the same candidate lists in the same order and the
+// raises happen in its decision order — so the two paths agree bit for
 // bit, and tests/test_engine_parity.cpp compares them with ==.
 
-void TwoPhaseEngine::reset_run_state() {
+void TwoPhaseEngine::reset_lhs_cache() {
   const auto n = static_cast<std::size_t>(problem_->num_instances());
-  alpha_.assign(static_cast<std::size_t>(problem_->num_demands()), 0.0);
-  beta_.assign(static_cast<std::size_t>(problem_->num_global_edges()), 0.0);
   lhs_cache_.assign(n, 0.0);
   lhs_fresh_.assign(n, 1);  // all-zero duals
 }
@@ -398,19 +349,6 @@ void TwoPhaseEngine::mark_readers_stale(InstanceId i) {
   for (EdgeId e : plan_->critical[static_cast<std::size_t>(i)])
     for (InstanceId k : problem_->instances_on_edge(e))
       lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-}
-
-void TwoPhaseEngine::bookkeep_raise(InstanceId i, double delta,
-                                    std::span<const double> increments,
-                                    double& objective, SolveStats& stats,
-                                    std::vector<InstanceId>& raised_order) {
-  const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
-  // Accumulation order mirrors DualState exactly: the alpha term first,
-  // then the critical edges in order, capacity-weighted.
-  if (config_.raise_alpha) objective += delta;
-  for (std::size_t c = 0; c < critical.size(); ++c)
-    objective += problem_->capacity(critical[c]) * increments[c];
-  record_raise(i, stats, raised_order);
 }
 
 int TwoPhaseEngine::next_failing_stage(const StageSchedule& sched,
@@ -443,11 +381,9 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
   SolveStats& stats = result.stats;
   const RaiseRule rule(config_.rule, *problem_, config_.raise_alpha,
                        config_.capacity_aware_raises);
-  reset_run_state();
-  double objective = 0.0;
+  reset_lhs_cache();
 
   std::vector<std::vector<InstanceId>> stack;
-  std::vector<InstanceId> raised_order;
 
   // run_central's loop, with the stage's frontier (one scan of the
   // members, then a refilter after each step's raises) and the cached
@@ -525,19 +461,7 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
         }
         for (InstanceId i : mis.selected) {
           const DemandInstance& inst = problem_->instance(i);
-          const auto& critical =
-              plan_->critical[static_cast<std::size_t>(i)];
-          const double slack =
-              inst.profit - cached_lhs(i, rule.beta_coeff(inst));
-          TS_DCHECK(slack > 0.0);
-          const double delta =
-              rule.tight_raise(inst, critical, slack, increments_);
-          if (config_.raise_alpha)
-            alpha_[static_cast<std::size_t>(inst.demand)] += delta;
-          for (std::size_t c = 0; c < critical.size(); ++c)
-            beta_[static_cast<std::size_t>(critical[c])] += increments_[c];
-          bookkeep_raise(i, delta, increments_, objective, stats,
-                         raised_order);
+          raise(i, cached_lhs(i, rule.beta_coeff(inst)), rule, stats);
           mark_readers_stale(i);
           TS_DCHECK(std::abs(cached_lhs(i, rule.beta_coeff(inst)) -
                              inst.profit) <=
@@ -547,7 +471,7 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
           stack_tags_.push_back(StackTag{g, j, rows_this_stage});
         ++rows_this_stage;
         stack.push_back(mis.selected);
-        TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
+        TS_REQUIRE(steps_this_stage <= kMaxStepsPerStage);
         std::erase_if(unsat_, [&](InstanceId i) {
           return !unsatisfied(i, rule, target);
         });
@@ -564,7 +488,7 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
   // Certification: every instance reports its own satisfaction level
   // (the same operation sequence as observed_lambda over the central
   // DualState).
-  stats.dual_objective = objective;
+  stats.dual_objective = dual_.objective();
   double lambda = 1.0;
   bool any = false;
   for (InstanceId i = 0; i < problem_->num_instances(); ++i) {
@@ -589,13 +513,11 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
 
 // ---------------------------------------------------------------------------
 
-int lockstep_step_budget(const Problem& problem, int slack) {
+int lockstep_step_budget(const Problem& problem) {
   // Claim 5.2 budget with guards: a zero/denormal min_profit or an
   // overflowing ratio must yield a finite budget, never UB from casting
   // inf/NaN to int.  The log term is capped at 62 (a profit range beyond
-  // 2^62 is outside any double's meaningful precision anyway) and the
-  // whole budget clamped to >= 1 so degenerate slack cannot disable the
-  // schedule.
+  // 2^62 is outside any double's meaningful precision anyway).
   const double pmax = problem.max_profit();
   const double pmin = problem.min_profit();
   double log_range = 0.0;
@@ -606,7 +528,7 @@ int lockstep_step_budget(const Problem& problem, int slack) {
     else
       log_range = 62.0;
   }
-  return std::max(1, 1 + slack + static_cast<int>(log_range));
+  return 1 + kLockstepSlack + static_cast<int>(log_range);
 }
 
 double target_lambda(StageMode mode, double epsilon) {

@@ -32,9 +32,9 @@
 //    step tests only the previous frontier instead of rescanning the
 //    group.  Each epoch is one serial stage/step loop over the group's
 //    active members on the engine's own oracle; each raise writes
-//    alpha/beta, does its bookkeeping and marks its readers stale at the
-//    moment it happens.  The paper's parallelism is part of the round
-//    model — conflict-disjoint components take their steps in the same
+//    alpha/beta and marks its readers stale at the moment it happens.
+//    The paper's parallelism is part of the round model —
+//    conflict-disjoint components take their steps in the same
 //    synchronous rounds — which the engine charges as one MIS call per
 //    step over the whole frontier.
 //  - kCentralReference: the pre-incremental engine (central DualState,
@@ -145,13 +145,12 @@ struct SolverConfig {
   // uniform increments applied verbatim (false; bench_t5 ablation arm).
   bool capacity_aware_raises = true;
   // Lockstep schedule (paper, Section 5 "Distributed Implementation"):
-  // processors cannot test global emptiness of U, so every stage runs a
-  // *fixed* budget of ceil(1 + log2(pmax/pmin)) + lockstep_slack steps,
-  // idle steps costing 3 rounds each (one Luby iteration + propagation).
-  // Lemma 5.1 guarantees the budget suffices; stats.lockstep_ok reports
-  // whether it did.
+  // processors cannot test global emptiness of U, so every stage runs the
+  // *fixed* budget lockstep_step_budget(problem) of steps, idle steps
+  // costing 3 rounds each (one Luby iteration + propagation).  Lemma 5.1
+  // guarantees the budget suffices; stats.lockstep_ok reports whether it
+  // did.
   bool lockstep = false;
-  int lockstep_slack = 2;
   // Retain the raise stack in SolveResult (for the phase-2 ablations and
   // the online warm-start caches, which also get the per-row
   // (group, stage, step) tags — see SolveResult::stack_tags).
@@ -162,12 +161,6 @@ struct SolverConfig {
   bool keep_lhs = false;
   // xi override for ablations; 0 = derive from the rule, Delta and h_min.
   double xi_override = 0.0;
-  // Runtime verification of the interference property (quadratic; tests).
-  bool check_interference = false;
-  // Count per-raise notification messages (distributed accounting).
-  bool count_messages = false;
-  // Hard safety cap on steps per stage.
-  int max_steps_per_stage = 200000;
   // Phase-1 implementation (see EngineImpl above).
   EngineImpl engine = EngineImpl::kIncremental;
   // A no-op: phase 1 is one serial loop at any value (the paper's
@@ -187,8 +180,6 @@ struct SolveStats {
   std::int64_t raises = 0;          // total instances raised
   std::int64_t mis_rounds = 0;      // rounds consumed by MIS computations
   std::int64_t comm_rounds = 0;     // mis_rounds + 1 raise-notify per step
-  std::int64_t messages = 0;        // raise notifications (if counted)
-  std::int64_t message_bytes = 0;   // messages * per-demand record size
   double dual_objective = 0.0;      // sum alpha + sum c(e) beta(e)
   double lambda_observed = 0.0;     // min LHS/p over active instances
   double dual_upper_bound = 0.0;    // dual_objective / min(1, lambda)
@@ -196,7 +187,6 @@ struct SolveStats {
   double xi = 0.0;
   int stages_per_epoch = 0;
   double profit = 0.0;
-  bool interference_ok = true;
   // True iff no stage ended with unsatisfied instances left behind —
   // Lemma 5.1's prediction in lockstep mode; in adaptive mode a stage
   // can only end short when the MIS oracle fails (see mis_ok).
@@ -304,19 +294,25 @@ class TwoPhaseEngine {
   void finish(SolveResult& result,
               std::vector<std::vector<InstanceId>>& stack);
 
+  // The raise both paths share (paper, Section 3.2): raises i's
+  // constraint, whose LHS is `lhs`, tight by the rule — alpha(a_i) and
+  // beta on i's critical edges.
+  void raise(InstanceId i, double lhs, const RaiseRule& rule,
+             SolveStats& stats);
+
   // Central-reference path.
   void run_central(const StageSchedule& sched, SolveResult& result);
-  void raise(InstanceId i, DualState& dual, const RaiseRule& rule,
-             SolveStats& stats, std::vector<InstanceId>& raised_order,
-             std::vector<double>& increments);
 
   // Incremental path.
   void run_incremental(const StageSchedule& sched, SolveResult& result);
-  void reset_run_state();  // duals and the LHS cache
+  void reset_lhs_cache();
+  // DualState::lhs's walk, keyed by i rather than by the instance record,
+  // so the path lookup does not wait for the record's load.
   double cached_lhs(InstanceId i, double beta_coeff) {
     const auto k = static_cast<std::size_t>(i);
     if (!lhs_fresh_[k]) {
-      lhs_cache_[k] = dual_lhs(alpha_, beta_, problem_->instance(i).demand,
+      lhs_cache_[k] = dual_lhs(dual_.alphas(), dual_.betas(),
+                               problem_->instance(i).demand,
                                problem_->path(i), beta_coeff);
       lhs_fresh_[k] = 1;
     }
@@ -337,15 +333,6 @@ class TwoPhaseEngine {
   // Instances outside the current group or the active set are not read
   // before a later epoch (or ever), so marking them early is harmless.
   void mark_readers_stale(InstanceId i);
-  void bookkeep_raise(InstanceId i, double delta,
-                      std::span<const double> increments, double& objective,
-                      SolveStats& stats,
-                      std::vector<InstanceId>& raised_order);
-  // Bookkeeping every raise shares on both paths: the raise count, the
-  // interference check, the raise order and the message count.
-  void record_raise(InstanceId i, SolveStats& stats,
-                    std::vector<InstanceId>& raised_order);
-  void count_notifications(InstanceId i, SolveStats& stats);
 
   const Problem* problem_;
   const LayeredPlan* plan_;
@@ -353,8 +340,6 @@ class TwoPhaseEngine {
   MisOracle* oracle_;
   std::unique_ptr<GreedyMis> default_oracle_;
   std::vector<char> active_mask_;
-  std::vector<int> demand_seen_stamp_;
-  int notify_stamp_ = 0;
   // Set for the duration of run_warm(): prepare() uses these instead of
   // deriving the schedule from the restricted active mask.
   const StageParams* pinned_params_ = nullptr;
@@ -362,10 +347,9 @@ class TwoPhaseEngine {
   // push when keep_stack is set and handed to the result by finish().
   std::vector<StackTag> stack_tags_;
 
-  // Incremental-engine state, reset by every run(): the dual variables
-  // and the cached-LHS layer over them.
-  std::vector<double> alpha_;  // per demand
-  std::vector<double> beta_;   // per global edge
+  // The dual variables, reset by every run(), and the incremental
+  // engine's cached-LHS layer over them.
+  DualState dual_;
   std::vector<double> lhs_cache_;
   std::vector<char> lhs_fresh_;
   // Scratch of the epoch loop, reused across epochs and runs so the hot
@@ -400,10 +384,11 @@ struct HeightClasses {
 HeightClasses classify_wide_narrow(const Problem& problem);
 
 // The fixed per-stage step budget of Lemma 5.1: profits double along
-// kill chains (Claim 5.2), so 1 + slack + ceil(log2(pmax/pmin)) steps
-// suffice.  Shared by the engine's lockstep mode and the message-level
-// protocol so both verify the *same* budget.
-int lockstep_step_budget(const Problem& problem, int slack);
+// kill chains (Claim 5.2), so 1 + kLockstepSlack + ceil(log2(pmax/pmin))
+// steps suffice.  Shared by the engine's lockstep mode and the
+// message-level protocol so both verify the *same* budget.
+inline constexpr int kLockstepSlack = 2;
+int lockstep_step_budget(const Problem& problem);
 
 // Final slackness lambda of a stage schedule: 1-eps for the multi-stage
 // (and exact) schedules, 1/(5+eps) for the Panconesi-Sozio single-stage

@@ -36,22 +36,22 @@ TreeNetwork::TreeNetwork(VertexId num_vertices,
   parent_.assign(static_cast<std::size_t>(n_), kNoVertex);
   parent_edge_.assign(static_cast<std::size_t>(n_), kNoEdge);
   depth_.assign(static_cast<std::size_t>(n_), -1);
-  bfs_order_.clear();
-  bfs_order_.reserve(static_cast<std::size_t>(n_));
-  bfs_order_.push_back(0);
+  std::vector<VertexId> queue;
+  queue.reserve(static_cast<std::size_t>(n_));
+  queue.push_back(0);
   depth_[0] = 0;
-  for (std::size_t head = 0; head < bfs_order_.size(); ++head) {
-    const VertexId v = bfs_order_[head];
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const VertexId v = queue[head];
     for (const Adj& a : adj_[static_cast<std::size_t>(v)]) {
       if (depth_[static_cast<std::size_t>(a.to)] < 0) {
         depth_[static_cast<std::size_t>(a.to)] = depth_[v] + 1;
         parent_[static_cast<std::size_t>(a.to)] = v;
         parent_edge_[static_cast<std::size_t>(a.to)] = a.edge;
-        bfs_order_.push_back(a.to);
+        queue.push_back(a.to);
       }
     }
   }
-  check_input(static_cast<VertexId>(bfs_order_.size()) == n_,
+  check_input(static_cast<VertexId>(queue.size()) == n_,
               "tree network must be connected");
 
   // Binary lifting table.

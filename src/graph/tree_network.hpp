@@ -107,7 +107,6 @@ class TreeNetwork {
   std::vector<VertexId> parent_;
   std::vector<EdgeId> parent_edge_;
   std::vector<int> depth_;
-  std::vector<VertexId> bfs_order_;
   int log_ = 1;
   std::vector<std::vector<VertexId>> up_;  // up_[k][v]: 2^k-th ancestor
   std::unordered_map<std::uint64_t, EdgeId> edge_index_;

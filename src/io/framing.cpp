@@ -86,6 +86,16 @@ bool get_f64(std::span<const std::uint8_t> buf, std::size_t& offset,
   return get_raw(buf, offset, v);
 }
 
+bool count_fits(std::span<const std::uint8_t> buf, std::size_t offset,
+                std::uint32_t count, std::size_t min_elem_bytes) {
+  return static_cast<std::size_t>(count) <=
+         (buf.size() - offset) / min_elem_bytes;
+}
+
+void fail(std::string* error, const std::string& what) {
+  if (error != nullptr) *error = what;
+}
+
 std::size_t begin_crc_frame(std::vector<std::uint8_t>& out) {
   const std::size_t frame_start = out.size();
   out.resize(frame_start + kCrcFrameHeaderBytes);  // [crc | seq] placeholder
@@ -107,7 +117,7 @@ bool verify_crc_frame(std::span<const std::uint8_t> buf, std::size_t offset,
                       std::string* error) {
   if (frame_len < kCrcFrameHeaderBytes || offset > buf.size() ||
       buf.size() - offset < frame_len) {
-    if (error != nullptr) *error = "frame header truncated (need 8 bytes)";
+    fail(error, "frame header truncated (need 8 bytes)");
     return false;
   }
   const std::uint8_t* p = buf.data() + offset;
@@ -115,7 +125,7 @@ bool verify_crc_frame(std::span<const std::uint8_t> buf, std::size_t offset,
   std::memcpy(&want, p, 4);
   const std::uint32_t got = crc32({p + 4, frame_len - 4});
   if (got != want) {
-    if (error != nullptr) *error = "frame checksum mismatch";
+    fail(error, "frame checksum mismatch");
     return false;
   }
   std::memcpy(&seq, p + 4, 4);

@@ -6,9 +6,10 @@
 // write-ahead journal and snapshot files use the identical discipline.
 // This header is the single home of that machinery so the wire and the
 // disk formats cannot silently diverge: the CRC-32 implementation, the
-// host-order scalar put/get helpers the codecs are written in, and the
-// frame begin/end/verify triple both dist/transport.cpp and
-// online/journal.cpp build their frames with.
+// host-order scalar put/get helpers the codecs are written in, the
+// decoders' count bound and reject helper, and the frame
+// begin/end/verify triple both dist/transport.cpp and online/journal.cpp
+// build their frames with.
 //
 // Layout contract (pinned by tests/test_framing.cpp against reference
 // vectors and against the wire frame codec byte for byte):
@@ -59,6 +60,15 @@ bool get_i64(std::span<const std::uint8_t> buf, std::size_t& offset,
              std::int64_t& v);
 bool get_f64(std::span<const std::uint8_t> buf, std::size_t& offset,
              double& v);
+
+// Bounds a decoded element count: the elements' minimum footprint must
+// fit in the bytes after `offset`, so a garbage count can never drive an
+// allocation past the buffer size.
+bool count_fits(std::span<const std::uint8_t> buf, std::size_t offset,
+                std::uint32_t count, std::size_t min_elem_bytes);
+
+// A decoder's reject: stores the diagnostic in *error when non-null.
+void fail(std::string* error, const std::string& what);
 
 // --- the CRC frame ---------------------------------------------------------
 

@@ -301,31 +301,6 @@ bool write_chrome_trace(const std::string& path) {
   return write_file(path, chrome_trace_string());
 }
 
-bool write_flat_json(const std::string& path) {
-  const std::vector<SpanRecord> spans = collect_spans();
-  const TraceStats stats = trace_stats();
-  std::string out;
-  out.reserve(128 + spans.size() * 96);
-  out += "{\"spans\":[";
-  bool first = true;
-  for (const SpanRecord& rec : spans) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"cat\":\"";
-    append_escaped(out, rec.category);
-    out += "\",\"name\":\"";
-    append_escaped(out, rec.name);
-    out += "\",\"start_ns\":" + std::to_string(rec.start_ns) +
-           ",\"dur_ns\":" + std::to_string(rec.dur_ns) +
-           ",\"tid\":" + std::to_string(rec.tid);
-    append_span_args(out, rec);
-    out.push_back('}');
-  }
-  out += "],\"overwritten_spans\":" + std::to_string(stats.overwritten) +
-         ",\"metrics\":" + MetricsRegistry::global().to_json() + "}";
-  return write_file(path, out);
-}
-
 }  // namespace treesched::obs
 
 #endif  // TREESCHED_TRACING_DISABLED

@@ -106,13 +106,11 @@ void record_complete_span(const char* category, const char* name,
 std::vector<SpanRecord> collect_spans();
 TraceStats trace_stats();
 
-// Exporters.  Chrome trace: {"traceEvents": [...]} with ph:"X" events in
+// Exporter.  Chrome trace: {"traceEvents": [...]} with ph:"X" events in
 // microseconds plus thread-name metadata; the MetricsRegistry snapshot
-// rides along under "otherData".  Flat JSON: spans + metrics as one
-// plain object (no trace-viewer conventions).  Both return false when
-// the file cannot be written.
+// rides along under "otherData".  Returns false when the file cannot be
+// written.
 bool write_chrome_trace(const std::string& path);
-bool write_flat_json(const std::string& path);
 std::string chrome_trace_string();
 
 // RAII span.  The constructor is one relaxed load when tracing is off;
@@ -184,7 +182,6 @@ inline void record_complete_span(const char*, const char*, std::int64_t,
 inline std::vector<SpanRecord> collect_spans() { return {}; }
 inline TraceStats trace_stats() { return {}; }
 inline bool write_chrome_trace(const std::string&) { return false; }
-inline bool write_flat_json(const std::string&) { return false; }
 inline std::string chrome_trace_string() { return "{}"; }
 
 class SpanGuard {

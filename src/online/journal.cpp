@@ -7,23 +7,6 @@
 
 namespace treesched {
 
-namespace {
-
-void fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-}
-
-// Bounds a decoded element count: it must be non-negative and the
-// elements' minimum footprint must fit in the remaining bytes, so a
-// garbage count can never drive an allocation past the buffer size.
-bool count_fits(std::span<const std::uint8_t> buf, std::size_t offset,
-                std::uint32_t count, std::size_t min_elem_bytes) {
-  return static_cast<std::size_t>(count) <=
-         (buf.size() - offset) / min_elem_bytes;
-}
-
-}  // namespace
-
 std::size_t encode_event_batch(const EventBatch& batch,
                                std::vector<std::uint8_t>& out) {
   const std::size_t before = out.size();

@@ -18,16 +18,6 @@ constexpr std::uint32_t kSectionNarrow = 3;
 constexpr std::uint32_t kSectionCount = 3;
 constexpr std::size_t kHeaderBytes = 28;  // 24 + u32 header crc
 
-void fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-}
-
-bool count_fits(std::span<const std::uint8_t> buf, std::size_t offset,
-                std::uint32_t count, std::size_t min_elem_bytes) {
-  return static_cast<std::size_t>(count) <=
-         (buf.size() - offset) / min_elem_bytes;
-}
-
 // --- section payload codecs ------------------------------------------------
 
 void encode_records(const std::vector<SnapshotDemandRecord>& records,

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include "dist/luby_mis.hpp"
 #include "test_util.hpp"
 
 namespace treesched {
 namespace {
 
 using testutil::exact_opt;
+using testutil::expect_raises_follow_group_order;
 using testutil::require_feasible;
 using testutil::small_line_problem;
 using testutil::small_tree_problem;
@@ -108,21 +110,21 @@ TEST(PsBaseline, SingleStageHasWeakerGuaranteeButRuns) {
   EXPECT_GE(run.profit * run.ratio_bound, opt - 1e-6);
 }
 
-TEST(Distributed, MessageCountingProducesTraffic) {
-  const Problem p = small_tree_problem(5, 24, 2, 12);
-  DistOptions options;
-  options.count_messages = true;
-  const DistResult run = solve_tree_unit_distributed(p, options);
-  EXPECT_GT(run.stats.messages, 0);
-  EXPECT_GE(run.stats.message_bytes, run.stats.messages * 48);
-}
-
 TEST(Distributed, InterferencePropertyHoldsAtRuntime) {
+  // solve_tree_unit_distributed's run, with its stack kept: the wrapper's
+  // default plan is valid and its raises follow the plan's group order.
   const Problem p = small_tree_problem(6, 24, 2, 12);
-  DistOptions options;
-  options.check_interference = true;
-  const DistResult run = solve_tree_unit_distributed(p, options);
-  EXPECT_TRUE(run.stats.interference_ok);
+  const DistOptions options;
+  const LayeredPlan plan = build_tree_layered_plan(p, options.decomp);
+  EXPECT_FALSE(interference_violation(p, plan).has_value());
+  SolverConfig config;
+  config.epsilon = options.epsilon;
+  config.keep_stack = true;
+  LubyMis oracle(p, options.seed);
+  const SolveResult run = solve_with_plan(p, plan, config, &oracle);
+  EXPECT_EQ(run.solution.selected,
+            solve_tree_unit_distributed(p, options).solution.selected);
+  expect_raises_follow_group_order(plan, run, "ideal");
 }
 
 TEST(Distributed, DecompositionChoiceAffectsEpochs) {

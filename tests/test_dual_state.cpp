@@ -61,5 +61,17 @@ TEST(DualState, RaisesAccumulate) {
   EXPECT_DOUBLE_EQ(dual.beta(3), 1.0);
 }
 
+TEST(DualState, ResetZeroesEveryVariable) {
+  const Problem p = small_problem();
+  DualState dual(p);
+  dual.raise_alpha(0, 2.0);
+  dual.raise_beta(1, 1.0);
+  dual.reset();
+  EXPECT_DOUBLE_EQ(dual.alpha(0), 0.0);
+  EXPECT_DOUBLE_EQ(dual.beta(1), 0.0);
+  EXPECT_DOUBLE_EQ(dual.objective(), 0.0);
+  EXPECT_DOUBLE_EQ(dual.lhs(p.instance(0), 1.0), 0.0);
+}
+
 }  // namespace
 }  // namespace treesched

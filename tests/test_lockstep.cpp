@@ -57,11 +57,10 @@ TEST(Lockstep, EveryStageRunsTheFullBudget) {
   SolverConfig config;
   config.epsilon = 0.2;
   config.lockstep = true;
-  config.lockstep_slack = 1;
   const SolveResult run = solve_with_plan(p, plan, config);
   const int budget =
-      2 + static_cast<int>(std::ceil(
-              std::log2(p.max_profit() / p.min_profit())));
+      1 + kLockstepSlack +
+      static_cast<int>(std::ceil(std::log2(p.max_profit() / p.min_profit())));
   // Non-empty epochs run stages of exactly `budget` steps each.
   EXPECT_EQ(run.stats.steps,
             run.stats.epochs * run.stats.stages_per_epoch * budget);

@@ -201,8 +201,7 @@ TEST(Protocol, ArbitraryHeightsWithinTheoremBound) {
 
 TEST(Protocol, NonUniformCapacitiesOnTheWire) {
   // kTagRaise increments are capacity-normalized: the non-uniform
-  // profiles run end-to-end message-level, the certificate holds, and
-  // the naive arm (paper increments verbatim) still runs feasibly.
+  // profiles run end-to-end message-level and the certificate holds.
   TreeScenarioSpec spec;
   spec.num_vertices = 20;
   spec.num_networks = 2;
@@ -220,11 +219,6 @@ TEST(Protocol, NonUniformCapacitiesOnTheWire) {
   EXPECT_GE(aware.run.lambda_observed, 1.0 - options.epsilon - 1e-6);
   const Profit opt = exact_opt(p);
   EXPECT_GE(profit * aware.ratio_bound, opt - 1e-6);
-
-  ProtocolOptions naive_options = options;
-  naive_options.capacity_aware_raises = false;
-  const ProtocolDistResult naive = run_nonuniform_protocol(p, naive_options);
-  require_feasible(p, naive.run.solution);
 }
 
 TEST(Protocol, IsolatedDemandsAllScheduled) {

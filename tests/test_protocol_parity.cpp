@@ -113,9 +113,9 @@ void expect_transport_axis(const RunFn& rerun, const ProtocolRunResult& ref,
 // the pre-sharding central state.  Exact (==) oracle for final_lhs.
 std::vector<double> replay_central_lhs(
     const Problem& p, const LayeredPlan& plan, RaiseRuleKind kind,
-    bool capacity_aware, const std::vector<std::vector<InstanceId>>& stack) {
+    const std::vector<std::vector<InstanceId>>& stack) {
   DualState dual(p);
-  const RaiseRule rule(kind, p, /*raise_alpha=*/true, capacity_aware);
+  const RaiseRule rule(kind, p);
   std::vector<double> increments;
   for (const auto& step : stack) {
     for (InstanceId i : step) {
@@ -138,15 +138,13 @@ std::vector<double> replay_central_lhs(
 }
 
 // The engine-side configuration that mirrors a protocol run: lockstep
-// schedule, same slack, same rule/capacity semantics.
+// schedule, same rule, capacity-aware raises (both defaults).
 SolverConfig mirror_config(const ProtocolOptions& options,
                            RaiseRuleKind rule) {
   SolverConfig config;
   config.epsilon = options.epsilon;
   config.rule = rule;
-  config.capacity_aware_raises = options.capacity_aware_raises;
   config.lockstep = true;
-  config.lockstep_slack = options.lockstep_slack;
   config.keep_stack = true;
   return config;
 }
@@ -204,10 +202,7 @@ void expect_single_pass_parity(const Problem& p, const LayeredPlan& plan,
   ASSERT_EQ(run.passes.size(), 1u) << what;
   require_feasible(p, run.solution);
   expect_round_identity(p, run, what);
-  EXPECT_EQ(run.luby_budget, options.luby_budget > 0
-                                 ? options.luby_budget
-                                 : default_luby_budget(p.num_instances()))
-      << what;
+  EXPECT_EQ(run.luby_budget, default_luby_budget(p.num_instances())) << what;
 
   const SolverConfig base = mirror_config(options, options.rule);
   for (const EngineImpl engine :
@@ -232,7 +227,6 @@ void expect_single_pass_parity(const Problem& p, const LayeredPlan& plan,
   // bit for bit (the whole vector, bystander instances included).
   EXPECT_EQ(run.passes[0].final_lhs,
             replay_central_lhs(p, plan, options.rule,
-                               options.capacity_aware_raises,
                                run.passes[0].raise_stack))
       << what;
 
@@ -298,9 +292,7 @@ void expect_split_parity(const Problem& p, const LayeredPlan& plan,
     const std::string tag = what + " pass=" + to_string(pass.rule);
     expect_pass_matches(pass, part, tag);
     EXPECT_EQ(pass.final_lhs,
-              replay_central_lhs(p, plan, pass.rule,
-                                 options.capacity_aware_raises,
-                                 pass.raise_stack))
+              replay_central_lhs(p, plan, pass.rule, pass.raise_stack))
         << tag;
   }
 
@@ -420,8 +412,8 @@ TEST(ProtocolParity, AllWideDegeneratesToOnePass) {
 
 TEST(ProtocolParity, NonUniformCapacityProfiles) {
   // src/capacity profiles end-to-end on the wire: the kTagRaise payloads
-  // carry capacity-normalized increments, and both the capacity-aware
-  // and the naive arm must match the engine exactly.
+  // carry capacity-normalized increments, and the run must match the
+  // engine exactly.
   for (const CapacityLaw law :
        {CapacityLaw::kTwoClass, CapacityLaw::kPowerClasses}) {
     TreeScenarioSpec spec;
@@ -434,16 +426,11 @@ TEST(ProtocolParity, NonUniformCapacityProfiles) {
     spec.capacity_spread = 4.0;
     const Problem p = make_tree_problem(spec);
     const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
-    for (const bool aware : {true, false}) {
-      ProtocolOptions options;
-      options.epsilon = 0.2;
-      options.seed = 5;
-      options.capacity_aware_raises = aware;
-      expect_single_pass_parity(
-          p, plan, options,
-          std::string("nonuniform law=") + to_string(law) +
-              " aware=" + std::to_string(aware));
-    }
+    ProtocolOptions options;
+    options.epsilon = 0.2;
+    options.seed = 5;
+    expect_single_pass_parity(
+        p, plan, options, std::string("nonuniform law=") + to_string(law));
   }
 }
 

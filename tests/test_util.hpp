@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "capacity/capacity_profile.hpp"
+#include "decomp/layered.hpp"
 #include "exact/branch_and_bound.hpp"
+#include "framework/two_phase.hpp"
 #include "model/problem.hpp"
 #include "model/solution.hpp"
 #include "workload/scenario.hpp"
@@ -66,6 +70,29 @@ inline Profit require_feasible(const Problem& problem,
   const auto report = check_feasibility(problem, solution);
   EXPECT_TRUE(report.feasible) << report.violation;
   return solution.profit(problem);
+}
+
+// Checks that a run kept with keep_stack raised in the plan's group
+// order: the stack tags strictly increase, and every row raises only
+// members of its tag's group.  With interference_violation(plan) ==
+// nullopt this is the interference property of every raise (Lemma 3.1):
+// an earlier raise that overlaps a later one lies in the same or an
+// earlier group, so its critical set meets the later one's path.
+inline void expect_raises_follow_group_order(const LayeredPlan& plan,
+                                             const SolveResult& run,
+                                             const std::string& what) {
+  EXPECT_FALSE(run.raise_stack.empty()) << what;
+  ASSERT_EQ(run.raise_stack.size(), run.stack_tags.size()) << what;
+  for (std::size_t r = 0; r < run.stack_tags.size(); ++r) {
+    if (r > 0) {
+      EXPECT_TRUE(run.stack_tags[r - 1] < run.stack_tags[r])
+          << what << " row " << r;
+    }
+    for (InstanceId id : run.raise_stack[r])
+      EXPECT_EQ(plan.group[static_cast<std::size_t>(id)],
+                run.stack_tags[r].group)
+          << what << " row " << r << " instance " << id;
+  }
 }
 
 }  // namespace treesched::testutil
