@@ -61,7 +61,7 @@ bool all_instances_narrow(const Problem& problem) {
 }
 
 Capacity bottleneck_capacity(const Problem& problem, InstanceId i) {
-  const std::span<const EdgeId> path = problem.path(i);
+  const IdRuns path = problem.path(i);
   Capacity c = problem.capacity(path.front());
   for (EdgeId e : path) c = std::min(c, problem.capacity(e));
   return c;
@@ -84,7 +84,7 @@ double max_path_capacity_spread(const Problem& problem) {
   double rho = 1.0;
   const InstanceId n = problem.num_instances();
   for (InstanceId i = 0; i < n; ++i) {
-    const std::span<const EdgeId> path = problem.path(i);
+    const IdRuns path = problem.path(i);
     Capacity lo = problem.capacity(path.front());
     Capacity hi = lo;
     for (EdgeId e : path) {

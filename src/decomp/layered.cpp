@@ -30,6 +30,19 @@ void add_wings(const TreeNetwork& network,
   TS_REQUIRE(false);  // y must lie on the path
 }
 
+// Closes the critical set of the next instance: sorts and dedups the edges
+// appended to plan.critical_edges since the last offset and records its
+// end.
+void close_critical(LayeredPlan& plan) {
+  const auto begin = plan.critical_edges.begin() +
+                     static_cast<std::ptrdiff_t>(plan.critical_offset.back());
+  std::sort(begin, plan.critical_edges.end());
+  plan.critical_edges.erase(std::unique(begin, plan.critical_edges.end()),
+                            plan.critical_edges.end());
+  plan.critical_offset.push_back(
+      static_cast<std::int64_t>(plan.critical_edges.size()));
+}
+
 void finalize_plan(const Problem& problem, LayeredPlan& plan,
                    InstanceId first = 0) {
   if (first == 0) {
@@ -37,17 +50,15 @@ void finalize_plan(const Problem& problem, LayeredPlan& plan,
     plan.members.assign(static_cast<std::size_t>(plan.num_groups), {});
   }
   for (InstanceId i = first; i < problem.num_instances(); ++i) {
-    auto& crit = plan.critical[static_cast<std::size_t>(i)];
-    std::sort(crit.begin(), crit.end());
-    crit.erase(std::unique(crit.begin(), crit.end()), crit.end());
-    plan.delta = std::max(plan.delta, static_cast<int>(crit.size()));
+    plan.delta =
+        std::max(plan.delta, static_cast<int>(plan.critical(i).size()));
     const int g = plan.group[static_cast<std::size_t>(i)];
     TS_REQUIRE(g >= 0 && g < plan.num_groups);
     plan.members[static_cast<std::size_t>(g)].push_back(i);
   }
 }
 
-// Fills plan.group[i] / plan.critical[i] for one instance against the
+// Fills plan.group[i] and appends pi(i) for one instance against the
 // per-network decompositions (the Lemma 4.2/4.3 assignment).
 void plan_tree_instance(const Problem& problem,
                         const std::vector<TreeDecomposition>& decomps,
@@ -64,14 +75,14 @@ void plan_tree_instance(const Problem& problem,
   plan.group[static_cast<std::size_t>(i)] =
       decomp.max_depth() - decomp.depth(mu);
 
-  auto& crit = plan.critical[static_cast<std::size_t>(i)];
-  add_wings(network, pathv, mu, offset, crit);
+  add_wings(network, pathv, mu, offset, plan.critical_edges);
   if (!mu_wings_only) {
     for (VertexId u : decomp.pivots(mu)) {
       const VertexId bend = network.median(u, inst.u, inst.v);
-      add_wings(network, pathv, bend, offset, crit);
+      add_wings(network, pathv, bend, offset, plan.critical_edges);
     }
   }
+  close_critical(plan);
 }
 
 }  // namespace
@@ -108,11 +119,10 @@ void extend_tree_layered_plan(const Problem& problem,
   TS_REQUIRE(static_cast<int>(decomps.size()) == problem.num_networks());
   const auto first = static_cast<InstanceId>(plan.group.size());
   TS_REQUIRE(first <= problem.num_instances());
-  TS_REQUIRE(plan.critical.size() == plan.group.size());
+  TS_REQUIRE(plan.critical_offset.size() == plan.group.size() + 1);
   // num_groups depends only on the decompositions, so appending
   // instances never changes it (and existing group ids stay valid).
   plan.group.resize(static_cast<std::size_t>(problem.num_instances()), 0);
-  plan.critical.resize(static_cast<std::size_t>(problem.num_instances()));
   for (InstanceId i = first; i < problem.num_instances(); ++i)
     plan_tree_instance(problem, decomps, mu_wings_only, i, plan);
   // New ids exceed every existing id, so push_back keeps each group's
@@ -124,13 +134,16 @@ LayeredPlan build_line_layered_plan(const Problem& problem) {
   TS_REQUIRE(problem.finalized());
   LayeredPlan plan;
   plan.group.assign(static_cast<std::size_t>(problem.num_instances()), 0);
-  plan.critical.assign(static_cast<std::size_t>(problem.num_instances()), {});
+  plan.critical_offset.reserve(
+      static_cast<std::size_t>(problem.num_instances()) + 1);
+  plan.critical_edges.reserve(
+      3 * static_cast<std::size_t>(problem.num_instances()));
 
   const int lmin = problem.min_path_length();
   TS_REQUIRE(lmin >= 1);
   plan.num_groups = 1;
   for (InstanceId i = 0; i < problem.num_instances(); ++i) {
-    const std::span<const EdgeId> path = problem.path(i);
+    const IdRuns path = problem.path(i);
     // Length class: group g holds lengths in [2^g * lmin, 2^(g+1) * lmin),
     // so lengths within a group differ by a factor < 2.
     const int len = static_cast<int>(path.size());
@@ -146,8 +159,8 @@ LayeredPlan build_line_layered_plan(const Problem& problem) {
     const EdgeId e = path.back();
     const EdgeId mid = (s + e) / 2;
     TS_REQUIRE(e - s + 1 == len);
-    auto& crit = plan.critical[static_cast<std::size_t>(i)];
-    crit = {s, mid, e};
+    plan.critical_edges.insert(plan.critical_edges.end(), {s, mid, e});
+    close_critical(plan);
   }
   finalize_plan(problem, plan);
   return plan;
@@ -163,10 +176,10 @@ std::optional<std::string> interference_violation(const Problem& problem,
           plan.group[static_cast<std::size_t>(b)])
         continue;
       if (!problem.overlap(a, b)) continue;
-      const std::span<const EdgeId> path_b = problem.path(b);
+      const IdRuns path_b = problem.path(b);
       bool hit = false;
-      for (EdgeId e : plan.critical[static_cast<std::size_t>(a)]) {
-        if (std::binary_search(path_b.begin(), path_b.end(), e)) {
+      for (EdgeId e : plan.critical(a)) {
+        if (path_b.contains(e)) {
           hit = true;
           break;
         }

@@ -22,7 +22,9 @@
 // mu-wings only (Delta = 2, Observation A.1).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,8 +37,20 @@ namespace treesched {
 struct LayeredPlan {
   int num_groups = 0;  // l_max: number of epochs of the distributed run
   int delta = 0;       // max |pi(d)| over all instances
-  std::vector<int> group;                     // per instance, 0-based
-  std::vector<std::vector<EdgeId>> critical;  // per instance, global edges
+  std::vector<int> group;  // per instance, 0-based
+
+  // Critical sets, CSR: pi(i) is the ascending global edge ids
+  // critical_edges[critical_offset[i] .. critical_offset[i + 1]).  Every
+  // plan builder appends one instance's set at a time.
+  std::vector<std::int64_t> critical_offset{0};
+  std::vector<EdgeId> critical_edges;
+  std::span<const EdgeId> critical(InstanceId i) const {
+    const auto k = static_cast<std::size_t>(i);
+    TS_REQUIRE(i >= 0 && k + 1 < critical_offset.size());
+    const auto lo = static_cast<std::size_t>(critical_offset[k]);
+    return {critical_edges.data() + lo,
+            static_cast<std::size_t>(critical_offset[k + 1]) - lo};
+  }
 
   // Instances listed per group (built by finalize_plan).
   std::vector<std::vector<InstanceId>> members;

@@ -178,7 +178,7 @@ void CliqueLuby::iterate(std::vector<InstanceId>& live,
     const DemandInstance& inst = problem_->instance(live[k]);
     if (!(demand_min_[static_cast<std::size_t>(inst.demand)] == key))
       continue;
-    const std::span<const EdgeId> path = problem_->path(live[k]);
+    const IdRuns path = problem_->path(live[k]);
     bool wins = true;
     for (EdgeId e : path) {
       if (!(edge_min_[static_cast<std::size_t>(e)] == key)) {

@@ -210,7 +210,7 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
         }
         for (InstanceId i : winners) {
           const DemandInstance& inst = problem.instance(i);
-          const auto& critical = plan.critical[static_cast<std::size_t>(i)];
+          const std::span<const EdgeId> critical = plan.critical(i);
           DualShard& mine = shard[static_cast<std::size_t>(i)];
           const double slack = inst.profit - mine.lhs(rule.beta_coeff(inst));
           // tight_raise is the same call the modeled engine makes — one

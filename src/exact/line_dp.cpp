@@ -16,9 +16,7 @@ bool line_dp_applicable(const Problem& problem) {
     if (problem.instances_of_demand(d).size() != 1) return false;
   // All instances must be contiguous slot ranges of a path network.
   for (InstanceId i = 0; i < problem.num_instances(); ++i) {
-    const std::span<const EdgeId> path = problem.path(i);
-    if (path.back() - path.front() + 1 != static_cast<EdgeId>(path.size()))
-      return false;
+    if (!problem.path(i).single_run()) return false;
   }
   return true;
 }
@@ -35,7 +33,7 @@ ExactResult solve_line_dp(const Problem& problem) {
   std::vector<Interval> intervals;
   intervals.reserve(static_cast<std::size_t>(problem.num_instances()));
   for (const DemandInstance& inst : problem.instances()) {
-    const std::span<const EdgeId> path = problem.path(inst.id);
+    const IdRuns path = problem.path(inst.id);
     intervals.push_back({path.front(), path.back(), inst.profit, inst.id});
   }
   std::sort(intervals.begin(), intervals.end(),

@@ -58,10 +58,8 @@ ShardCertificate validate_shard_certificate(
     for (std::size_t k = 0; k < step.size(); ++k) {
       const InstanceId i = step[k];
       const DemandInstance& inst = problem.instance(i);
-      const auto& critical = plan.critical[static_cast<std::size_t>(i)];
-      rule.beta_increments(inst,
-                           {critical.data(), critical.size()},
-                           amount[k], increments);
+      const std::span<const EdgeId> critical = plan.critical(i);
+      rule.beta_increments(inst, critical, amount[k], increments);
       dual.raise_alpha(inst.demand, amount[k]);
       for (std::size_t c = 0; c < critical.size(); ++c)
         dual.raise_beta(critical[c], increments[c]);

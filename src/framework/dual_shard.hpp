@@ -30,19 +30,19 @@ namespace treesched {
 class DualShard {
  public:
   DualShard() = default;
-  // `path`: the instance's sorted global edge ids (Problem::path).
-  DualShard(DemandId demand, std::span<const EdgeId> path)
+  // `path`: the instance's ascending global edge ids (Problem::path).
+  DualShard(DemandId demand, IdRuns path)
       : demand_(demand),
         edges_(path.begin(), path.end()),
-        beta_(path.size(), 0.0) {}
+        beta_(edges_.size(), 0.0) {}
 
   DemandId demand() const { return demand_; }
   double alpha() const { return alpha_; }
   double beta(EdgeId e) const;  // 0 when e is off the local path
 
   // The beta sum over the local path, accumulated in ascending-edge
-  // order: exactly the walk DualState::beta_sum performs over the same
-  // path.  (A running sum would add increments in *arrival* order, the
+  // order: exactly the chain dual_lhs (framework/dual_state.hpp) adds
+  // over the same path.  (A running sum would add increments in *arrival* order, the
   // same real number but not always the same double.)  So the protocol's
   // satisfaction tests and raise amounts are bit-identical to the
   // modeled engine's — the parity suite (tests/test_protocol_parity.cpp)

@@ -15,11 +15,4 @@ void DualState::reset() {
   objective_ = 0.0;
 }
 
-double DualState::beta_sum(const DemandInstance& inst) const {
-  double s = 0.0;
-  for (EdgeId e : problem_->path(inst.id))
-    s += beta_[static_cast<std::size_t>(e)];
-  return s;
-}
-
 }  // namespace treesched

@@ -21,17 +21,24 @@
 
 namespace treesched {
 
+// The LHS of a dual constraint from its beta sum: the one expression
+// every LHS walk ends in.
+inline double dual_lhs_of_sum(std::span<const double> alpha, DemandId demand,
+                              double beta_sum, double beta_coeff) {
+  return alpha[static_cast<std::size_t>(demand)] + beta_coeff * beta_sum;
+}
+
 // LHS of the dual constraint of an instance of `demand` routed along
 // `path`, over dense alpha (per demand) and beta (per global edge)
-// vectors, summing beta in ascending edge order.  The one walk behind
-// DualState::lhs and the incremental engine's cached LHS, so the two agree
-// bit for bit.
+// vectors, summing beta in ascending edge order.  The one walk behind DualState::lhs and the incremental engine's
+// cached LHS, so the two agree bit for bit; the engine's interleaved
+// refresh adds the same ascending chain per instance.
 inline double dual_lhs(std::span<const double> alpha,
                        std::span<const double> beta, DemandId demand,
-                       std::span<const EdgeId> path, double beta_coeff) {
+                       IdRuns path, double beta_coeff) {
   double s = 0.0;
-  for (EdgeId e : path) s += beta[static_cast<std::size_t>(e)];
-  return alpha[static_cast<std::size_t>(demand)] + beta_coeff * s;
+  path.for_each_id([&](EdgeId e) { s += beta[static_cast<std::size_t>(e)]; });
+  return dual_lhs_of_sum(alpha, demand, s, beta_coeff);
 }
 
 class DualState {
@@ -44,9 +51,6 @@ class DualState {
   double beta(EdgeId e) const { return beta_[static_cast<std::size_t>(e)]; }
   std::span<const double> alphas() const { return alpha_; }
   std::span<const double> betas() const { return beta_; }
-
-  // sum of beta over the instance's path edges.
-  double beta_sum(const DemandInstance& inst) const;
 
   // LHS of the dual constraint of `inst` under the given beta coefficient.
   double lhs(const DemandInstance& inst, double beta_coeff) const {

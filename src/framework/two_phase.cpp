@@ -34,8 +34,8 @@ MisResult GreedyMis::run(std::span<const InstanceId> candidates) {
     const DemandInstance& inst = problem_->instance(i);
     if (demand_stamp_[static_cast<std::size_t>(inst.demand)] == stamp_)
       continue;
+    const IdRuns path = problem_->path(i);
     bool blocked = false;
-    const std::span<const EdgeId> path = problem_->path(i);
     for (EdgeId e : path) {
       if (edge_stamp_[static_cast<std::size_t>(e)] == stamp_) {
         blocked = true;
@@ -44,7 +44,9 @@ MisResult GreedyMis::run(std::span<const InstanceId> candidates) {
     }
     if (blocked) continue;
     demand_stamp_[static_cast<std::size_t>(inst.demand)] = stamp_;
-    for (EdgeId e : path) edge_stamp_[static_cast<std::size_t>(e)] = stamp_;
+    int* const stamps = edge_stamp_.data();
+    const int stamp = stamp_;
+    path.for_each_id([=](EdgeId e) { stamps[e] = stamp; });
     result.selected.push_back(i);
   }
   return result;
@@ -205,7 +207,7 @@ SolveResult TwoPhaseEngine::run_warm(const StageParams& pinned) {
 void TwoPhaseEngine::raise(InstanceId i, double lhs, const RaiseRule& rule,
                            SolveStats& stats) {
   const DemandInstance& inst = problem_->instance(i);
-  const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
+  const std::span<const EdgeId> critical = plan_->critical(i);
   const double slack = inst.profit - lhs;
   TS_DCHECK(slack > 0.0);
   const double delta = rule.tight_raise(inst, critical, slack, increments_);
@@ -346,9 +348,92 @@ void TwoPhaseEngine::mark_readers_stale(InstanceId i) {
   if (config_.raise_alpha)
     for (InstanceId k : problem_->instances_of_demand(inst.demand))
       lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-  for (EdgeId e : plan_->critical[static_cast<std::size_t>(i)])
-    for (InstanceId k : problem_->instances_on_edge(e))
-      lhs_fresh_[static_cast<std::size_t>(k)] = 0;
+  char* const fresh = lhs_fresh_.data();
+  for (EdgeId e : plan_->critical(i))
+    problem_->instances_on_edge(e).for_each_id(
+        [fresh](InstanceId k) { fresh[k] = 0; });
+}
+
+void TwoPhaseEngine::recompute_lhs(InstanceId i, double beta_coeff) {
+  const auto k = static_cast<std::size_t>(i);
+  lhs_cache_[k] = dual_lhs(dual_.alphas(), dual_.betas(),
+                           problem_->instance(i).demand, problem_->path(i),
+                           beta_coeff);
+  lhs_fresh_[k] = 1;
+}
+
+void TwoPhaseEngine::refresh_stale_lhs(std::span<const InstanceId> ids,
+                                       const RaiseRule& rule) {
+  // Lane k walks the single-run path of member who[k]: left[k] betas
+  // remain from at[k] on, summed into sum[k].  Each round adds the
+  // shortest remaining walk's length to every lane at once, then retires
+  // the lanes that finished and refills them from `ids`.
+  constexpr int kLanes = 8;
+  const double* at[kLanes];
+  std::ptrdiff_t left[kLanes];
+  double sum[kLanes];
+  InstanceId who[kLanes];
+  const std::span<const double> beta = dual_.betas();
+  const auto retire = [&](int k) {
+    const DemandInstance& inst = problem_->instance(who[k]);
+    const auto i = static_cast<std::size_t>(who[k]);
+    lhs_cache_[i] = dual_lhs_of_sum(dual_.alphas(), inst.demand, sum[k],
+                                    rule.beta_coeff(inst));
+    lhs_fresh_[i] = 1;
+  };
+  std::size_t next = 0;
+  // Loads the next stale member into lane k; false when `ids` is
+  // exhausted.
+  const auto refill = [&](int k) {
+    while (next < ids.size()) {
+      const InstanceId i = ids[next++];
+      if (lhs_fresh_[static_cast<std::size_t>(i)]) continue;
+      const IdRuns path = problem_->path(i);
+      TS_DCHECK(path.single_run());
+      at[k] = beta.data() + path.front();
+      left[k] = path.back() - path.front() + 1;
+      sum[k] = 0.0;
+      who[k] = i;
+      return true;
+    }
+    return false;
+  };
+  int live = 0;
+  while (live < kLanes && refill(live)) ++live;
+  while (live == kLanes) {
+    std::ptrdiff_t steps = left[0];
+    for (int k = 1; k < kLanes; ++k) steps = std::min(steps, left[k]);
+    for (std::ptrdiff_t t = 0; t < steps; ++t) {
+#pragma GCC unroll 8
+      for (int k = 0; k < kLanes; ++k) sum[k] += at[k][t];
+    }
+    for (int k = 0; k < kLanes; ++k) {
+      at[k] += steps;
+      left[k] -= steps;
+    }
+    for (int k = 0; k < live;) {
+      if (left[k] > 0) {
+        ++k;
+        continue;
+      }
+      retire(k);
+      if (refill(k)) {
+        ++k;
+        continue;
+      }
+      // `ids` is exhausted: the last live lane moves into slot k.
+      --live;
+      at[k] = at[live];
+      left[k] = left[live];
+      sum[k] = sum[live];
+      who[k] = who[live];
+    }
+  }
+  // Fewer than kLanes lanes are left: finish each on its own.
+  for (int k = 0; k < live; ++k) {
+    for (std::ptrdiff_t t = 0; t < left[k]; ++t) sum[k] += at[k][t];
+    retire(k);
+  }
 }
 
 int TwoPhaseEngine::next_failing_stage(const StageSchedule& sched,
@@ -391,8 +476,12 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
   // jump over every run of idle stages.
   for (int g = 0; g < plan_->num_groups; ++g) {
     members_.clear();
-    for (InstanceId i : plan_->members[static_cast<std::size_t>(g)])
-      if (is_active(i)) members_.push_back(i);
+    single_run_members_.clear();
+    for (InstanceId i : plan_->members[static_cast<std::size_t>(g)]) {
+      if (!is_active(i)) continue;
+      members_.push_back(i);
+      if (problem_->path(i).single_run()) single_run_members_.push_back(i);
+    }
     if (members_.empty()) continue;
     ++stats.epochs;
     obs::SpanGuard epoch_span("engine", "epoch", "group", g);
@@ -401,6 +490,7 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
     for (int j = 1; j <= sched.stages_per_epoch;) {
       const double target = stage_target(sched, j);
       unsat_.clear();
+      refresh_stale_lhs(single_run_members_, rule);
       for (InstanceId i : members_)
         if (unsatisfied(i, rule, target)) unsat_.push_back(i);
       ++scanned;
@@ -548,9 +638,7 @@ StageParams derive_stage_params(const Problem& problem,
     if (!active_mask[static_cast<std::size_t>(i)]) continue;
     any_active = true;
     h_min = std::min(h_min, problem.instance(i).height);
-    delta = std::max(
-        delta,
-        static_cast<int>(plan.critical[static_cast<std::size_t>(i)].size()));
+    delta = std::max(delta, static_cast<int>(plan.critical(i).size()));
   }
   if (!any_active) return StageParams{};
   return class_stage_params(rule, delta, h_min, epsilon, xi_override);

@@ -306,23 +306,30 @@ class TwoPhaseEngine {
   // Incremental path.
   void run_incremental(const StageSchedule& sched, SolveResult& result);
   void reset_lhs_cache();
-  // DualState::lhs's walk, keyed by i rather than by the instance record,
-  // so the path lookup does not wait for the record's load.
   double cached_lhs(InstanceId i, double beta_coeff) {
     const auto k = static_cast<std::size_t>(i);
-    if (!lhs_fresh_[k]) {
-      lhs_cache_[k] = dual_lhs(dual_.alphas(), dual_.betas(),
-                               problem_->instance(i).demand,
-                               problem_->path(i), beta_coeff);
-      lhs_fresh_[k] = 1;
-    }
+    if (!lhs_fresh_[k]) recompute_lhs(i, beta_coeff);
     return lhs_cache_[k];
   }
+  // DualState::lhs's walk into the cache, keyed by i rather than by the
+  // instance record, so the path lookup does not wait for the record's
+  // load.  Out of line, so cached_lhs stays small enough to inline into
+  // every scan, where most members are fresh.
+  void recompute_lhs(InstanceId i, double beta_coeff);
   bool unsatisfied(InstanceId i, const RaiseRule& rule, double target) {
     const DemandInstance& inst = problem_->instance(i);
     return cached_lhs(i, rule.beta_coeff(inst)) <
            target * inst.profit - kEps * inst.profit;
   }
+  // Recomputes the stale cached LHS of `ids`, members whose path is one
+  // run (every line path), ahead of a scan that tests them all, kLanes at
+  // a time in interleaved accumulators, so independent add chains
+  // overlap.  Each lane adds exactly dual_lhs's ascending chain, so the
+  // values are bit-identical.  A stale multi-run path is left to the
+  // scan's one-chain walk (cached_lhs): on tree paths (~1 edge per run)
+  // the lanes gain nothing.
+  void refresh_stale_lhs(std::span<const InstanceId> ids,
+                         const RaiseRule& rule);
   // After an idle scan of `stage`: the first later stage at which some
   // member fails `unsatisfied`, or stages_per_epoch + 1 when none does
   // (see "Stage cost" in the header comment).
@@ -354,8 +361,11 @@ class TwoPhaseEngine {
   std::vector<char> lhs_fresh_;
   // Scratch of the epoch loop, reused across epochs and runs so the hot
   // loop stops allocating: the group's active members, the stage's
-  // unsatisfied frontier and one raise's beta increments.
+  // unsatisfied frontier and one raise's beta increments.  The members
+  // whose path is a single run are listed once more for
+  // refresh_stale_lhs.
   std::vector<InstanceId> members_;
+  std::vector<InstanceId> single_run_members_;
   std::vector<InstanceId> unsat_;
   std::vector<double> increments_;
 };

@@ -20,12 +20,16 @@
 //    networks (checked by the constructor);
 //  - kMaxLineInstances: the placements, i.e. demand instances;
 //  - kMaxLinePathEntries: the summed path lengths of the placements, i.e.
-//    the entries of the problem's path store and of its edge index.
+//    the (instance, edge) pairs that lower() walks while it builds the
+//    path store and the edge index, and that every engine LHS walk and
+//    feasibility check steps through.  The stores themselves hold runs
+//    (model/id_runs.hpp), far fewer entries: at most two per placement
+//    and one or two per run of consecutive ids in a bucket.
 //
 // They also keep every vertex, edge and instance id inside int32.  All
 // three sit far above every shape the tests and benches build; the largest,
 // perfbench's batch-line, lowers to 4,098 vertices, 275,958 instances and
-// 47.7M path entries.
+// 47.7M path ids, stored as 0.55M path entries and 1.1M bucket entries.
 #pragma once
 
 #include <cstdint>

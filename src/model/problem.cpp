@@ -85,34 +85,113 @@ InstanceId Problem::add_instance(DemandId d, NetworkId network, VertexId u,
   return id;
 }
 
-void Problem::write_new_paths() {
-  // Counting pass: the offsets of the new instances' paths.
-  const std::size_t first = path_offset_.size() - 1;
-  path_offset_.resize(instances_.size() + 1);
-  for (std::size_t i = first; i < instances_.size(); ++i) {
+std::int64_t Problem::write_new_paths() {
+  // Each path is walked into a scratch buffer, shifted to global ids,
+  // sorted (a path comes out ordered from u to v; on a line it is already
+  // ascending) and appended as runs.  The store holds runs only: no
+  // buffer of all the ids is ever built.
+  std::int64_t ids = 0;
+  std::vector<EdgeId> walk;
+  for (std::size_t i = path_offset_.size() - 1; i < instances_.size(); ++i) {
     const DemandInstance& inst = instances_[i];
-    path_offset_[i + 1] =
-        path_offset_[i] + network(inst.network).dist(inst.u, inst.v);
-  }
-  // The first build sizes the store exactly, so a large problem never
-  // holds an old and a doubled buffer at once; a reopen()ed problem
-  // appends every batch and grows it geometrically.
-  if (paths_.empty())
-    paths_.reserve(static_cast<std::size_t>(path_offset_.back()));
-  for (std::size_t i = first; i < instances_.size(); ++i) {
-    const DemandInstance& inst = instances_[i];
-    const auto lo = static_cast<std::size_t>(path_offset_[i]);
-    const auto len = static_cast<std::size_t>(path_offset_[i + 1]) - lo;
-    paths_.resize(lo + len);
-    const std::span<EdgeId> path(paths_.data() + lo, len);
-    network(inst.network).write_path_edges(inst.u, inst.v, path);
+    const TreeNetwork& net = network(inst.network);
+    walk.resize(static_cast<std::size_t>(net.dist(inst.u, inst.v)));
+    net.write_path_edges(inst.u, inst.v, walk);
     const EdgeId offset = edge_offset_[static_cast<std::size_t>(inst.network)];
-    for (EdgeId& e : path) e += offset;
-    // A path comes out ordered from u to v; on a line it is already
-    // ascending.
-    if (!std::is_sorted(path.begin(), path.end()))
-      std::sort(path.begin(), path.end());
+    for (EdgeId& e : walk) e += offset;
+    if (!std::is_sorted(walk.begin(), walk.end()))
+      std::sort(walk.begin(), walk.end());
+    append_runs(walk, path_entries_);
+    path_offset_.push_back(static_cast<std::int64_t>(path_entries_.size()));
+    ids += static_cast<std::int64_t>(walk.size());
   }
+  return ids;
+}
+
+void Problem::index_new_paths(InstanceId first) {
+  // The CSR edge -> instances index, extended by the instances from
+  // `first` on in two passes over their (instance, edge) pairs in id
+  // order.  Each pass carries, per edge, the last id of its bucket and
+  // whether that id closes a run of two or more: an id that follows the
+  // last one extends the bucket's last run (one more entry when that run
+  // was a lone id, none otherwise), any other id opens a lone one.  The
+  // first pass counts the new entries per bucket; the prefix sum (with
+  // the old bucket sizes) lays out the grown array, every old bucket
+  // moves up once, and the second pass writes the entries at the bucket
+  // ends.  New ids are the largest, so every bucket stays ascending, and
+  // its runs come out as a fresh build's.  A first build has no old
+  // buckets, so this is a counting sort into an exactly sized array; a
+  // reopen()ed problem grows it geometrically.
+  const auto edges = static_cast<std::size_t>(total_edges_);
+  if (edge_index_offset_.empty()) edge_index_offset_.assign(edges + 1, 0);
+  const auto old_size = [&](std::size_t e) {
+    return edge_index_offset_[e + 1] - edge_index_offset_[e];
+  };
+  // Per edge: the last id of its bucket (kNoTail when empty, which no
+  // id's predecessor equals) and whether it closes a run.  An old bucket
+  // can only be extended by instance `first`, whose predecessor is the
+  // largest old id, so only the old buckets on path(first) need their
+  // last entry loaded.
+  constexpr InstanceId kNoTail = -2;
+  std::vector<InstanceId> tail(edges, kNoTail);
+  std::vector<char> in_run(edges, 0);
+  const auto load_old_tails = [&](auto&& last_entry) {
+    if (first == num_instances()) return;
+    path(first).for_each_id([&](EdgeId e) {
+      const auto k = static_cast<std::size_t>(e);
+      if (old_size(k) == 0) return;
+      const InstanceId x =
+          edge_entries_[static_cast<std::size_t>(last_entry(k))];
+      tail[k] = x < 0 ? ~x : x;
+      in_run[k] = x < 0;
+    });
+  };
+  // Calls step(e, i, extends) for every new (instance, edge) pair in id
+  // order, keeping tail and in_run current; `extends` says whether i
+  // follows the bucket's last id.
+  const auto sweep = [&](auto&& step) {
+    for (InstanceId i = first; i < num_instances(); ++i) {
+      path(i).for_each_id([&](EdgeId e) {
+        const auto k = static_cast<std::size_t>(e);
+        const bool extends = tail[k] == i - 1;
+        step(k, i, extends);
+        in_run[k] = extends;
+        tail[k] = i;
+      });
+    }
+  };
+
+  load_old_tails([&](std::size_t e) { return edge_index_offset_[e + 1] - 1; });
+  std::vector<std::int64_t> offset(edges + 1, 0);
+  sweep([&](std::size_t e, InstanceId, bool extends) {
+    if (!extends || !in_run[e]) ++offset[e + 1];
+  });
+  for (std::size_t e = 0; e < edges; ++e)
+    offset[e + 1] += offset[e] + old_size(e);
+  edge_entries_.resize(static_cast<std::size_t>(offset[edges]));
+  // A bucket moves up by the new entries of the buckets below it, so
+  // moving from the top down never overwrites a bucket not yet moved, and
+  // the buckets below the lowest new entry stay where they are.
+  const auto at = [&](std::int64_t k) { return edge_entries_.begin() + k; };
+  for (std::size_t e = edges; e-- > 0 && offset[e] != edge_index_offset_[e];)
+    std::copy_backward(at(edge_index_offset_[e]),
+                       at(edge_index_offset_[e + 1]),
+                       at(offset[e] + old_size(e)));
+  // The old offsets become the write cursors: each bucket's first slot
+  // past its old entries.  The tails restart from the moved buckets.
+  std::fill(tail.begin(), tail.end(), kNoTail);
+  load_old_tails(
+      [&](std::size_t e) { return offset[e] + old_size(e) - 1; });
+  for (std::size_t e = 0; e < edges; ++e)
+    edge_index_offset_[e] = offset[e] + old_size(e);
+  sweep([&](std::size_t e, InstanceId i, bool extends) {
+    std::int64_t& cursor = edge_index_offset_[e];
+    if (extends && in_run[e])
+      edge_entries_[static_cast<std::size_t>(cursor - 1)] = ~i;
+    else
+      edge_entries_[static_cast<std::size_t>(cursor++)] = extends ? ~i : i;
+  });
+  edge_index_offset_ = std::move(offset);
 }
 
 void Problem::finalize() {
@@ -140,9 +219,20 @@ void Problem::finalize() {
   }
   expanded_demands_ = num_demands();
   check_input(!instances_.empty(), "problem has no demand instances");
-  write_new_paths();
+  // The span's args count what this call added: the new instances, the
+  // ids on their paths, and the run entries those ids took in the path
+  // store and in the edge index.
+  const auto path_entries = static_cast<std::int64_t>(path_entries_.size());
+  const auto bucket_entries = static_cast<std::int64_t>(edge_entries_.size());
+  std::int64_t path_ids = 0;
+  {
+    obs::SpanGuard paths_span("model", "paths");
+    path_ids = write_new_paths();
+  }
   span.arg("instances", num_instances() - first);
-  span.arg("index_entries", static_cast<std::int64_t>(paths_.size()));
+  span.arg("path_ids", path_ids);
+  span.arg("path_entries",
+           static_cast<std::int64_t>(path_entries_.size()) - path_entries);
 
   by_demand_.resize(static_cast<std::size_t>(num_demands()));
   for (InstanceId i = first; i < num_instances(); ++i) {
@@ -150,43 +240,12 @@ void Problem::finalize() {
     by_demand_[static_cast<std::size_t>(inst.demand)].push_back(i);
   }
 
-  // CSR edge -> instances index, extended by a counting sort of the new
-  // entries: one pass counts them per bucket, the prefix sum (with the
-  // old bucket sizes) lays out the grown array, every old bucket moves up
-  // once, and one pass writes the new ids at the bucket ends.  The new
-  // ids are the largest, so every bucket stays id-sorted.  A first build
-  // has no old buckets, so this is a counting sort into an exactly sized
-  // array; a reopen()ed problem grows it geometrically.
-  const auto edges = static_cast<std::size_t>(total_edges_);
-  if (edge_index_offset_.empty()) edge_index_offset_.assign(edges + 1, 0);
-  const auto old_size = [&](std::size_t e) {
-    return edge_index_offset_[e + 1] - edge_index_offset_[e];
-  };
-  std::vector<std::int64_t> offset(edges + 1, 0);
-  for (auto k = static_cast<std::size_t>(
-           path_offset_[static_cast<std::size_t>(first)]);
-       k < paths_.size(); ++k)
-    ++offset[static_cast<std::size_t>(paths_[k]) + 1];
-  for (std::size_t e = 0; e < edges; ++e)
-    offset[e + 1] += offset[e] + old_size(e);
-  edge_index_.resize(static_cast<std::size_t>(offset[edges]));
-  // A bucket moves up by the new entries of the buckets below it, so
-  // moving from the top down never overwrites a bucket not yet moved, and
-  // the buckets below the lowest new entry stay where they are.
-  const auto at = [&](std::int64_t k) { return edge_index_.begin() + k; };
-  for (std::size_t e = edges; e-- > 0 && offset[e] != edge_index_offset_[e];)
-    std::copy_backward(at(edge_index_offset_[e]), at(edge_index_offset_[e + 1]),
-                       at(offset[e] + old_size(e)));
-  // The old offsets become the write cursors: each bucket's first slot
-  // past its old entries.
-  for (std::size_t e = 0; e < edges; ++e)
-    edge_index_offset_[e] = offset[e] + old_size(e);
-  for (InstanceId i = first; i < num_instances(); ++i) {
-    for (EdgeId e : path(i))
-      edge_index_[static_cast<std::size_t>(
-          edge_index_offset_[static_cast<std::size_t>(e)]++)] = i;
+  {
+    obs::SpanGuard index_span("model", "edge_index");
+    index_new_paths(first);
   }
-  edge_index_offset_ = std::move(offset);
+  span.arg("bucket_entries",
+           static_cast<std::int64_t>(edge_entries_.size()) - bucket_entries);
 
   // Summary statistics, folded over the new demands and instances.  The
   // profit sum adds the new profits onto the running sum in id order, the
@@ -272,28 +331,30 @@ const std::vector<InstanceId>& Problem::instances_of_demand(DemandId d) const {
   return by_demand_[static_cast<std::size_t>(d)];
 }
 
-std::span<const InstanceId> Problem::instances_on_edge(EdgeId global) const {
+IdRuns Problem::instances_on_edge(EdgeId global) const {
   require_finalized();
   TS_REQUIRE(global >= 0 && global < total_edges_);
   const auto lo = static_cast<std::size_t>(
       edge_index_offset_[static_cast<std::size_t>(global)]);
   const auto hi = static_cast<std::size_t>(
       edge_index_offset_[static_cast<std::size_t>(global) + 1]);
-  return {edge_index_.data() + lo, hi - lo};
+  return IdRuns({edge_entries_.data() + lo, hi - lo});
 }
 
 bool Problem::overlap(InstanceId a, InstanceId b) const {
   const DemandInstance& x = instance(a);
   const DemandInstance& y = instance(b);
   if (x.network != y.network) return false;
-  // Sorted-merge intersection test.
-  const std::span<const EdgeId> px = path(a);
-  const std::span<const EdgeId> py = path(b);
+  // Sorted-merge intersection test, one run at a time.
+  const IdRuns::Runs px = path(a).runs();
+  const IdRuns::Runs py = path(b).runs();
   auto i = px.begin();
   auto j = py.begin();
   while (i != px.end() && j != py.end()) {
-    if (*i == *j) return true;
-    if (*i < *j)
+    const IdRuns::Run r = *i;
+    const IdRuns::Run t = *j;
+    if (r.first <= t.last && t.first <= r.last) return true;
+    if (r.last < t.last)
       ++i;
     else
       ++j;

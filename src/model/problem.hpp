@@ -9,16 +9,21 @@
 // demand per accessible network (tree case), or one copy per (resource,
 // start-slot) placement (line-with-windows case; see LineProblem::lower()).
 // The routing paths of all instances live in one flat path store on the
-// Problem, read through path(i) as sorted global edge ids, so the
+// Problem, read through path(i) as ascending global edge ids, so the
 // primal-dual engine, the conflict cliques and the feasibility checker all
 // work off the same representation regardless of where the instance came
-// from.
+// from.  The store and the edge -> instances index hold their sorted id
+// lists as runs of consecutive ids (model/id_runs.hpp): a line placement
+// occupies contiguous slots, so its path is one run, and the placements of
+// one demand that cover an edge have consecutive ids, so a bucket is a few
+// runs.
 //
 // Global edge ids concatenate the local edge ranges of the networks:
 // global = offset(network) + local.  The dual variable vector beta is
 // indexed by global edge id.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
@@ -26,6 +31,7 @@
 
 #include "common/prelude.hpp"
 #include "graph/tree_network.hpp"
+#include "model/id_runs.hpp"
 
 namespace treesched {
 
@@ -85,7 +91,9 @@ class Problem {
   // Freezes the problem: expands instances (if none were added manually),
   // writes the paths of the new instances into the path store, and extends
   // the per-demand / per-edge indexes and the summary statistics by them
-  // (a first build extends empty ones).  Traced as model/finalize.
+  // (a first build extends empty ones).  Traced as model/finalize, with
+  // the path store and the edge index as its children model/paths and
+  // model/edge_index.
   void finalize();
   bool finalized() const { return finalized_; }
 
@@ -97,8 +105,10 @@ class Problem {
   // reopen-append-finalize cycle therefore costs O(new instances + their
   // path lengths) plus one move of the old edge index entries and
   // O(edges) of per-edge passes, instead of a full
-  // re-materialization.  This is the online scheduler's per-batch path:
-  // between compactions its record set is append-only.
+  // re-materialization.  The stored runs come out entry for entry as a
+  // fresh build's: an appended id extends its bucket's last run when it
+  // follows it.  This is the online scheduler's per-batch path: between
+  // compactions its record set is append-only.
   void reopen();
 
   // --- topology ----------------------------------------------------------
@@ -127,24 +137,25 @@ class Problem {
   std::span<const DemandInstance> instances() const {
     return {instances_.data(), instances_.size()};
   }
-  // Routing path of instance i: its global edge ids, sorted ascending.
+  // Routing path of instance i: its global edge ids, ascending, as runs.
   // A view into the path store, valid until the next finalize().
-  std::span<const EdgeId> path(InstanceId i) const {
+  IdRuns path(InstanceId i) const {
     TS_REQUIRE(i >= 0 &&
                static_cast<std::size_t>(i) + 1 < path_offset_.size());
     const auto lo =
         static_cast<std::size_t>(path_offset_[static_cast<std::size_t>(i)]);
     const auto hi = static_cast<std::size_t>(
         path_offset_[static_cast<std::size_t>(i) + 1]);
-    return {paths_.data() + lo, hi - lo};
+    return IdRuns({path_entries_.data() + lo, hi - lo});
   }
   const std::vector<InstanceId>& instances_of_demand(DemandId d) const;
-  // Instances whose path contains `global`, ascending by id.  Backed by a
-  // CSR inverted index (one offsets array + one flat id array), so the
-  // whole index is two contiguous allocations and a bucket lookup is two
-  // loads — this is the hot lookup of the incremental engine's raise
-  // propagation (every raised edge fans out to exactly this bucket).
-  std::span<const InstanceId> instances_on_edge(EdgeId global) const;
+  // Instances whose path contains `global`, ascending by id, as runs.
+  // Backed by a CSR inverted index over run entries (one offsets array +
+  // one flat entry array), so the whole index is two contiguous
+  // allocations and a bucket lookup is two loads — this is the hot lookup
+  // of the incremental engine's raise propagation (every raised edge fans
+  // out to exactly this bucket, one run at a time).
+  IdRuns instances_on_edge(EdgeId global) const;
 
   // --- predicates (paper, Section 2 notation) ------------------------------
   // d1 and d2 overlap: same network and paths share at least one edge.
@@ -168,9 +179,11 @@ class Problem {
  private:
   void require_finalized() const { TS_REQUIRE(finalized_); }
   void require_mutable() const { TS_REQUIRE(!finalized_); }
-  // Sizes and writes the paths of the instances added since the last
-  // finalize().
-  void write_new_paths();
+  // Writes the paths of the instances added since the last finalize()
+  // into the path store; returns their summed length in ids.
+  std::int64_t write_new_paths();
+  // Appends the instances from `first` on to the edge index.
+  void index_new_paths(InstanceId first);
 
   VertexId n_;
   std::shared_ptr<const std::vector<TreeNetwork>> networks_;
@@ -185,17 +198,18 @@ class Problem {
   bool finalized_ = false;
   DemandId expanded_demands_ = 0;  // demands already expanded to instances
 
-  // Path store, CSR like the edge index: the path of instance i is
-  // paths_[path_offset_[i] .. path_offset_[i + 1]).  path_offset_ covers
-  // the instances whose paths are written (all of them once finalized).
+  // Path store, CSR like the edge index: the path of instance i is the
+  // run entries path_entries_[path_offset_[i] .. path_offset_[i + 1]).
+  // path_offset_ covers the instances whose paths are written (all of them
+  // once finalized).
   std::vector<std::int64_t> path_offset_{0};
-  std::vector<EdgeId> paths_;
+  std::vector<EdgeId> path_entries_;
 
   std::vector<std::vector<InstanceId>> by_demand_;
-  // CSR edge -> instances index: bucket of edge e is
-  // edge_index_[edge_index_offset_[e] .. edge_index_offset_[e + 1]).
+  // CSR edge -> instances index: the bucket of edge e is the run entries
+  // edge_entries_[edge_index_offset_[e] .. edge_index_offset_[e + 1]).
   std::vector<std::int64_t> edge_index_offset_;
-  std::vector<InstanceId> edge_index_;
+  std::vector<InstanceId> edge_entries_;
 
   Profit pmax_ = 0.0, pmin_ = 0.0, ptotal_ = 0.0;
   Height hmin_ = 1.0, hmax_ = 1.0;

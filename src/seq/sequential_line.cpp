@@ -6,21 +6,24 @@ LayeredPlan build_endtime_plan(const Problem& problem) {
   TS_REQUIRE(problem.finalized());
   LayeredPlan plan;
   plan.group.assign(static_cast<std::size_t>(problem.num_instances()), 0);
-  plan.critical.assign(static_cast<std::size_t>(problem.num_instances()), {});
+  plan.critical_edges.reserve(static_cast<std::size_t>(problem.num_instances()));
+  plan.critical_offset.reserve(
+      static_cast<std::size_t>(problem.num_instances()) + 1);
 
   plan.num_groups = 1;
   for (InstanceId i = 0; i < problem.num_instances(); ++i) {
-    const std::span<const EdgeId> path = problem.path(i);
+    const IdRuns path = problem.path(i);
     // Instances of a path network have contiguous global edge ids; the
     // *local* end slot orders the processing (ascending), so overlapping
     // d1 before d2 implies end(d1) is on path(d2).
     const auto [network, local_end] = problem.edge_owner(path.back());
     (void)network;
-    TS_REQUIRE(path.back() - path.front() + 1 ==
-               static_cast<EdgeId>(path.size()));
+    TS_REQUIRE(path.single_run());
     plan.group[static_cast<std::size_t>(i)] = local_end;
     plan.num_groups = std::max(plan.num_groups, local_end + 1);
-    plan.critical[static_cast<std::size_t>(i)] = {path.back()};
+    plan.critical_edges.push_back(path.back());
+    plan.critical_offset.push_back(
+        static_cast<std::int64_t>(plan.critical_edges.size()));
   }
   plan.delta = 1;
   plan.members.assign(static_cast<std::size_t>(plan.num_groups), {});

@@ -22,6 +22,7 @@
 namespace treesched {
 namespace {
 
+using testutil::replay_central_lhs;
 using testutil::small_line_problem;
 using testutil::small_tree_problem;
 
@@ -169,34 +170,6 @@ TEST(Discovery, DigestRepliesCutBytesOnLineWindows) {
       << "digest replies should collapse the quadratic bucket lists";
 }
 
-// Central replay of a protocol raise stack: applies the same raises, in
-// the same order, to a central DualState — what the pre-sharding
-// implementation computed.  Winners within one step are an independent
-// set, so their raises commute and the stored order is authoritative.
-std::vector<double> replay_central_lhs(
-    const Problem& p, const LayeredPlan& plan,
-    const std::vector<std::vector<InstanceId>>& stack) {
-  DualState dual(p);
-  const RaiseRule rule(RaiseRuleKind::kUnit, p);
-  for (const auto& step : stack) {
-    for (InstanceId i : step) {
-      const DemandInstance& inst = p.instance(i);
-      const auto& critical = plan.critical[static_cast<std::size_t>(i)];
-      const double slack =
-          inst.profit - dual.lhs(inst, rule.beta_coeff(inst));
-      const double amount = rule.delta(inst, critical, slack);
-      dual.raise_alpha(inst.demand, amount);
-      for (EdgeId e : critical)
-        dual.raise_beta(e, rule.beta_increment(inst, critical, amount, e));
-    }
-  }
-  std::vector<double> lhs(static_cast<std::size_t>(p.num_instances()), 0.0);
-  for (InstanceId i = 0; i < p.num_instances(); ++i)
-    lhs[static_cast<std::size_t>(i)] =
-        dual.lhs(p.instance(i), rule.beta_coeff(p.instance(i)));
-  return lhs;
-}
-
 TEST(ShardedDual, ProtocolMatchesCentralReplay) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Problem p = small_tree_problem(seed + 500, 20, 2, 9);
@@ -209,7 +182,8 @@ TEST(ShardedDual, ProtocolMatchesCentralReplay) {
 
     // The sharded run's per-instance LHS equals the central replay's.
     const std::vector<double> central =
-        replay_central_lhs(p, plan, run.passes[0].raise_stack);
+        replay_central_lhs(p, plan, RaiseRuleKind::kUnit,
+                           run.passes[0].raise_stack);
     ASSERT_EQ(run.passes[0].final_lhs.size(), central.size());
     double lambda = 1.0;
     for (InstanceId i = 0; i < p.num_instances(); ++i) {
@@ -250,8 +224,9 @@ TEST(ShardedDual, RoundIdentityIncludesDiscovery) {
 }
 
 TEST(DualShardUnit, LocalRaisesAndRemoteApplication) {
+  // Three lone ids: their run entries are the ids themselves.
   const std::vector<EdgeId> path{2, 5, 9};
-  DualShard shard(/*demand=*/3, {path.data(), path.size()});
+  DualShard shard(/*demand=*/3, IdRuns({path.data(), path.size()}));
   EXPECT_DOUBLE_EQ(shard.lhs(1.0), 0.0);
 
   shard.raise_alpha(0.5);

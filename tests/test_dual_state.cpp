@@ -31,8 +31,7 @@ TEST(DualState, LhsUsesBetaCoefficient) {
   dual.raise_alpha(0, 2.0);
   dual.raise_beta(0, 1.0);
   dual.raise_beta(2, 0.5);
-  // Instance 0 (demand 0, edges 0,1,2): beta_sum = 1.5.
-  EXPECT_DOUBLE_EQ(dual.beta_sum(p.instance(0)), 1.5);
+  // Instance 0 (demand 0, edges 0,1,2): the beta sum is 1.5.
   EXPECT_DOUBLE_EQ(dual.lhs(p.instance(0), 1.0), 2.0 + 1.5);
   EXPECT_DOUBLE_EQ(dual.lhs(p.instance(0), 0.5), 2.0 + 0.75);
   // Instance 1 (demand 1, edges 2,3): alpha(1) = 0.

@@ -19,15 +19,15 @@ using testutil::small_tree_problem;
 void check_plan_structure(const Problem& problem, const LayeredPlan& plan) {
   ASSERT_EQ(plan.group.size(),
             static_cast<std::size_t>(problem.num_instances()));
-  ASSERT_EQ(plan.critical.size(),
-            static_cast<std::size_t>(problem.num_instances()));
+  ASSERT_EQ(plan.critical_offset.size(),
+            static_cast<std::size_t>(problem.num_instances()) + 1);
   std::size_t members = 0;
   for (const auto& g : plan.members) members += g.size();
   EXPECT_EQ(members, static_cast<std::size_t>(problem.num_instances()));
   for (InstanceId i = 0; i < problem.num_instances(); ++i) {
     EXPECT_GE(plan.group[static_cast<std::size_t>(i)], 0);
     EXPECT_LT(plan.group[static_cast<std::size_t>(i)], plan.num_groups);
-    const auto& crit = plan.critical[static_cast<std::size_t>(i)];
+    const auto crit = plan.critical(i);
     EXPECT_FALSE(crit.empty());
     EXPECT_LE(static_cast<int>(crit.size()), plan.delta);
     // Critical edges lie on the instance's path (by definition of pi).
@@ -118,7 +118,7 @@ TEST(LinePlan, SingleSlotInstances) {
   const LayeredPlan plan = build_line_layered_plan(problem);
   // Length-1 instances: start == mid == end, so |pi| == 1.
   for (InstanceId i = 0; i < problem.num_instances(); ++i)
-    EXPECT_EQ(plan.critical[static_cast<std::size_t>(i)].size(), 1u);
+    EXPECT_EQ(plan.critical(i).size(), 1u);
   EXPECT_FALSE(interference_violation(problem, plan).has_value());
 }
 
@@ -145,7 +145,9 @@ TEST(InterferenceChecker, CatchesBrokenPlan) {
   plan.num_groups = 1;
   plan.delta = 1;
   plan.group = {0, 0};
-  plan.critical = {{0}, {6}};  // slot 0 not on path 2-6; slot 6 not on 0-3
+  // Slot 0 is not on path 2-6, and slot 6 is not on 0-3.
+  plan.critical_offset = {0, 1, 2};
+  plan.critical_edges = {0, 6};
   plan.members = {{0, 1}};
   EXPECT_TRUE(interference_violation(problem, plan).has_value());
 }

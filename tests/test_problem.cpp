@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "model/line_problem.hpp"
 #include "test_util.hpp"
 #include "workload/tree_gen.hpp"
 
@@ -162,6 +163,11 @@ void expect_store_matches_walk(const Problem& p) {
   }
 }
 
+// The stored run entries of a path or bucket, not their expansion.
+std::vector<IdRuns::Id> entries_of(IdRuns list) {
+  return {list.entries().begin(), list.entries().end()};
+}
+
 void expect_same_store(const Problem& a, const Problem& b) {
   ASSERT_EQ(a.num_instances(), b.num_instances());
   ASSERT_EQ(a.num_demands(), b.num_demands());
@@ -170,12 +176,15 @@ void expect_same_store(const Problem& a, const Problem& b) {
     EXPECT_EQ(a.instance(i).demand, b.instance(i).demand);
     EXPECT_EQ(a.instance(i).network, b.instance(i).network);
     EXPECT_EQ(testutil::path_of(a, i), testutil::path_of(b, i));
+    EXPECT_EQ(entries_of(a.path(i)), entries_of(b.path(i)))
+        << "instance " << i;
   }
   for (EdgeId e = 0; e < a.num_global_edges(); ++e) {
     const auto x = a.instances_on_edge(e);
     const auto y = b.instances_on_edge(e);
     EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
         << "edge " << e;
+    EXPECT_EQ(entries_of(x), entries_of(y)) << "edge " << e;
   }
   for (DemandId d = 0; d < a.num_demands(); ++d)
     EXPECT_EQ(a.instances_of_demand(d), b.instances_of_demand(d));
@@ -240,6 +249,67 @@ TEST(Problem, CopyOwnsItsPathStore) {
   original.reset();
   expect_same_store(copy, reference);
   expect_store_matches_walk(copy);
+}
+
+// Every list is stored as maximal runs: consecutive runs leave a gap, a
+// lone id takes one entry, and no list has more entries than ids.
+void expect_maximal_runs(IdRuns list, const std::string& what) {
+  EXPECT_LE(list.entries().size(), list.size()) << what;
+  bool first = true;
+  IdRuns::Run prev;
+  for (const IdRuns::Run r : list.runs()) {
+    EXPECT_LE(r.first, r.last) << what;
+    if (!first) {
+      EXPECT_GT(r.first, prev.last + 1) << what;
+    }
+    first = false;
+    prev = r;
+  }
+  std::size_t entries = 0;
+  for (const IdRuns::Run r : list.runs()) entries += r.first == r.last ? 1 : 2;
+  EXPECT_EQ(entries, list.entries().size()) << what;
+}
+
+void expect_compact_store(const Problem& p, bool line) {
+  for (InstanceId i = 0; i < p.num_instances(); ++i) {
+    expect_maximal_runs(p.path(i), "instance " + std::to_string(i));
+    if (line) {
+      EXPECT_TRUE(p.path(i).single_run()) << "instance " << i;
+    }
+  }
+  for (EdgeId e = 0; e < p.num_global_edges(); ++e)
+    expect_maximal_runs(p.instances_on_edge(e), "edge " + std::to_string(e));
+}
+
+TEST(Problem, StoresMaximalRunsNoLongerThanTheIds) {
+  SCOPED_TRACE("tree");
+  expect_compact_store(testutil::small_tree_problem(4, 24, 2, 12), false);
+  SCOPED_TRACE("line");
+  const Problem line =
+      testutil::small_line_problem(7, 24, 2, 8, HeightLaw::kUnit, 3.0);
+  expect_compact_store(line, true);
+  // A line placement is one run of two entries, and a line bucket holds
+  // far fewer runs than ids: a demand's placements that cover an edge
+  // have consecutive ids.
+  std::size_t ids = 0, entries = 0;
+  for (EdgeId e = 0; e < line.num_global_edges(); ++e) {
+    ids += line.instances_on_edge(e).size();
+    entries += line.instances_on_edge(e).entries().size();
+  }
+  EXPECT_LT(2 * entries, ids);
+  SCOPED_TRACE("line, appended over 5 reopens");
+  expect_compact_store(rebuilt_in_batches(line, /*manual=*/true, 5), true);
+  // One resource: d0's last placement (slots 4-7) and d1's first (slots
+  // 4-5) have consecutive ids and share slot 4, so the bucket run of slot
+  // 4 spans both demands, and the reopen that appends d1 must extend it.
+  SCOPED_TRACE("a run across a reopen");
+  LineProblem spanning(8, 1);
+  spanning.add_demand(0, 7, 4, 1.0);
+  spanning.add_demand(4, 7, 2, 1.0);
+  const Problem fresh = spanning.lower();
+  const Problem grown = rebuilt_in_batches(fresh, /*manual=*/true, 2);
+  expect_compact_store(grown, true);
+  expect_same_store(grown, fresh);
 }
 
 TEST(Problem, AddInstanceRejectsBadEndpoints) {

@@ -42,6 +42,7 @@ namespace {
   return true;
 }();
 
+using testutil::replay_central_lhs;
 using testutil::require_feasible;
 using testutil::small_line_problem;
 using testutil::small_tree_problem;
@@ -106,35 +107,6 @@ void expect_transport_axis(const RunFn& rerun, const ProtocolRunResult& ref,
     EXPECT_EQ(got.codec_encoded, got.messages) << tag;
     EXPECT_EQ(got.codec_decoded, got.messages) << tag;
   }
-}
-
-// Central DualState replay of a protocol raise stack under the pass's
-// rule: the same tight_raise arithmetic, applied in the same order, to
-// the pre-sharding central state.  Exact (==) oracle for final_lhs.
-std::vector<double> replay_central_lhs(
-    const Problem& p, const LayeredPlan& plan, RaiseRuleKind kind,
-    const std::vector<std::vector<InstanceId>>& stack) {
-  DualState dual(p);
-  const RaiseRule rule(kind, p);
-  std::vector<double> increments;
-  for (const auto& step : stack) {
-    for (InstanceId i : step) {
-      const DemandInstance& inst = p.instance(i);
-      const auto& critical = plan.critical[static_cast<std::size_t>(i)];
-      const double slack =
-          inst.profit - dual.lhs(inst, rule.beta_coeff(inst));
-      const double amount = rule.tight_raise(inst, critical, slack,
-                                             increments);
-      dual.raise_alpha(inst.demand, amount);
-      for (std::size_t c = 0; c < critical.size(); ++c)
-        dual.raise_beta(critical[c], increments[c]);
-    }
-  }
-  std::vector<double> lhs(static_cast<std::size_t>(p.num_instances()), 0.0);
-  for (InstanceId i = 0; i < p.num_instances(); ++i)
-    lhs[static_cast<std::size_t>(i)] =
-        dual.lhs(p.instance(i), rule.beta_coeff(p.instance(i)));
-  return lhs;
 }
 
 // The engine-side configuration that mirrors a protocol run: lockstep

@@ -8,6 +8,8 @@
 #include "capacity/capacity_profile.hpp"
 #include "decomp/layered.hpp"
 #include "exact/branch_and_bound.hpp"
+#include "framework/dual_state.hpp"
+#include "framework/raise_rule.hpp"
 #include "framework/two_phase.hpp"
 #include "model/problem.hpp"
 #include "model/solution.hpp"
@@ -51,8 +53,40 @@ inline Problem small_line_problem(std::uint64_t seed, int slots = 24,
 
 // Instance i's routing path as a vector, for EXPECT_EQ comparisons.
 inline std::vector<EdgeId> path_of(const Problem& problem, InstanceId i) {
-  const std::span<const EdgeId> path = problem.path(i);
+  const IdRuns path = problem.path(i);
   return {path.begin(), path.end()};
+}
+
+// Central DualState replay of a protocol raise stack under `kind`: the
+// same tight_raise arithmetic, applied in the same order, to the
+// pre-sharding central state.  Winners within one step are an independent
+// set, so their raises commute and the stored order is authoritative.
+// Returns every instance's final LHS: the exact (==) oracle for a
+// protocol pass's final_lhs.
+inline std::vector<double> replay_central_lhs(
+    const Problem& p, const LayeredPlan& plan, RaiseRuleKind kind,
+    const std::vector<std::vector<InstanceId>>& stack) {
+  DualState dual(p);
+  const RaiseRule rule(kind, p);
+  std::vector<double> increments;
+  for (const auto& step : stack) {
+    for (InstanceId i : step) {
+      const DemandInstance& inst = p.instance(i);
+      const std::span<const EdgeId> critical = plan.critical(i);
+      const double slack =
+          inst.profit - dual.lhs(inst, rule.beta_coeff(inst));
+      const double amount =
+          rule.tight_raise(inst, critical, slack, increments);
+      dual.raise_alpha(inst.demand, amount);
+      for (std::size_t c = 0; c < critical.size(); ++c)
+        dual.raise_beta(critical[c], increments[c]);
+    }
+  }
+  std::vector<double> lhs(static_cast<std::size_t>(p.num_instances()), 0.0);
+  for (InstanceId i = 0; i < p.num_instances(); ++i)
+    lhs[static_cast<std::size_t>(i)] =
+        dual.lhs(p.instance(i), rule.beta_coeff(p.instance(i)));
+  return lhs;
 }
 
 // Exact optimum; fails the test if the search did not complete.
