@@ -1,15 +1,8 @@
 // F7 — distributed MIS: Luby's iteration count grows with log N
 // (Section 5's T_MIS factor), plus microbenchmarks of the
 // performance-critical kernels (Luby MIS, greedy MIS, ideal
-// decomposition construction, path extraction, end-to-end solve).
-// With google-benchmark available (TREESCHED_HAVE_GBENCH) the kernels
-// run under it; otherwise a vendored fallback timer
-// (benchutil::time_kernel_ns) reports mean ns/op, so no environment
-// silently skips the timings.
-#ifdef TREESCHED_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#endif
-
+// decomposition construction, path extraction, end-to-end solve), timed
+// by the vendored benchutil::time_kernel_ns loop (mean ns/op).
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -76,77 +69,9 @@ void print_luby_series() {
               correlation(xs, ys));
 }
 
-#ifdef TREESCHED_HAVE_GBENCH
-
-void BM_LubyMis(benchmark::State& state) {
-  const Problem p = scaled_problem(static_cast<int>(state.range(0)), 3);
-  const auto candidates = all_instances(p);
-  LubyMis mis(p, 7);
-  std::int64_t rounds = 0;
-  for (auto _ : state) {
-    const MisResult r = mis.run(candidates);
-    rounds += r.rounds;
-    benchmark::DoNotOptimize(r.selected.data());
-  }
-  state.counters["luby_rounds/iter"] =
-      static_cast<double>(rounds) /
-      static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_LubyMis)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_GreedyMis(benchmark::State& state) {
-  const Problem p = scaled_problem(static_cast<int>(state.range(0)), 3);
-  const auto candidates = all_instances(p);
-  GreedyMis mis(p);
-  for (auto _ : state) {
-    const MisResult r = mis.run(candidates);
-    benchmark::DoNotOptimize(r.selected.data());
-  }
-}
-BENCHMARK(BM_GreedyMis)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_IdealDecomposition(benchmark::State& state) {
-  Rng rng(5);
-  const TreeNetwork t = make_tree(TreeShape::kRandomAttachment,
-                                  static_cast<VertexId>(state.range(0)),
-                                  rng);
-  for (auto _ : state) {
-    const TreeDecomposition h = build_ideal(t);
-    benchmark::DoNotOptimize(h.max_depth());
-  }
-}
-BENCHMARK(BM_IdealDecomposition)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_PathExtraction(benchmark::State& state) {
-  Rng rng(9);
-  const TreeNetwork t = make_tree(TreeShape::kRandomAttachment, 4096, rng);
-  std::uint64_t x = 1;
-  for (auto _ : state) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    const auto u = static_cast<VertexId>((x >> 20) % 4096);
-    const auto v = static_cast<VertexId>((x >> 40) % 4096);
-    benchmark::DoNotOptimize(t.path_edges(u, v).size());
-  }
-}
-BENCHMARK(BM_PathExtraction);
-
-void BM_EndToEndSolve(benchmark::State& state) {
-  const Problem p = scaled_problem(static_cast<int>(state.range(0)), 11);
-  for (auto _ : state) {
-    DistOptions options;
-    options.epsilon = 0.2;
-    const DistResult r = solve_tree_unit_distributed(p, options);
-    benchmark::DoNotOptimize(r.profit);
-  }
-}
-BENCHMARK(BM_EndToEndSolve)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
-
-#else  // !TREESCHED_HAVE_GBENCH
-
-// Fallback kernel timings: the same kernels as the google-benchmark
-// path, timed with the vendored benchutil::time_kernel_ns loop.
-void run_fallback_kernels() {
-  Table table("F7b  kernel timings (vendored fallback timer, mean ns/op)");
+// Kernel timings with the vendored benchutil::time_kernel_ns loop.
+void run_kernels() {
+  Table table("F7b  kernel timings (vendored timer, mean ns/op)");
   table.set_header({"kernel", "arg", "ns/op"});
   const auto add = [&table](const char* kernel, int arg, double ns) {
     table.add_row({kernel, std::to_string(arg), fmt(ns, 0)});
@@ -202,27 +127,14 @@ void run_fallback_kernels() {
   }
 
   table.print(std::cout);
-  std::printf("(google-benchmark not available at build time; timings "
-              "from the fallback loop — indicative, not statistically "
-              "hardened.)\n");
+  std::printf("(mean of a plain timing loop — indicative, not "
+              "statistically hardened.)\n");
 }
-
-#endif  // TREESCHED_HAVE_GBENCH
 
 }  // namespace
 
-#ifdef TREESCHED_HAVE_GBENCH
-int main(int argc, char** argv) {
-  print_luby_series();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
-#else
 int main() {
   print_luby_series();
-  run_fallback_kernels();
+  run_kernels();
   return 0;
 }
-#endif

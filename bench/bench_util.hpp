@@ -82,12 +82,10 @@ inline Profit checked_profit(const Problem& problem,
   return solution.profit(problem);
 }
 
-// Vendored fallback timer for environments without google-benchmark:
-// runs `fn` until at least `min_iters` iterations and `min_seconds` of
-// wall clock have elapsed, and returns the mean nanoseconds per
-// iteration.  Deliberately simple — no statistical outlier handling —
-// but enough for every environment to report kernel timings instead of
-// silently skipping them.
+// Vendored kernel timer: runs `fn` until at least `min_iters`
+// iterations and `min_seconds` of wall clock have elapsed, and returns
+// the mean nanoseconds per iteration.  Deliberately simple — no
+// statistical outlier handling — and built everywhere.
 template <typename Fn>
 inline double time_kernel_ns(Fn&& fn, int min_iters = 3,
                              double min_seconds = 0.2) {

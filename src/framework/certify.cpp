@@ -23,18 +23,6 @@ double observed_lambda(const Problem& problem, const DualState& dual,
   return any ? lambda : 1.0;
 }
 
-bool all_satisfied(const Problem& problem, const DualState& dual,
-                   const RaiseRule& rule, const std::vector<char>& active_mask,
-                   double level) {
-  for (InstanceId i = 0; i < problem.num_instances(); ++i) {
-    if (!active_mask[static_cast<std::size_t>(i)]) continue;
-    const DemandInstance& inst = problem.instance(i);
-    const double lhs = dual.lhs(inst, rule.beta_coeff(inst));
-    if (lhs < level * inst.profit - kEps * inst.profit) return false;
-  }
-  return true;
-}
-
 ShardCertificate validate_shard_certificate(
     const Problem& problem, const LayeredPlan& plan, const RaiseRule& rule,
     const std::vector<std::vector<InstanceId>>& stack,

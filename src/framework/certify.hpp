@@ -3,8 +3,8 @@
 // by 1/lambda — where lambda is the minimum satisfaction level over all
 // (active) instances — yields a feasible dual whose objective upper
 // bounds OPT by weak duality.  These helpers compute the observed lambda
-// and validate satisfaction levels; the benchmarks use the resulting
-// certified bound wherever exact optima are out of reach.
+// and validate a degraded run's reported one; the benchmarks use the
+// resulting certified bound wherever exact optima are out of reach.
 #pragma once
 
 #include <span>
@@ -22,12 +22,6 @@ namespace treesched {
 double observed_lambda(const Problem& problem, const DualState& dual,
                        const RaiseRule& rule,
                        const std::vector<char>& active_mask);
-
-// True iff every active instance is `level`-satisfied (paper notation:
-// LHS >= level * p(d), with relative tolerance).
-bool all_satisfied(const Problem& problem, const DualState& dual,
-                   const RaiseRule& rule, const std::vector<char>& active_mask,
-                   double level);
 
 // Degraded-mode certificate validation (wire protocol over a lossy
 // transport).  Under message loss a processor's shard can miss incoming

@@ -1,5 +1,7 @@
 #include "framework/component_forest.hpp"
 
+#include <numeric>
+
 #include "obs/trace.hpp"
 
 namespace treesched {
@@ -43,16 +45,23 @@ void ComponentForest::chain(const Problem& problem, InstanceId i) {
 void ComponentForest::flatten(const std::vector<char>& active_mask) {
   // Every root is its component's smallest id, so an ascending scan meets
   // a component's root before its other members: components are numbered
-  // by smallest id, and every other member reads its root's number.
+  // by smallest id, and every other member reads its root's number.  A
+  // component update() left clean kept exactly its members, hence its
+  // root, so the root's old number is where it was carried from.
   const std::size_t n = active_mask.size();
-  comp_of_member_.assign(n, -1);
   comp_member_begin_.assign(1, 0);
+  carried_from_.clear();
   for (std::size_t i = 0; i < n; ++i) {
+    const int old = comp_of_member_[i];
+    comp_of_member_[i] = -1;
     if (!active_mask[i]) continue;
     const auto root = static_cast<std::size_t>(find(static_cast<int>(i)));
     if (root == i) {
       comp_of_member_[i] = num_components();
       comp_member_begin_.push_back(0);
+      carried_from_.push_back(
+          old >= 0 && !dirty_comp_[static_cast<std::size_t>(old)] ? old
+                                                                   : -1);
     } else {
       comp_of_member_[i] = comp_of_member_[root];
     }
@@ -89,6 +98,7 @@ void ComponentForest::build(const Problem& problem,
   walk_stamp_ = 1;
   for (InstanceId i = 0; i < n; ++i)
     if (active_mask[static_cast<std::size_t>(i)]) chain(problem, i);
+  comp_of_member_.assign(static_cast<std::size_t>(n), -1);  // nothing carried
   flatten(active_mask);
   built_ = true;
 }
@@ -115,7 +125,11 @@ void ComponentForest::update(const Problem& problem,
   edge_stamp_.resize(edge_last_.size(), 0);
   demand_last_.resize(static_cast<std::size_t>(problem.num_demands()), -1);
   demand_stamp_.resize(demand_last_.size(), 0);
-  if (added.empty() && removed.empty()) return;
+  if (added.empty() && removed.empty()) {
+    carried_from_.resize(static_cast<std::size_t>(num_components()));
+    std::iota(carried_from_.begin(), carried_from_.end(), 0);
+    return;
+  }
 
   // Delta marking.  A removed member dirties its own component (it may
   // split); an added instance dirties every old component it shares an

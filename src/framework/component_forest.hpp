@@ -14,8 +14,11 @@
 // Determinism contract (tests/test_component_forest.cpp checks it
 // against an independent BFS with ==): components are ordered by their
 // smallest member id and members within a component are ascending, so
-// component_members(c).front() is the component's smallest id — the
-// key the online scheduler's caches and snapshots use.
+// equal masks give equal component numbers however the forest got there.
+// update() also reports which components it carried over unchanged and
+// their numbers before it (carried_from()), which is how the online
+// scheduler moves its per-component caches, held in forest order, from
+// one batch to the next.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +72,15 @@ class ComponentForest {
             static_cast<std::size_t>(comp_member_begin_[k + 1] -
                                      comp_member_begin_[k])};
   }
+  // The number component c had before the last update(), when that
+  // update carried it over unchanged (it lost no member and shares no
+  // edge or demand with an added instance, so it has exactly its old
+  // members); -1 for a component the update dirtied, merged or created,
+  // and for every component after build().  An empty delta carries every
+  // component over.
+  int carried_from(int c) const {
+    return carried_from_[static_cast<std::size_t>(c)];
+  }
 
  private:
   int find(int x);
@@ -76,7 +88,9 @@ class ComponentForest {
   // Unites active instance i with the previous instance of this walk on
   // its demand and on each of its path edges.
   void chain(const Problem& problem, InstanceId i);
-  // Rebuilds the flat partition from the union-find.
+  // Rebuilds the flat partition from the union-find.  comp_of_member_
+  // must hold the previous numbering (or -1) for every id: a root reads
+  // its old number there before overwriting it.
   void flatten(const std::vector<char>& active_mask);
 
   bool built_ = false;
@@ -98,7 +112,7 @@ class ComponentForest {
   // when the entry is inactive, since component_of() is -1 there.
   std::vector<int> edge_last_, edge_stamp_, demand_last_, demand_stamp_;
   int walk_stamp_ = 0;
-  // update() scratch: components a delta touched.
+  // update() scratch: components a delta touched, by old number.
   std::vector<char> dirty_comp_;
 
   // The flat partition: component c owns members
@@ -108,6 +122,8 @@ class ComponentForest {
   // Member id -> component id (-1 inactive); what update()'s dirty
   // marking and the online scheduler's row splitting key on.
   std::vector<int> comp_of_member_;
+  // Per component: its number before the last update(), or -1.
+  std::vector<int> carried_from_;
 };
 
 }  // namespace treesched

@@ -419,7 +419,7 @@ double target_lambda(StageMode mode, double epsilon);
 // 1), or whose 1 - xi is below 2^-40 (the margin that keeps the stage
 // targets monotone, see "Stage cost" above), is rejected with a
 // check_input diagnostic.  The int rule stays because the stage index
-// is an int and snapshots store stages_per_epoch as i32.
+// is an int and snapshots store stack tags' stages as i32.
 struct StageParams {
   bool any_active = false;
   int delta = 0;

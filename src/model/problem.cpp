@@ -1,6 +1,7 @@
 #include "model/problem.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/trace.hpp"
 
@@ -33,7 +34,8 @@ DemandId Problem::add_demand(VertexId u, VertexId v, Profit profit,
   require_mutable();
   check_input(u >= 0 && u < n_ && v >= 0 && v < n_ && u != v,
               "demand endpoints out of range");
-  check_input(profit > 0.0, "demand profit must be positive");
+  check_input(profit > 0.0 && std::isfinite(profit),
+              "demand profit must be positive and finite");
   check_input(height > 0.0 && height <= 1.0 + kEps,
               "demand height must lie in (0, 1]");
   const DemandId id = static_cast<DemandId>(demands_.size());

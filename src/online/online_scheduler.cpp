@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <unordered_set>
 #include <utility>
 
@@ -127,48 +128,49 @@ SchedulerSnapshot OnlineScheduler::capture() const {
   SchedulerSnapshot snap;
   snap.batches_applied = static_cast<std::uint32_t>(batches_applied_);
   snap.records = records_;
-  capture_class(wide_, snap.wide);
-  capture_class(narrow_, snap.narrow);
+  snap.wide.components = wide_.cache;
+  snap.narrow.components = narrow_.cache;
   return snap;
 }
 
-void OnlineScheduler::capture_class(const ClassState& cls,
-                                    ClassSnapshot& out) const {
-  out.valid = cls.valid;
-  out.params = cls.params;
-  out.mask = cls.mask;
-  out.components.clear();
-  if (!cls.valid) return;
-  // Forest component order, so equal states capture to equal bytes (the
-  // cache map's own iteration order is not deterministic).
-  const int comps = cls.forest.num_components();
-  out.components.reserve(static_cast<std::size_t>(comps));
-  for (int c = 0; c < comps; ++c) {
-    const auto it = cls.cache.find(cls.forest.component_members(c).front());
-    TS_REQUIRE(it != cls.cache.end());
-    out.components.push_back(it->second);
+std::vector<char> OnlineScheduler::class_mask(RaiseRuleKind rule) const {
+  const int n = problem_->num_instances();
+  std::vector<char> mask(static_cast<std::size_t>(n), 0);
+  for (InstanceId i = 0; i < n; ++i) {
+    const DemandInstance& inst = problem_->instance(i);
+    mask[static_cast<std::size_t>(i)] =
+        in_class(inst, rule) &&
+                records_[static_cast<std::size_t>(inst.demand)].alive
+            ? 1
+            : 0;
   }
+  return mask;
 }
 
 void OnlineScheduler::restore_class(ClassState& cls,
                                     const ClassSnapshot& snap) {
-  cls.params = snap.params;
-  cls.mask = snap.mask;
-  cls.valid = snap.valid;
-  cls.cache.clear();
-  if (!cls.valid) return;
-  check_input(cls.mask.size() ==
-                  static_cast<std::size_t>(problem_->num_instances()),
-              "snapshot: class mask does not match the rebuilt problem");
+  // The mask and the params are what the captured run's last refresh
+  // derived from the same records; derive_stage_params re-applies
+  // class_stage_params' admission checks to them.
+  cls.mask = class_mask(cls.rule);
+  cls.params =
+      derive_stage_params(*problem_, plan_, cls.mask, cls.rule,
+                          config_.solver.epsilon, config_.solver.xi_override);
   cls.forest.build(*problem_, cls.mask);
   // The caches are installed verbatim, but only after the rebuilt
   // forest's partition confirms them: every component's member list must
   // match its cache entry exactly, or the snapshot belongs to a
-  // different problem than the records rebuild.
+  // different problem than the records rebuild.  Its stack rows must be
+  // what refresh_class splits off a run: in strictly ascending tag
+  // order, each a non-empty ascending list of the component's own
+  // members, so assemble() splices disjoint rows of ids it owns.
+  const auto ascending = [](const auto& v) {
+    return std::adjacent_find(v.begin(), v.end(), std::greater_equal<>()) ==
+           v.end();
+  };
   const int comps = cls.forest.num_components();
   check_input(static_cast<std::size_t>(comps) == snap.components.size(),
               "snapshot: component count does not match the rebuilt forest");
-  cls.cache.reserve(static_cast<std::size_t>(comps));
   for (int c = 0; c < comps; ++c) {
     const auto ids = cls.forest.component_members(c);
     const SnapshotComponent& sc = snap.components[static_cast<std::size_t>(c)];
@@ -178,8 +180,16 @@ void OnlineScheduler::restore_class(ClassState& cls,
     check_input(sc.lhs.size() == sc.members.size() &&
                     sc.tags.size() == sc.rows.size(),
                 "snapshot: component cache shape mismatch");
-    cls.cache.emplace(sc.members.front(), sc);
+    check_input(ascending(sc.tags),
+                "snapshot: component stack rows are not in tag order");
+    for (const std::vector<InstanceId>& row : sc.rows)
+      check_input(!row.empty() && ascending(row) &&
+                      std::includes(ids.begin(), ids.end(), row.begin(),
+                                    row.end()),
+                  "snapshot: stack row is not an ascending list of its "
+                  "component's members");
   }
+  cls.cache = snap.components;
 }
 
 void OnlineScheduler::rebuild_problem() {
@@ -241,13 +251,13 @@ void OnlineScheduler::compact() {
   // The surviving records renumber, so the incremental extension path is
   // off the table: drop the materialized problem to force a full rebuild.
   problem_.reset();
-  // Instance ids were renumbered: every cache is void.
-  wide_.valid = false;
-  wide_.cache.clear();
-  wide_.mask.clear();
-  narrow_.valid = false;
-  narrow_.cache.clear();
-  narrow_.mask.clear();
+  // Instance ids were renumbered: every forest and cache is void, and the
+  // empty masks make the next refresh start each class afresh.
+  for (ClassState* cls : {&wide_, &narrow_}) {
+    cls->mask.clear();
+    cls->forest = ComponentForest();
+    cls->cache.clear();
+  }
 }
 
 std::vector<char> OnlineScheduler::live_mask() const {
@@ -356,9 +366,10 @@ OnlineBatchReport OnlineScheduler::step(const EventBatch& batch) {
   report.refresh_ns = elapsed_ns(t_refresh);
 
   report.live_demands = live_demands_;
-  int live_instances = 0;
-  for (const char alive : live_mask()) live_instances += alive;
-  report.live_instances = live_instances;
+  // Every instance is in exactly one class.
+  report.live_instances = static_cast<int>(
+      std::count(wide_.mask.begin(), wide_.mask.end(), 1) +
+      std::count(narrow_.mask.begin(), narrow_.mask.end(), 1));
   report.solve_ns = elapsed_ns(t0);
   return report;
 }
@@ -368,17 +379,8 @@ void OnlineScheduler::refresh_class(ClassState& cls,
   const Problem& problem = *problem_;
   const int n = problem.num_instances();
 
-  // The class's new active mask (live AND in-class) and its delta
-  // against the previous batch.
-  std::vector<char> mask(static_cast<std::size_t>(n), 0);
-  for (InstanceId i = 0; i < n; ++i) {
-    const DemandInstance& inst = problem.instance(i);
-    mask[static_cast<std::size_t>(i)] =
-        in_class(inst, cls.rule) &&
-                records_[static_cast<std::size_t>(inst.demand)].alive
-            ? 1
-            : 0;
-  }
+  // The class's new active mask and its delta against the previous batch.
+  std::vector<char> mask = class_mask(cls.rule);
   std::vector<InstanceId> added, removed;
   const int old_n = static_cast<int>(cls.mask.size());
   for (InstanceId i = 0; i < n; ++i) {
@@ -391,42 +393,34 @@ void OnlineScheduler::refresh_class(ClassState& cls,
 
   // The class stage schedule every run (warm or cold) is pinned to.  A
   // moved parameter invalidates every cached component: they were solved
-  // under a different schedule.
+  // under a different schedule.  A class with an empty mask has nothing
+  // cached (and its forest builds afresh below), so nothing is reported.
   const StageParams params =
       derive_stage_params(problem, plan_, mask, cls.rule,
                           config_.solver.epsilon, config_.solver.xi_override);
   const bool params_changed = params != cls.params;
-  if (params_changed && cls.valid) report.params_changed = true;
+  if (params_changed && !cls.mask.empty()) report.params_changed = true;
+  const bool reuse =
+      !params_changed && config_.mode == OnlineSolveMode::kWarm;
 
-  if (cls.valid)
-    cls.forest.update(problem, mask, added, removed);
-  else
-    cls.forest.build(problem, mask);
+  cls.forest.update(problem, mask, added, removed);
 
-  const bool force_all = !cls.valid || params_changed ||
-                         config_.mode == OnlineSolveMode::kCold;
-
-  // A component is reusable iff its member set is cached verbatim: the
-  // dynamics of a component depend only on its members (ids resolve to
-  // immutable demand data), the capacities and the pinned schedule, so
-  // an unchanged member list means an unchanged solve.
+  // A component the update carried over has exactly its old members, and
+  // its dynamics depend only on its members (ids resolve to immutable
+  // demand data), the capacities and the pinned schedule, so its cache
+  // entry is what a re-solve would produce.
   const int comps = cls.forest.num_components();
+  std::vector<SnapshotComponent> cache(static_cast<std::size_t>(comps));
   std::vector<int> touched;
   std::vector<InstanceId> touched_union;
-  std::unordered_map<InstanceId, SnapshotComponent> next_cache;
-  next_cache.reserve(static_cast<std::size_t>(comps));
   for (int c = 0; c < comps; ++c) {
-    const auto ids = cls.forest.component_members(c);
-    bool reuse = !force_all;
-    if (reuse) {
-      const auto it = cls.cache.find(ids.front());
-      reuse = it != cls.cache.end() &&
-              it->second.members.size() == ids.size() &&
-              std::equal(ids.begin(), ids.end(), it->second.members.begin());
-      if (reuse) next_cache.emplace(ids.front(), std::move(it->second));
-    }
-    if (!reuse) {
+    const int prior = reuse ? cls.forest.carried_from(c) : -1;
+    if (prior >= 0) {
+      cache[static_cast<std::size_t>(c)] =
+          std::move(cls.cache[static_cast<std::size_t>(prior)]);
+    } else {
       touched.push_back(c);
+      const auto ids = cls.forest.component_members(c);
       touched_union.insert(touched_union.end(), ids.begin(), ids.end());
     }
   }
@@ -446,12 +440,9 @@ void OnlineScheduler::refresh_class(ClassState& cls,
     engine.restrict_to(touched_union);
     const SolveResult run = engine.run_warm(params);
 
-    std::vector<int> slot(static_cast<std::size_t>(comps), -1);
-    std::vector<SnapshotComponent> fresh(touched.size());
-    for (std::size_t s = 0; s < touched.size(); ++s) {
-      slot[static_cast<std::size_t>(touched[s])] = static_cast<int>(s);
-      const auto ids = cls.forest.component_members(touched[s]);
-      SnapshotComponent& cc = fresh[s];
+    for (const int c : touched) {
+      const auto ids = cls.forest.component_members(c);
+      SnapshotComponent& cc = cache[static_cast<std::size_t>(c)];
       cc.members.assign(ids.begin(), ids.end());
       cc.lhs.resize(ids.size());
       double lambda = 1.0;
@@ -474,8 +465,8 @@ void OnlineScheduler::refresh_class(ClassState& cls,
     for (std::size_t r = 0; r < run.raise_stack.size(); ++r) {
       const StackTag tag = run.stack_tags[r];
       for (const InstanceId i : run.raise_stack[r]) {
-        SnapshotComponent& cc = fresh[static_cast<std::size_t>(
-            slot[static_cast<std::size_t>(cls.forest.component_of(i))])];
+        SnapshotComponent& cc =
+            cache[static_cast<std::size_t>(cls.forest.component_of(i))];
         if (cc.tags.empty() || !(cc.tags.back() == tag)) {
           cc.tags.push_back(tag);
           cc.rows.emplace_back();
@@ -483,14 +474,11 @@ void OnlineScheduler::refresh_class(ClassState& cls,
         cc.rows.back().push_back(i);
       }
     }
-    for (SnapshotComponent& cc : fresh)
-      next_cache.emplace(cc.members.front(), std::move(cc));
   }
 
-  cls.cache = std::move(next_cache);
+  cls.cache = std::move(cache);
   cls.mask = std::move(mask);
   cls.params = params;
-  cls.valid = true;
 }
 
 ClassArtifacts OnlineScheduler::assemble_class(const ClassState& cls) const {
@@ -505,13 +493,9 @@ ClassArtifacts OnlineScheduler::assemble_class(const ClassState& cls) const {
     const std::vector<InstanceId>* row;
   };
   std::vector<RowRef> refs;
-  const int comps = cls.forest.num_components();
   double lambda = 1.0;
   bool any = false;
-  for (int c = 0; c < comps; ++c) {
-    const auto it = cls.cache.find(cls.forest.component_members(c).front());
-    TS_REQUIRE(it != cls.cache.end());
-    const SnapshotComponent& cc = it->second;
+  for (const SnapshotComponent& cc : cls.cache) {
     for (std::size_t k = 0; k < cc.members.size(); ++k)
       art.final_lhs[static_cast<std::size_t>(cc.members[k])] = cc.lhs[k];
     lambda = any ? std::min(lambda, cc.lambda) : cc.lambda;

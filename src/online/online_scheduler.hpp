@@ -11,19 +11,22 @@
 //
 // Per height class (wide/kUnit, narrow/kNarrow — the Section 6 split)
 // the scheduler keeps:
+//  * the class mask (live AND in-class, per instance id) and the stage
+//    params derived from it;
 //  * a run-persistent ComponentForest over the class's live instances
 //    (the conflict components across all plan groups), revised per
 //    batch by ComponentForest::update — add/remove of member instances,
 //    with the untouched components re-united without path walks;
-//  * a per-component cache (a SnapshotComponent): member ids, the
-//    component's raise-stack rows with their (group, stage, step) tags,
-//    the members' final LHS (SolveResult::final_lhs) and the
-//    component's observed lambda.
-// A component whose member set is unchanged by the batch (and whose
-// class-wide stage parameters did not move) is *skipped*: its cached
-// rows, duals and lambda are exactly what a cold solve would recompute.
-// Everything else forms the touched set, re-solved in ONE restricted
-// TwoPhaseEngine::run_warm call seeded with the pinned class schedule.
+//  * per forest component, in forest order, a cache (a
+//    SnapshotComponent): member ids, the component's raise-stack rows
+//    with their (group, stage, step) tags, the members' final LHS
+//    (SolveResult::final_lhs) and the component's observed lambda.
+// A component the forest update carried over unchanged (and whose
+// class-wide stage parameters did not move) is *skipped*: its cache
+// entry moves to its new index, because its rows, duals and lambda are
+// exactly what a cold solve would recompute.  Everything else forms the
+// touched set, re-solved in ONE restricted TwoPhaseEngine::run_warm call
+// seeded with the pinned class schedule.
 //
 // assemble() splices the cached components back into full per-class
 // artifacts (stack rows merged by tag, ascending ids within a tag — the
@@ -116,10 +119,13 @@ class OnlineScheduler {
   // Restores a captured scheduler.  `base` and `config` must be the ones
   // the captured run was constructed with (the snapshot holds only the
   // churn state; topology, capacities and policy come from the caller —
-  // basic shape mismatches throw).  The materialized problem, plans and
-  // per-class forests are rebuilt deterministically from the snapshot's
-  // records; the per-component caches are installed verbatim after being
-  // cross-checked against the rebuilt forest's partition.
+  // basic shape mismatches throw).  The materialized problem, plans,
+  // class masks, stage params and per-class forests are rebuilt
+  // deterministically from the snapshot's records; the per-component
+  // caches are installed verbatim after being cross-checked against the
+  // rebuilt forest's partition (member lists, cache shapes, and stack
+  // rows that name only their own component's members, ascending).  A
+  // snapshot that fails a check throws std::invalid_argument.
   OnlineScheduler(const Problem& base, OnlineConfig config,
                   const SchedulerSnapshot& snap);
 
@@ -136,7 +142,7 @@ class OnlineScheduler {
   // height the engine's class_stage_params would not admit at the largest
   // Delta the plans allow.  That admits a class only if its stage count
   // b = ceil(log_xi eps) stays below INT_MAX (the stage index is an int,
-  // and snapshots store stages_per_epoch as i32) and 1 - xi >= 2^-40 (the
+  // and snapshots store stack tags' stages as i32) and 1 - xi >= 2^-40 (the
   // engine jumps over idle stages on the premise that the stage targets
   // never decrease; see two_phase.hpp).  No rule bounds b for time: the
   // engine skips idle stages, so a large b costs a re-solve little.
@@ -161,21 +167,24 @@ class OnlineScheduler {
   int batches_applied() const { return batches_applied_; }
 
  private:
-  // The scheduler's state is held in the snapshot's own types, so
-  // capture() and restore copy whole values.
+  // The caches are held in the snapshot's own type, so capture() and
+  // restore copy whole values.
   struct ClassState {
     RaiseRuleKind rule = RaiseRuleKind::kUnit;
-    std::vector<char> mask;  // live AND in-class, per instance id
+    // Live AND in-class, per instance id.  Empty only before the first
+    // refresh and after a compaction (a materialized problem has at
+    // least one demand, so a refreshed mask never is): the next refresh
+    // then builds the forest afresh and re-solves everything.
+    std::vector<char> mask;
     StageParams params;
     ComponentForest forest;
-    // Per conflict component (identified by its member list), keyed by
-    // its smallest member id.
-    std::unordered_map<InstanceId, SnapshotComponent> cache;
-    bool valid = false;  // false => next refresh re-solves everything
+    // Indexed by forest component.
+    std::vector<SnapshotComponent> cache;
   };
 
   void adopt_topology(const Problem& base);
-  void capture_class(const ClassState& cls, ClassSnapshot& out) const;
+  // The class's live AND in-class mask over the current problem.
+  std::vector<char> class_mask(RaiseRuleKind rule) const;
   void restore_class(ClassState& cls, const ClassSnapshot& snap);
   void rebuild_problem();
   void compact();

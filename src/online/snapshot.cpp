@@ -81,14 +81,6 @@ bool decode_records(std::span<const std::uint8_t> buf, std::size_t& offset,
 }
 
 void encode_class(const ClassSnapshot& cls, std::vector<std::uint8_t>& out) {
-  put_u8(out, cls.valid ? 1 : 0);
-  put_u8(out, cls.params.any_active ? 1 : 0);
-  put_i32(out, cls.params.delta);
-  put_f64(out, cls.params.h_min);
-  put_f64(out, cls.params.xi);
-  put_i32(out, cls.params.stages_per_epoch);
-  put_u32(out, static_cast<std::uint32_t>(cls.mask.size()));
-  out.insert(out.end(), cls.mask.begin(), cls.mask.end());
   put_u32(out, static_cast<std::uint32_t>(cls.components.size()));
   for (const SnapshotComponent& comp : cls.components) {
     put_u32(out, static_cast<std::uint32_t>(comp.members.size()));
@@ -108,41 +100,6 @@ void encode_class(const ClassSnapshot& cls, std::vector<std::uint8_t>& out) {
 
 bool decode_class(std::span<const std::uint8_t> buf, std::size_t& offset,
                   ClassSnapshot& out, std::string* error) {
-  std::uint8_t valid = 0, any_active = 0;
-  std::uint32_t mask_size = 0;
-  StageParams& params = out.params;
-  if (!get_u8(buf, offset, valid) || !get_u8(buf, offset, any_active) ||
-      !get_i32(buf, offset, params.delta) ||
-      !get_f64(buf, offset, params.h_min) ||
-      !get_f64(buf, offset, params.xi) ||
-      !get_i32(buf, offset, params.stages_per_epoch) ||
-      !get_u32(buf, offset, mask_size)) {
-    fail(error, "snapshot class header truncated");
-    return false;
-  }
-  if (valid > 1 || any_active > 1) {
-    fail(error, "snapshot class corrupt (bad flag)");
-    return false;
-  }
-  out.valid = valid != 0;
-  params.any_active = any_active != 0;
-  if (!count_fits(buf, offset, mask_size, 1)) {
-    fail(error, "snapshot class mask exceeds remaining bytes");
-    return false;
-  }
-  out.mask.resize(mask_size);
-  for (char& m : out.mask) {
-    std::uint8_t b = 0;
-    if (!get_u8(buf, offset, b)) {
-      fail(error, "snapshot class mask truncated");
-      return false;
-    }
-    if (b > 1) {
-      fail(error, "snapshot class mask corrupt");
-      return false;
-    }
-    m = static_cast<char>(b);
-  }
   std::uint32_t comp_count = 0;
   if (!get_u32(buf, offset, comp_count)) {
     fail(error, "snapshot class component count truncated");
@@ -161,8 +118,7 @@ bool decode_class(std::span<const std::uint8_t> buf, std::size_t& offset,
       return false;
     }
     // Members then lambda then |members| LHS doubles.  A component has
-    // at least one member (the forest never produces empty components,
-    // and assemble keys the cache by the first member).
+    // at least one member (the forest never produces empty components).
     if (member_count == 0) {
       fail(error, "snapshot component corrupt (empty member list)");
       return false;

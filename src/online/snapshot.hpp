@@ -1,18 +1,19 @@
 // Versioned, section-checksummed binary snapshots of the full
 // OnlineScheduler warm-start state.
 //
-// The snapshot is the *irreducible* state: the demand records with their
-// tombstones (which fix the compaction high-water mark — live/dead
-// counts are recomputed from them), the journal cursor (batches_applied,
-// which doubles as the event-stream RNG cursor: traces are regenerated
-// from the seed and resumed by skipping the applied prefix), and per
-// height class the pinned stage parameters, the live-in-class mask and
-// every component's stack/tag/LHS/lambda cache.  Everything else the
-// scheduler holds — the materialized Problem, the layered plans, the
-// per-class ComponentForests — is a deterministic function of those
-// (Problem::reopen rebuild + ComponentForest::build, whose equality with
-// the incrementally-updated forest test_component_forest pins), so
-// restore recomputes it instead of trusting bytes on disk.
+// The snapshot holds only what restore cannot rebuild: the demand
+// records with their tombstones (which fix the compaction high-water
+// mark — live/dead counts are recomputed from them), the journal cursor
+// (batches_applied, which doubles as the event-stream RNG cursor: traces
+// are regenerated from the seed and resumed by skipping the applied
+// prefix), and per height class every component's stack/tag/LHS/lambda
+// cache, in forest order.  Everything else the scheduler holds — the
+// materialized Problem, the layered plans, the class masks, the pinned
+// stage params and the per-class ComponentForests — is a deterministic
+// function of the records (Problem rebuild, derive_stage_params and
+// ComponentForest::build, whose equality with the incrementally-updated
+// forest test_component_forest pins), so restore recomputes it instead
+// of trusting bytes on disk.
 //
 // File layout (host byte order, shared io/framing.hpp helpers):
 //   header:  u32 magic | u32 version | u32 seq | u32 section_count |
@@ -44,7 +45,7 @@
 namespace treesched {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x544E5350u;  // "PSNT"
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 // --- the captured state ----------------------------------------------------
 
@@ -74,9 +75,6 @@ struct SnapshotComponent {
 };
 
 struct ClassSnapshot {
-  bool valid = false;
-  StageParams params;      // the pinned class schedule
-  std::vector<char> mask;  // live AND in-class, per instance id
   std::vector<SnapshotComponent> components;
 
   friend bool operator==(const ClassSnapshot&, const ClassSnapshot&) = default;

@@ -41,17 +41,6 @@ TEST(Certify, MaskRestrictsTheMinimum) {
   EXPECT_DOUBLE_EQ(observed_lambda(p, dual, rule, none), 1.0);  // vacuous
 }
 
-TEST(Certify, AllSatisfiedThreshold) {
-  const Problem p = tiny_problem();
-  DualState dual(p);
-  const RaiseRule rule(RaiseRuleKind::kUnit, p);
-  std::vector<char> active(2, 1);
-  dual.raise_alpha(0, 9.0);
-  dual.raise_alpha(1, 3.9);
-  EXPECT_TRUE(all_satisfied(p, dual, rule, active, 0.9));
-  EXPECT_FALSE(all_satisfied(p, dual, rule, active, 0.99));
-}
-
 TEST(Certify, NarrowRuleUsesHeightCoefficient) {
   std::vector<TreeNetwork> networks;
   networks.push_back(TreeNetwork::line(3));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -359,6 +360,21 @@ TEST(Problem, ValidationErrors) {
   EXPECT_THROW(p.set_access(d, {}), std::invalid_argument);
   EXPECT_THROW(p.set_access(d, {7}), std::invalid_argument);
   EXPECT_THROW(p.set_capacity(0, 0, 0.0), std::invalid_argument);
+}
+
+// Records restored from a snapshot reach add_demand without a batch's
+// admission checks, so the model itself rejects a profit that is not
+// finite.
+TEST(Problem, RejectsNonFiniteProfit) {
+  std::vector<TreeNetwork> networks;
+  networks.push_back(TreeNetwork::line(4));
+  Problem p(4, std::move(networks));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(p.add_demand(0, 1, kInf), std::invalid_argument);
+  EXPECT_THROW(p.add_demand(0, 1, -kInf), std::invalid_argument);
+  EXPECT_THROW(p.add_demand(0, 1, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(p.num_demands(), 0);
 }
 
 TEST(Problem, NetworksMustShareVertexSet) {

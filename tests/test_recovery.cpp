@@ -90,6 +90,26 @@ void expect_scheduler_equal(const OnlineScheduler& got,
   EXPECT_EQ(a.lambda, b.lambda);
 }
 
+// Every deterministic OnlineBatchReport field (the timings are not):
+// a restore that derived a different class mask or different params
+// would re-solve other components than the uninterrupted run does.
+void expect_report_equal(const OnlineBatchReport& got,
+                         const OnlineBatchReport& want,
+                         const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(got.batch, want.batch);
+  EXPECT_EQ(got.time, want.time);
+  EXPECT_EQ(got.arrivals, want.arrivals);
+  EXPECT_EQ(got.departures, want.departures);
+  EXPECT_EQ(got.live_demands, want.live_demands);
+  EXPECT_EQ(got.live_instances, want.live_instances);
+  EXPECT_EQ(got.touched_components, want.touched_components);
+  EXPECT_EQ(got.total_components, want.total_components);
+  EXPECT_EQ(got.touched_instances, want.touched_instances);
+  EXPECT_EQ(got.compacted, want.compacted);
+  EXPECT_EQ(got.params_changed, want.params_changed);
+}
+
 // The cold-reference parity check from test_online: the recovered
 // scheduler must not just equal the uninterrupted one, it must still
 // equal a from-scratch solve of its own problem.
@@ -134,6 +154,31 @@ Scenario make_scenario(ArrivalLaw law, std::uint64_t seed) {
   traffic.seed = seed;
   TenantClass churn;
   churn.mean_lifetime = 4.0;
+  traffic.tenants = {churn};
+  s.trace = make_event_trace(s.base, demand_cfg, traffic);
+  return s;
+}
+
+// Local-pair demands on identical networks: the conflict graph splits
+// into many components, and a batch touches only a few of them.
+Scenario make_local_scenario(std::uint64_t seed) {
+  DemandGenConfig demand_cfg;
+  demand_cfg.endpoints = EndpointLaw::kLocalPair;
+  demand_cfg.locality = 2;
+  demand_cfg.heights = HeightLaw::kBimodal;
+  TreeScenarioSpec spec;
+  spec.num_vertices = 128;
+  spec.identical_networks = true;
+  spec.demands = demand_cfg;
+  spec.demands.num_demands = 24;
+  spec.seed = seed;
+  Scenario s{make_tree_problem(spec), {}, {}};
+  OnlineTrafficSpec traffic;
+  traffic.rate = 3.0;
+  traffic.num_batches = 10;
+  traffic.seed = seed;
+  TenantClass churn;
+  churn.mean_lifetime = 3.0;
   traffic.tenants = {churn};
   s.trace = make_event_trace(s.base, demand_cfg, traffic);
   return s;
@@ -274,8 +319,11 @@ TEST(Journal, EveryTruncationYieldsExactPrefix) {
 
 // --- snapshot capture/restore ----------------------------------------------
 
-TEST(Snapshot, CaptureEncodeDecodeRestoreRoundTrip) {
-  const Scenario s = make_scenario(ArrivalLaw::kPoisson, 41);
+// Captures at batch 5, restores through the byte image and steps the
+// restored and the uninterrupted scheduler side by side to the end.
+// Returns whether some batch after the restore served cached components.
+bool expect_round_trip(const Scenario& s, const std::string& label) {
+  SCOPED_TRACE(label);
   OnlineScheduler original(s.base, s.config);
   for (std::size_t b = 0; b < 5; ++b) original.step(s.trace[b]);
 
@@ -287,19 +335,100 @@ TEST(Snapshot, CaptureEncodeDecodeRestoreRoundTrip) {
 
   SchedulerSnapshot decoded;
   std::string error;
-  ASSERT_TRUE(decode_snapshot(image, decoded, &error)) << error;
+  EXPECT_TRUE(decode_snapshot(image, decoded, &error)) << error;
   EXPECT_TRUE(decoded == snap);
 
   OnlineScheduler restored(s.base, s.config, decoded);
   expect_scheduler_equal(restored, original, "restored at 5");
   // The restored scheduler is fully live: stepping both onward keeps
-  // them identical (forests, caches and params all survived).
+  // them identical batch by batch (forests, caches, masks and params all
+  // came back).
+  bool reused = false;
   for (std::size_t b = 5; b < s.trace.size(); ++b) {
-    restored.step(s.trace[b]);
-    original.step(s.trace[b]);
+    const OnlineBatchReport got = restored.step(s.trace[b]);
+    expect_report_equal(got, original.step(s.trace[b]),
+                        "restored batch " + std::to_string(b));
+    reused |= got.touched_components < got.total_components;
   }
   expect_scheduler_equal(restored, original, "restored stepped to end");
   expect_cold_parity(restored, s.config.solver, "restored stepped to end");
+  return reused;
+}
+
+TEST(Snapshot, CaptureEncodeDecodeRestoreRoundTrip) {
+  // One giant component every batch, and a scenario in which batches
+  // leave most components untouched: there a restore that derived a
+  // different mask or different params would re-solve cold.
+  expect_round_trip(make_scenario(ArrivalLaw::kPoisson, 41), "percolated");
+  EXPECT_TRUE(expect_round_trip(make_local_scenario(45), "local"))
+      << "every batch after the restore re-solved everything; the "
+         "restored caches were not exercised";
+}
+
+// A snapshot whose bytes are intact (the CRCs are recomputed on encode)
+// but whose caches the records do not back is rejected at restore with a
+// diagnostic: a stack row naming an instance outside its component would
+// otherwise abort a later assemble() (an id past the problem) or splice
+// a wrong stack (another component's member).
+TEST(Snapshot, RestoreRejectsStackRowsOutsideTheirComponent) {
+  const Scenario s = make_local_scenario(45);
+  OnlineScheduler scheduler(s.base, s.config);
+  for (std::size_t b = 0; b < 5; ++b) scheduler.step(s.trace[b]);
+  const SchedulerSnapshot snap = scheduler.capture();
+  const std::vector<SnapshotComponent>& comps = snap.wide.components;
+  ASSERT_GE(comps.size(), 2u);
+  // A one-id row, so the edited row stays ascending and only the
+  // membership check can reject it.
+  std::size_t c = 0, r = 0;
+  while (c < comps.size()) {
+    const auto& rows = comps[c].rows;
+    r = 0;
+    while (r < rows.size() && rows[r].size() != 1) ++r;
+    if (r < rows.size()) break;
+    ++c;
+  }
+  ASSERT_LT(c, comps.size()) << "no one-id stack row to edit";
+  const InstanceId other = comps[c == 0 ? 1 : 0].members.front();
+
+  const auto restore_with = [&](InstanceId id) {
+    SchedulerSnapshot bad = snap;
+    bad.wide.components[c].rows[r].front() = id;
+    SchedulerSnapshot decoded;
+    std::string error;
+    EXPECT_TRUE(decode_snapshot(encode_snapshot(bad), decoded, &error))
+        << error;
+    OnlineScheduler restored(s.base, s.config, decoded);
+  };
+  EXPECT_THROW(restore_with(1 << 20), std::invalid_argument);
+  EXPECT_THROW(restore_with(other), std::invalid_argument);
+  EXPECT_NO_THROW(restore_with(comps[c].rows[r].front()));
+}
+
+// Snapshot records skip check_batch, so restore must reject what a live
+// batch could not have admitted: a non-finite profit (Problem::add_demand
+// rejects it) and a live narrow height whose stage count overflows
+// (derive_stage_params applies class_stage_params' checks), both before
+// any later step() could trip over them.
+TEST(Snapshot, RestoreRejectsUnadmittableRecords) {
+  const Scenario s = make_scenario(ArrivalLaw::kPoisson, 41);
+  OnlineScheduler scheduler(s.base, s.config);
+  for (std::size_t b = 0; b < 3; ++b) scheduler.step(s.trace[b]);
+  const SchedulerSnapshot snap = scheduler.capture();
+
+  SchedulerSnapshot bad = snap;
+  ASSERT_FALSE(bad.records.empty());
+  bad.records.back().profit = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(OnlineScheduler(s.base, s.config, bad), std::invalid_argument);
+
+  bad = snap;
+  const auto narrow = std::find_if(
+      bad.records.begin(), bad.records.end(),
+      [](const SnapshotDemandRecord& r) {
+        return r.alive && !is_wide_height(r.height);
+      });
+  ASSERT_NE(narrow, bad.records.end()) << "no live narrow record";
+  narrow->height = 1e-17;
+  EXPECT_THROW(OnlineScheduler(s.base, s.config, bad), std::invalid_argument);
 }
 
 TEST(Snapshot, SchemaDriftAndWrongFileFailLoudly) {
@@ -309,17 +438,19 @@ TEST(Snapshot, SchemaDriftAndWrongFileFailLoudly) {
   const std::vector<std::uint8_t> image =
       encode_snapshot(scheduler.capture());
 
-  // Version bump with a *recomputed* header checksum: only the schema
-  // check can reject it, and its message must say so.
-  std::vector<std::uint8_t> drifted = image;
-  const std::uint32_t future = kSnapshotVersion + 1;
-  std::memcpy(drifted.data() + 4, &future, 4);
-  const std::uint32_t fixed_crc = crc32({drifted.data(), 24});
-  std::memcpy(drifted.data() + 24, &fixed_crc, 4);
+  // An older or a newer version with a *recomputed* header checksum:
+  // only the schema check can reject it, and its message must say so.
   SchedulerSnapshot out;
   std::string error;
-  EXPECT_FALSE(decode_snapshot(drifted, out, &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  for (const std::uint32_t other :
+       {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
+    std::vector<std::uint8_t> drifted = image;
+    std::memcpy(drifted.data() + 4, &other, 4);
+    const std::uint32_t fixed_crc = crc32({drifted.data(), 24});
+    std::memcpy(drifted.data() + 24, &fixed_crc, 4);
+    EXPECT_FALSE(decode_snapshot(drifted, out, &error));
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+  }
 
   // Wrong magic: rejected as not-a-snapshot.
   std::vector<std::uint8_t> alien = image;
@@ -405,18 +536,17 @@ TEST(CrashRecovery, EveryCrashPointRecoversToExactParity) {
             << label;
 
         // Exact equality with the uninterrupted run at the recovery
-        // point...
-        const OnlineScheduler reference =
+        // point, in every batch report after it, and at the end —
+        // through the resumed journal, so a second replay agrees too.
+        OnlineScheduler reference =
             reference_at(s.base, s.config, s.trace, applied);
         expect_scheduler_equal(recovered.scheduler(), reference,
                                label + " at recovery");
-        // ...and after finishing the trace, at the end — through the
-        // resumed journal, so a second replay agrees too.
         for (std::size_t b = applied; b < s.trace.size(); ++b)
-          recovered.step(s.trace[b]);
-        const OnlineScheduler full =
-            reference_at(s.base, s.config, s.trace, s.trace.size());
-        expect_scheduler_equal(recovered.scheduler(), full,
+          expect_report_equal(recovered.step(s.trace[b]),
+                              reference.step(s.trace[b]),
+                              label + " batch " + std::to_string(b));
+        expect_scheduler_equal(recovered.scheduler(), reference,
                                label + " at end");
         expect_cold_parity(recovered.scheduler(), s.config.solver,
                            label + " at end");
