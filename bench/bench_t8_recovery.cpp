@@ -169,8 +169,9 @@ int main() {
     const double snapshot_bytes =
         static_cast<double>(encode_snapshot(snap).size());
     SnapshotStore probe((dir / (std::string(s.name) + ".probe")).string());
+    probe.reset();
     start = std::chrono::steady_clock::now();
-    probe.write(snap);
+    probe.write(encode_snapshot(snap));
     const double snapshot_write_ms = ms_since(start);
 
     // Arm 3a: recovery from newest snapshot + journal suffix.

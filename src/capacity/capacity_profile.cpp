@@ -81,6 +81,9 @@ int num_bottleneck_classes(const Problem& problem) {
 }
 
 double max_path_capacity_spread(const Problem& problem) {
+  // Equal capacities everywhere: every path's spread is exactly 1, and
+  // the scan over every path id is skipped.
+  if (problem.min_capacity() == problem.max_capacity()) return 1.0;
   double rho = 1.0;
   const InstanceId n = problem.num_instances();
   for (InstanceId i = 0; i < n; ++i) {

@@ -41,7 +41,9 @@ int bottleneck_class(const Problem& problem, InstanceId i);
 int num_bottleneck_classes(const Problem& problem);
 
 // rho: max over instances of (max capacity on path) / (min capacity on
-// path) — the spread factor in the reconstruction's ratio bound.
+// path) — the spread factor of every reported ratio bound
+// (framework/certify.hpp proven_ratio_bound); exactly 1.0 when every
+// path's capacities are equal.
 double max_path_capacity_spread(const Problem& problem);
 
 }  // namespace treesched

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "dist/luby_mis.hpp"
+#include "framework/certify.hpp"
 
 namespace treesched {
 
@@ -79,10 +80,10 @@ NonuniformResult solve_impl(const Problem& problem,
   result.profit = result.solution.profit(problem);
   result.stats.profit = result.profit;
 
-  const double lambda = target_lambda(opt.dist.stage_mode, opt.dist.epsilon);
-  result.ratio_bound =
-      proven_ratio_bound(rule, result.stats.delta, lambda) *
-      result.path_spread;
+  result.ratio_bound = proven_ratio_bound(
+      problem, rule == RaiseRuleKind::kUnit, rule == RaiseRuleKind::kNarrow,
+      result.stats.delta,
+      target_lambda(opt.dist.stage_mode, opt.dist.epsilon));
   return result;
 }
 

@@ -10,6 +10,11 @@
 //  * all-narrow heights (h(d) <= c(e)/2 on every edge of every instance,
 //    implied by h_max <= c_min/2): kNarrow rule; derived bound
 //    (1+2 Delta^2) * rho / lambda.
+// Both come from proven_ratio_bound (framework/certify.hpp), as every
+// solver's bound does, so the unit wrappers of dist/scheduler.hpp report
+// the same one.  The arbitrary-height wrappers on capacities other than
+// 1 lie outside these two regimes: they report the same rho-scaled
+// formula, whose proof there is open.
 //
 // Options:
 //  * by_class: solve each bottleneck-capacity class separately and merge

@@ -49,16 +49,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& r : rows_) emit(r);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i)
-      os << (i ? "," : "") << row[i];
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-}
-
 Stopwatch::Stopwatch() { reset(); }
 
 void Stopwatch::reset() {

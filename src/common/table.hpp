@@ -1,4 +1,4 @@
-// ASCII table / CSV writer for benchmark output.  Every bench binary prints
+// ASCII table writer for benchmark output.  Every bench binary prints
 // one or more of these tables; EXPERIMENTS.md records the rows.
 #pragma once
 
@@ -21,9 +21,6 @@ class Table {
 
   // Render with column alignment and a rule under the header.
   void print(std::ostream& os) const;
-
-  // Render as CSV (header + rows), for machine consumption.
-  void print_csv(std::ostream& os) const;
 
   std::size_t rows() const { return rows_.size(); }
 

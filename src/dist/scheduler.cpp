@@ -6,6 +6,7 @@
 
 #include "capacity/capacity_profile.hpp"
 #include "dist/luby_mis.hpp"
+#include "framework/certify.hpp"
 
 namespace treesched {
 
@@ -19,13 +20,8 @@ SolverConfig make_config(const DistOptions& options, RaiseRuleKind rule) {
   return config;
 }
 
-// Final slackness lambda of the configured stage schedule.
-double target_lambda(const DistOptions& options) {
-  return treesched::target_lambda(options.stage_mode, options.epsilon);
-}
-
 // Unit-height solvers (Theorems 5.3 and 7.1): one engine run with the
-// kUnit rule; bound (Delta+1)/lambda over the observed Delta.
+// kUnit rule; bound (Delta+1)/lambda over the observed Delta, times rho.
 DistResult solve_unit(const Problem& problem, const LayeredPlan& plan,
                       const DistOptions& options) {
   LubyMis oracle(problem, options.seed);
@@ -36,18 +32,15 @@ DistResult solve_unit(const Problem& problem, const LayeredPlan& plan,
   result.solution = std::move(run.solution);
   result.stats = run.stats;
   result.profit = result.stats.profit;
-  result.ratio_bound = proven_ratio_bound(RaiseRuleKind::kUnit,
-                                          result.stats.delta,
-                                          target_lambda(options));
+  result.ratio_bound = proven_ratio_bound(
+      problem, /*unit_ran=*/true, /*narrow_ran=*/false, result.stats.delta,
+      target_lambda(options.stage_mode, options.epsilon));
   return result;
 }
 
-// Arbitrary-height solvers (Theorems 6.3 and 7.2): wide/narrow split.
-// OPT <= OPT_wide + OPT_narrow, each part is Lemma 3.1/6.1-certified, and
-// the per-network better-of combination dominates both parts — so the
-// price factors of the classes that actually occurred *add*:
-//   bound = ((Delta+1) [if wide] + (1+2 Delta^2) [if narrow]) / lambda.
-// With Delta = 6 (trees, ideal) that is the 80+eps of Theorem 6.3; with
+// Arbitrary-height solvers (Theorems 6.3 and 7.2): wide/narrow split;
+// the price factors of the classes that actually occurred add.  With
+// Delta = 6 (trees, ideal) that is the 80+eps of Theorem 6.3; with
 // Delta = 3 (lines) the 23+eps of Theorem 7.2.
 DistResult solve_arbitrary(const Problem& problem, const LayeredPlan& plan,
                            const DistOptions& options) {
@@ -75,27 +68,13 @@ DistResult solve_arbitrary(const Problem& problem, const LayeredPlan& plan,
   if (has_wide && has_narrow)
     result.stats.comm_rounds += better_of_convergecast_rounds(problem);
   result.profit = result.stats.profit;
-  const double lambda = target_lambda(options);
-  double bound = 0.0;
-  if (has_wide)
-    bound += proven_ratio_bound(RaiseRuleKind::kUnit, result.stats.delta,
-                                lambda);
-  if (has_narrow)
-    bound += proven_ratio_bound(RaiseRuleKind::kNarrow, result.stats.delta,
-                                lambda);
-  result.ratio_bound = std::max(bound, 1.0);
+  result.ratio_bound = proven_ratio_bound(
+      problem, has_wide, has_narrow, result.stats.delta,
+      target_lambda(options.stage_mode, options.epsilon));
   return result;
 }
 
 }  // namespace
-
-double proven_ratio_bound(RaiseRuleKind rule, int delta, double lambda) {
-  TS_REQUIRE(lambda > 0.0);
-  const auto d = static_cast<double>(delta);
-  const double price =
-      rule == RaiseRuleKind::kUnit ? d + 1.0 : 1.0 + 2.0 * d * d;
-  return std::max(price / lambda, 1.0);
-}
 
 DistResult solve_tree_unit_distributed(const Problem& problem,
                                        const DistOptions& options) {
@@ -128,19 +107,13 @@ DistResult solve_line_arbitrary_distributed(const Problem& problem,
 
 namespace {
 
-// The lambda a protocol run certifies: the target when the budgets met
-// it, the observed slackness otherwise (sound either way; 0 -> no finite
-// certificate).
-double certified_lambda(const ProtocolRunResult& run, double epsilon) {
-  return std::min(treesched::target_lambda(StageMode::kMultiStage, epsilon),
-                  run.lambda_observed);
-}
-
-// Lemma 3.1/6.1 bound of an executed protocol run: the price factors of
-// the rule classes that actually ran *add* (wide/narrow split — OPT <=
-// OPT_wide + OPT_narrow), each taken at the run's overall Delta, like
-// the modeled solve_arbitrary.
-double protocol_ratio_bound(const ProtocolRunResult& run, double epsilon) {
+// The bound of an executed protocol run: the rule classes of its passes,
+// each taken at the run's overall Delta like the modeled solve_arbitrary,
+// at the certified lambda = min(1 - eps, observed) — the target when the
+// budgets met it, the observed slackness otherwise (sound either way; 0
+// -> no finite certificate).
+double protocol_ratio_bound(const Problem& problem,
+                            const ProtocolRunResult& run, double epsilon) {
   // Degraded-mode contract (dist/transport.hpp): a run that exhausted
   // the retransmit budget still yields a primal-feasible solution, but
   // its shard-reported lambda is only usable as a certificate when the
@@ -148,8 +121,6 @@ double protocol_ratio_bound(const ProtocolRunResult& run, double epsilon) {
   // finite (unsound) bound.
   if (run.degraded && !run.certificate_ok)
     return std::numeric_limits<double>::infinity();
-  const double lambda = certified_lambda(run, epsilon);
-  if (!(lambda > 0.0)) return std::numeric_limits<double>::infinity();
   int delta = 0;
   bool has_unit = false, has_narrow = false;
   for (const ProtocolPass& pass : run.passes) {
@@ -159,20 +130,17 @@ double protocol_ratio_bound(const ProtocolRunResult& run, double epsilon) {
     else
       has_narrow = true;
   }
-  double bound = 0.0;
-  if (has_unit)
-    bound += proven_ratio_bound(RaiseRuleKind::kUnit, delta, lambda);
-  if (has_narrow)
-    bound += proven_ratio_bound(RaiseRuleKind::kNarrow, delta, lambda);
-  return std::max(bound, 1.0);
+  return proven_ratio_bound(
+      problem, has_unit, has_narrow, delta,
+      std::min(target_lambda(StageMode::kMultiStage, epsilon),
+               run.lambda_observed));
 }
 
 ProtocolDistResult finish_protocol(const Problem& problem,
-                                   ProtocolRunResult run, double epsilon,
-                                   double spread = 1.0) {
+                                   ProtocolRunResult run, double epsilon) {
   ProtocolDistResult result;
   result.profit = run.solution.profit(problem);
-  result.ratio_bound = protocol_ratio_bound(run, epsilon) * spread;
+  result.ratio_bound = protocol_ratio_bound(problem, run, epsilon);
   result.run = std::move(run);
   return result;
 }
@@ -231,7 +199,7 @@ ProtocolDistResult run_nonuniform_protocol(const Problem& problem,
   const LayeredPlan plan = line ? build_line_layered_plan(problem)
                                 : build_tree_layered_plan(problem, decomp);
   return finish_protocol(problem, run_distributed_protocol(problem, plan, opt),
-                         opt.epsilon, max_path_capacity_spread(problem));
+                         opt.epsilon);
 }
 
 }  // namespace treesched

@@ -19,13 +19,19 @@
 // these bits on the wire (dist/protocol_scheduler.hpp); the modeled form
 // is what benchmarks and large-scale runs use.
 //
-// The reported ratio_bound uses the *observed* Delta of the run, which
-// can be smaller than the theorem's worst case (ideal decomposition:
-// Delta <= 6; lines: Delta <= 3) — the bound is then better, never worse.
+// Every wrapper reports proven_ratio_bound (framework/certify.hpp) at
+// the *observed* Delta of the run, which can be smaller than the
+// theorem's worst case (ideal decomposition: Delta <= 6; lines: Delta <=
+// 3) — the bound is then better, never worse.  It is scaled by the path
+// capacity spread rho: the bounds above are its rho = 1 values, and on
+// unit heights the wrappers report what solve_nonuniform_unit does.  The
+// arbitrary-height wrappers on capacities other than 1 lie outside the
+// documented non-uniform regimes (unit heights, all-narrow): they report
+// the same rho-scaled formula, whose proof there is open.
 // The *message-level* counterparts (run_*_protocol below) execute the
 // same theorems as real messages on the synchronous runtime via
 // dist/protocol_scheduler.hpp — rendezvous discovery, sharded duals,
-// fixed schedules — and report the same proven_ratio_bound.  The
+// fixed schedules — and report the same bound.  The
 // protocol parity suite holds each wrapper to exact (==) agreement with
 // its modeled twin driven by the ProtocolLubyMis mirror oracle.
 #pragma once
@@ -57,10 +63,6 @@ struct DistResult {
   double profit = 0.0;
   double ratio_bound = 0.0;  // proven approximation factor of this run
 };
-
-// Lemma 3.1 / Lemma 6.1 approximation bound for a run with critical-set
-// size `delta` and slackness `lambda`: price_factor(rule, delta) / lambda.
-double proven_ratio_bound(RaiseRuleKind rule, int delta, double lambda);
 
 // Theorem 5.3 (requires unit heights).
 DistResult solve_tree_unit_distributed(const Problem& problem,
@@ -114,8 +116,9 @@ ProtocolDistResult run_line_arbitrary_protocol(
 
 // Non-uniform bandwidths, message-level (DESIGN.md Sec. 6 / the IPDPS
 // 2013 extension): kUnit for unit-height problems, kNarrow when every
-// instance is narrow (checked); bound scaled by the path capacity
-// spread rho, mirroring solve_nonuniform_{unit,narrow}.
+// instance is narrow (checked); the same bound as
+// solve_nonuniform_{unit,narrow} and, on unit heights, as
+// run_{tree,line}_unit_protocol.
 ProtocolDistResult run_nonuniform_protocol(
     const Problem& problem, const ProtocolOptions& options = {},
     bool line = false, DecompKind decomp = DecompKind::kIdeal);

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/rng.hpp"
+#include "common/spec.hpp"
 #include "obs/metrics.hpp"
 
 namespace treesched {
@@ -152,35 +153,18 @@ double parse_rate(const std::string& key, const std::string& value) {
   return rate;
 }
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  check_input(used == value.size(), "fault plan: bad value for '" + key +
-                                        "': '" + value + "'");
-  return v;
+// A round or attempt count, capped at 64.
+int parse_count(const std::string& key, const std::string& value) {
+  return static_cast<int>(
+      std::min<std::uint64_t>(parse_spec_u64("fault plan", key, value), 64));
 }
 
 }  // namespace
 
 FaultPlan parse_fault_plan(const std::string& spec) {
   FaultPlan plan;
-  std::size_t at = 0;
-  while (at < spec.size()) {
-    std::size_t end = spec.find(',', at);
-    if (end == std::string::npos) end = spec.size();
-    const std::string item = spec.substr(at, end - at);
-    at = end + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    check_input(eq != std::string::npos,
-                "fault plan: expected key=value, got '" + item + "'");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
+  for_each_spec_item(spec, "fault plan", [&](const std::string& key,
+                                             const std::string& value) {
     if (key == "drop") {
       plan.drop = parse_rate(key, value);
     } else if (key == "dup" || key == "duplicate") {
@@ -192,15 +176,13 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     } else if (key == "delay") {
       plan.delay = parse_rate(key, value);
     } else if (key == "maxdelay") {
-      plan.max_delay_rounds =
-          static_cast<int>(std::min<std::uint64_t>(parse_u64(key, value), 64));
+      plan.max_delay_rounds = parse_count(key, value);
       check_input(plan.max_delay_rounds >= 1,
                   "fault plan: maxdelay must be >= 1");
     } else if (key == "budget" || key == "retransmit") {
-      plan.retransmit_budget =
-          static_cast<int>(std::min<std::uint64_t>(parse_u64(key, value), 64));
+      plan.retransmit_budget = parse_count(key, value);
     } else if (key == "seed") {
-      plan.seed = parse_u64(key, value);
+      plan.seed = parse_spec_u64("fault plan", key, value);
     } else if (key == "inner") {
       plan.inner = parse_transport_kind(value);
     } else {
@@ -208,7 +190,7 @@ FaultPlan parse_fault_plan(const std::string& spec) {
                              "' (expected drop|dup|corrupt|reorder|delay|"
                              "maxdelay|budget|seed|inner)");
     }
-  }
+  });
   check_input(plan.drop + plan.duplicate + plan.corrupt + plan.delay <= 1.0,
               "fault plan: drop+dup+corrupt+delay rates must sum to <= 1");
   return plan;

@@ -1,8 +1,9 @@
 // Exact weighted-interval-scheduling dynamic program: the polynomial
 // special case of the line problem with a single resource, unit heights,
 // uniform capacity 1 and fixed placements (one instance per demand).
-// Used to cross-validate the branch-and-bound solver and as a fast exact
-// reference in the line benchmarks.
+// Used to cross-validate the branch-and-bound solver (test_exact) and as
+// the exact reference of the sequential line tests (test_sequential); the
+// line benchmarks take their optima from branch and bound, not from here.
 #pragma once
 
 #include "exact/branch_and_bound.hpp"

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "capacity/capacity_profile.hpp"
 #include "common/prelude.hpp"
 
 namespace treesched {
@@ -21,6 +23,20 @@ double observed_lambda(const Problem& problem, const DualState& dual,
     any = true;
   }
   return any ? lambda : 1.0;
+}
+
+double proven_ratio_bound(const Problem& problem, bool unit_ran,
+                          bool narrow_ran, int delta, double lambda,
+                          bool raise_alpha) {
+  if (!(lambda > 0.0)) return std::numeric_limits<double>::infinity();
+  const auto term = [&](RaiseRuleKind kind) {
+    const RaiseRule rule(kind, problem, raise_alpha);
+    return std::max(rule.price_factor(delta) / lambda, 1.0);
+  };
+  double bound = 0.0;
+  if (unit_ran) bound += term(RaiseRuleKind::kUnit);
+  if (narrow_ran) bound += term(RaiseRuleKind::kNarrow);
+  return std::max(bound, 1.0) * max_path_capacity_spread(problem);
 }
 
 ShardCertificate validate_shard_certificate(

@@ -2,8 +2,9 @@
 // assignment produced by phase 1 is generally infeasible, but scaling it
 // by 1/lambda — where lambda is the minimum satisfaction level over all
 // (active) instances — yields a feasible dual whose objective upper
-// bounds OPT by weak duality.  These helpers compute the observed lambda
-// and validate a degraded run's reported one; the benchmarks use the
+// bounds OPT by weak duality.  These helpers compute the observed lambda,
+// validate a degraded run's reported one, and build the proven
+// approximation bound every solver reports; the benchmarks use the
 // resulting certified bound wherever exact optima are out of reach.
 #pragma once
 
@@ -22,6 +23,21 @@ namespace treesched {
 double observed_lambda(const Problem& problem, const DualState& dual,
                        const RaiseRule& rule,
                        const std::vector<char>& active_mask);
+
+// The proven approximation bound of a run, and the one place a reported
+// ratio_bound is built:
+//   max(sum over the rules that ran of max(price_factor(delta) / lambda,
+//   1), 1) * rho.
+// The Lemma 3.1 / 6.1 price factors add because OPT <= OPT_wide +
+// OPT_narrow (Theorems 6.3, 7.2).  rho = max_path_capacity_spread is
+// exactly 1 on equal capacities, where the bound is the paper's; rho > 1
+// is claimed for unit and all-narrow heights (capacity/nonuniform.hpp),
+// and on other heights the same formula is reported with its proof open.
+// `raise_alpha = false` is Appendix A's single-network refinement.  A
+// lambda <= 0 certifies nothing: +infinity, never a finite bound.
+double proven_ratio_bound(const Problem& problem, bool unit_ran,
+                          bool narrow_ran, int delta, double lambda,
+                          bool raise_alpha = true);
 
 // Degraded-mode certificate validation (wire protocol over a lossy
 // transport).  Under message loss a processor's shard can miss incoming

@@ -15,8 +15,10 @@
 // Both rules satisfy the constraint of d tightly (LHS rises by exactly
 // `slack`), and both raise the dual objective by at most price_factor *
 // delta: Delta+1 for kUnit, 1+2 Delta^2 for kNarrow — the quantities in
-// Lemma 3.1 and Lemma 6.1.  The capacity-aware forms are the DESIGN.md
-// Section 6 generalization and reduce to the paper's rules when c == 1.
+// Lemma 3.1 and Lemma 6.1, which proven_ratio_bound
+// (framework/certify.hpp) turns into every reported approximation bound.
+// The capacity-aware forms are the DESIGN.md Section 6 generalization and
+// reduce to the paper's rules when c == 1.
 #pragma once
 
 #include <span>
@@ -64,15 +66,9 @@ class RaiseRule {
                         EdgeId e) const;
 
   // Upper bound on (dual objective increase) / delta for critical sets of
-  // size at most `delta_size` — the denominator constant of the
-  // approximation guarantee.
+  // size at most `delta_size` — the numerator of the approximation
+  // guarantee price_factor / lambda (see proven_ratio_bound).
   double price_factor(int delta_size) const;
-
-  // Approximation-ratio bound of Lemma 3.1 / Lemma 6.1 for a run with
-  // critical-set size `delta_size` and slackness lambda.
-  double ratio_bound(int delta_size, double lambda) const {
-    return price_factor(delta_size) / lambda;
-  }
 
   // Computes one tight raise in a single call: the raise amount for the
   // given slack and the per-critical-edge beta increments (written to

@@ -198,26 +198,6 @@ void write_solution(std::ostream& os, const Solution& solution) {
   for (InstanceId i : solution.selected) os << i << "\n";
 }
 
-Solution read_solution(std::istream& is) {
-  expect_token(is, "treesched-solution");
-  int version = 0;
-  is >> version;
-  check_input(version == 1, "unsupported solution version");
-  long long count = 0;
-  is >> count;
-  check_read(is, "solution count");
-  check_input(count >= 0, "negative solution count");
-  // Grows with the entries actually read, never from the count alone.
-  Solution solution;
-  for (long long k = 0; k < count; ++k) {
-    InstanceId i = 0;
-    is >> i;
-    check_read(is, "solution entry");
-    solution.selected.push_back(i);
-  }
-  return solution;
-}
-
 namespace {
 
 std::ofstream open_out(const std::string& path) {

@@ -1,8 +1,9 @@
-// Plain-text (de)serialization of problems and solutions.  The formats
-// are line-oriented and versioned; see README "File formats".  Tree
-// problems round-trip through the automatic demand x access instance
-// expansion; line problems serialize the window model and are re-lowered
-// on load, so instance ids remain stable in both cases.
+// Plain-text (de)serialization of problems, and the solution writer
+// behind `treesched_cli solve --out`.  The formats are line-oriented and
+// versioned.  Tree problems round-trip through the automatic demand x
+// access instance expansion; line problems serialize the window model
+// and are re-lowered on load, so instance ids remain stable in both
+// cases.
 #pragma once
 
 #include <iosfwd>
@@ -21,7 +22,6 @@ void write_line_problem(std::ostream& os, const LineProblem& line);
 LineProblem read_line_problem(std::istream& is);
 
 void write_solution(std::ostream& os, const Solution& solution);
-Solution read_solution(std::istream& is);
 
 // File convenience wrappers (throw std::runtime_error on IO failure).
 void save_problem(const std::string& path, const Problem& problem);

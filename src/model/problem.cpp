@@ -249,13 +249,10 @@ void Problem::finalize() {
   span.arg("bucket_entries",
            static_cast<std::int64_t>(edge_entries_.size()) - bucket_entries);
 
-  // Summary statistics, folded over the new demands and instances.  The
-  // profit sum adds the new profits onto the running sum in id order, the
-  // operations a full pass makes, so it has the same bits.
+  // Summary statistics, folded over the new demands and instances.
   if (first_demand == 0) {
     pmax_ = pmin_ = demands_.front().profit;
     hmin_ = hmax_ = demands_.front().height;
-    ptotal_ = 0.0;
   }
   for (DemandId d = first_demand; d < num_demands(); ++d) {
     const Demand& dem = demands_[static_cast<std::size_t>(d)];
@@ -263,7 +260,6 @@ void Problem::finalize() {
     pmin_ = std::min(pmin_, dem.profit);
     hmin_ = std::min(hmin_, dem.height);
     hmax_ = std::max(hmax_, dem.height);
-    ptotal_ += dem.profit;
   }
   unit_height_ = hmin_ >= 1.0 - kEps;
   // set_capacity() may run on a reopen()ed problem, so every capacity is
@@ -369,21 +365,6 @@ bool Problem::conflicting(InstanceId a, InstanceId b) const {
   const DemandInstance& y = instance(b);
   if (x.demand == y.demand && a != b) return true;
   return overlap(a, b);
-}
-
-bool Problem::can_communicate(DemandId a, DemandId b) const {
-  const auto& sa = access(a);
-  const auto& sb = access(b);
-  auto i = sa.begin();
-  auto j = sb.begin();
-  while (i != sa.end() && j != sb.end()) {
-    if (*i == *j) return true;
-    if (*i < *j)
-      ++i;
-    else
-      ++j;
-  }
-  return false;
 }
 
 }  // namespace treesched

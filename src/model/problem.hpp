@@ -162,8 +162,6 @@ class Problem {
   bool overlap(InstanceId a, InstanceId b) const;
   // d1 and d2 conflict: same demand, or overlapping.
   bool conflicting(InstanceId a, InstanceId b) const;
-  // Two processors may communicate iff their access sets intersect.
-  bool can_communicate(DemandId a, DemandId b) const;
 
   // --- summary statistics --------------------------------------------------
   Profit max_profit() const { return pmax_; }
@@ -171,10 +169,8 @@ class Problem {
   Height min_height() const { return hmin_; }
   Height max_height() const { return hmax_; }
   bool unit_height() const { return unit_height_; }
-  bool uniform_capacity() const { return cmin_ == cmax_; }
   int max_path_length() const { return lmax_; }
   int min_path_length() const { return lmin_; }
-  Profit total_profit() const { return ptotal_; }
 
  private:
   void require_finalized() const { TS_REQUIRE(finalized_); }
@@ -211,7 +207,7 @@ class Problem {
   std::vector<std::int64_t> edge_index_offset_;
   std::vector<InstanceId> edge_entries_;
 
-  Profit pmax_ = 0.0, pmin_ = 0.0, ptotal_ = 0.0;
+  Profit pmax_ = 0.0, pmin_ = 0.0;
   Height hmin_ = 1.0, hmax_ = 1.0;
   Capacity cmin_ = 1.0, cmax_ = 1.0;
   bool unit_height_ = true;

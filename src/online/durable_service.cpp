@@ -4,6 +4,7 @@
 
 #include "common/prelude.hpp"
 #include "common/rng.hpp"
+#include "common/spec.hpp"
 
 namespace treesched {
 
@@ -41,19 +42,6 @@ CrashPoint parse_crash_point(const std::string& name) {
   return CrashPoint::kNone;  // unreachable
 }
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  check_input(used == value.size() && value.find('-') == std::string::npos,
-              "crash plan: bad value for '" + key + "': '" + value + "'");
-  return v;
-}
-
 // The once-per-process env hook, mirroring TREESCHED_FAULTS.
 const CrashPlan& env_crash_plan() {
   static const CrashPlan plan = [] {
@@ -68,28 +56,19 @@ const CrashPlan& env_crash_plan() {
 
 CrashPlan parse_crash_plan(const std::string& spec) {
   CrashPlan plan;
-  std::size_t at = 0;
-  while (at < spec.size()) {
-    std::size_t end = spec.find(',', at);
-    if (end == std::string::npos) end = spec.size();
-    const std::string item = spec.substr(at, end - at);
-    at = end + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    check_input(eq != std::string::npos,
-                "crash plan: expected key=value, got '" + item + "'");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
+  for_each_spec_item(spec, "crash plan", [&](const std::string& key,
+                                             const std::string& value) {
     if (key == "point") {
       plan.point = parse_crash_point(value);
     } else if (key == "batch") {
-      plan.batch = static_cast<std::uint32_t>(parse_u64(key, value));
+      plan.batch =
+          static_cast<std::uint32_t>(parse_spec_u64("crash plan", key, value));
     } else if (key == "seed") {
-      plan.seed = parse_u64(key, value);
+      plan.seed = parse_spec_u64("crash plan", key, value);
     } else {
       check_input(false, "crash plan: unknown key '" + key + "'");
     }
-  }
+  });
   return plan;
 }
 
@@ -216,14 +195,14 @@ void DurableOnlineService::maybe_snapshot() {
   const std::uint32_t applied = batches_applied();
   if (applied % static_cast<std::uint32_t>(durability_.snapshot_every) != 0)
     return;
-  const SchedulerSnapshot snap = scheduler_->capture();
+  const std::vector<std::uint8_t> image =
+      encode_snapshot(scheduler_->capture());
   // The crash fires on the batch that *triggered* the snapshot.
   if (crash_due(CrashPoint::kMidSnapshotWrite, applied - 1)) {
-    const std::size_t image_len = encode_snapshot(snap).size();
-    store_.write(snap, torn_prefix(image_len));
+    store_.write(image, torn_prefix(image.size()));
     throw CrashInjected(CrashPoint::kMidSnapshotWrite, applied - 1);
   }
-  store_.write(snap);
+  store_.write(image);
 }
 
 }  // namespace treesched

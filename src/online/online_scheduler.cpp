@@ -347,8 +347,10 @@ OnlineBatchReport OnlineScheduler::step(const EventBatch& batch) {
     ++dead_demands_;
   }
 
+  // Never compact to an empty record set: a problem needs a demand.
+  // With nothing live the tombstones stay until a batch with arrivals.
   const bool compacted =
-      dead_demands_ > config_.compaction_floor &&
+      live_demands_ > 0 && dead_demands_ > config_.compaction_floor &&
       static_cast<double>(dead_demands_) >
           config_.compaction_slack * static_cast<double>(live_demands_);
   if (compacted) compact();

@@ -65,7 +65,8 @@ struct OnlineConfig {
   OnlineSolveMode mode = OnlineSolveMode::kWarm;
   // Tombstoned (departed) demands stay in the Problem so instance ids
   // stay stable; once dead > compaction_slack * live (and more than the
-  // floor), the records are compacted and every cache rebuilt cold.
+  // floor), the records are compacted and every cache rebuilt cold.  A
+  // batch that leaves no demand live never compacts.
   double compaction_slack = 4.0;
   int compaction_floor = 64;
 };

@@ -361,17 +361,16 @@ void SnapshotStore::reset() {
   std::error_code ec;
   std::filesystem::remove(slot_a_, ec);
   std::filesystem::remove(slot_b_, ec);
+  newest_ = Newest::kNone;
 }
 
-std::size_t SnapshotStore::write(const SchedulerSnapshot& snap,
+std::size_t SnapshotStore::write(std::span<const std::uint8_t> image,
                                  std::size_t truncate_at) {
-  const std::vector<std::uint8_t> image = encode_snapshot(snap);
+  TS_REQUIRE(newest_ != Newest::kUnknown);
   // Target the slot NOT holding the newest valid snapshot, so the
   // previous one survives a torn write of this one.
-  const SlotProbe a = probe_slot(slot_a_, nullptr);
-  const SlotProbe b = probe_slot(slot_b_, nullptr);
-  std::string target = slot_a_;
-  if (a.valid && (!b.valid || a.seq >= b.seq)) target = slot_b_;
+  const bool to_b = newest_ == Newest::kA;
+  const std::string& target = to_b ? slot_b_ : slot_a_;
   const std::size_t bytes = std::min(truncate_at, image.size());
   std::ofstream out(target, std::ios::binary | std::ios::trunc);
   check_input(out.good(), "snapshot store: cannot open '" + target + "'");
@@ -379,19 +378,22 @@ std::size_t SnapshotStore::write(const SchedulerSnapshot& snap,
             static_cast<std::streamsize>(bytes));
   out.flush();
   check_input(out.good(), "snapshot store: write failed on '" + target + "'");
+  if (bytes == image.size()) newest_ = to_b ? Newest::kB : Newest::kA;
   return bytes;
 }
 
-bool SnapshotStore::load_newest(SchedulerSnapshot& out,
-                                std::string* note) const {
+bool SnapshotStore::load_newest(SchedulerSnapshot& out, std::string* note) {
   if (note != nullptr) note->clear();
   SlotProbe a = probe_slot(slot_a_, note);
   SlotProbe b = probe_slot(slot_b_, note);
   if (!a.valid && !b.valid) {
     if (note != nullptr) *note += "no valid snapshot";
+    newest_ = Newest::kNone;
     return false;
   }
-  SlotProbe& newest = (a.valid && (!b.valid || a.seq >= b.seq)) ? a : b;
+  const bool a_newest = a.valid && (!b.valid || a.seq >= b.seq);
+  newest_ = a_newest ? Newest::kA : Newest::kB;
+  SlotProbe& newest = a_newest ? a : b;
   if (note != nullptr)
     *note += "loaded snapshot at batch " + std::to_string(newest.seq);
   out = std::move(newest.snap);

@@ -31,7 +31,8 @@
 // pair of slot files: a write targets the slot NOT holding the newest
 // valid snapshot, so a crash mid-write (torn slot) always leaves the
 // previous snapshot intact; the loader picks the valid slot with the
-// highest sequence number.
+// highest sequence number.  The store remembers which slot that is, so a
+// write reads no slot file.
 #pragma once
 
 #include <cstdint>
@@ -114,24 +115,31 @@ class SnapshotStore {
   const std::string& slot_a() const { return slot_a_; }
   const std::string& slot_b() const { return slot_b_; }
 
-  // Removes both slot files (fresh service start).
+  // Removes both slot files (fresh service start): no slot is newest.
   void reset();
 
-  // Encodes `snap` and writes it to the slot not holding the newest
-  // valid snapshot.  Returns the bytes written.  `truncate_at`, when
-  // below the image size, simulates a crash mid-write: only that prefix
-  // reaches the file (the caller is expected to die right after).
+  // Writes an encoded snapshot image (encode_snapshot) to the slot not
+  // holding the newest valid snapshot, which it then becomes.  Requires a
+  // store that was reset() or load_newest()ed, so the newest slot is
+  // known.  Returns the bytes written.  `truncate_at`, when below the
+  // image size, simulates a crash mid-write: only that prefix reaches the
+  // file (the caller is expected to die right after) and the newest slot
+  // stays where it was.
   static constexpr std::size_t kWholeImage = static_cast<std::size_t>(-1);
-  std::size_t write(const SchedulerSnapshot& snap,
+  std::size_t write(std::span<const std::uint8_t> image,
                     std::size_t truncate_at = kWholeImage);
 
-  // Loads the newest valid snapshot across both slots.  Returns false
-  // when neither slot holds one; *note (when non-null) describes what
-  // was found — including any torn/corrupt slot that was rejected.
-  bool load_newest(SchedulerSnapshot& out, std::string* note = nullptr) const;
+  // Loads the newest valid snapshot across both slots, and remembers its
+  // slot as the newest.  Returns false when neither slot holds one; *note
+  // (when non-null) describes what was found — including any torn/corrupt
+  // slot that was rejected.
+  bool load_newest(SchedulerSnapshot& out, std::string* note = nullptr);
 
  private:
+  enum class Newest : std::uint8_t { kUnknown, kNone, kA, kB };
+
   std::string slot_a_, slot_b_;
+  Newest newest_ = Newest::kUnknown;
 };
 
 }  // namespace treesched

@@ -14,7 +14,10 @@
 //
 // These run in the same engine as the distributed algorithms, so every
 // property test (feasibility, interference, dual certification) covers
-// them too.
+// them too.  Their bounds (both classes always, for the height-split
+// forms) come from proven_ratio_bound (framework/certify.hpp) and so are
+// scaled by the path capacity spread rho like every other solver's; the
+// constants above are the rho = 1 values.
 #pragma once
 
 #include "decomp/layered.hpp"

@@ -1,5 +1,7 @@
 #include "seq/sequential.hpp"
 
+#include "framework/certify.hpp"
+
 namespace treesched {
 
 LayeredPlan build_endtime_plan(const Problem& problem) {
@@ -58,7 +60,8 @@ SeqResult solve_line_unit_sequential(const Problem& problem) {
   result.profit = run.stats.profit;
   // Delta = 1, lambda = 1: the classical 2-approximation.
   result.ratio_bound =
-      RaiseRule(RaiseRuleKind::kUnit, problem).ratio_bound(plan.delta, 1.0);
+      proven_ratio_bound(problem, /*unit_ran=*/true, /*narrow_ran=*/false,
+                         plan.delta, /*lambda=*/1.0);
   return result;
 }
 
@@ -73,9 +76,7 @@ SeqResult solve_line_arbitrary_sequential(const Problem& problem) {
   result.stats = run.stats;
   result.profit = run.stats.profit;
   // Wide 2 + narrow (1+2*1) = 5: the classical Bar-Noy 5-approximation.
-  result.ratio_bound =
-      RaiseRule(RaiseRuleKind::kUnit, problem).ratio_bound(plan.delta, 1.0) +
-      RaiseRule(RaiseRuleKind::kNarrow, problem).ratio_bound(plan.delta, 1.0);
+  result.ratio_bound = proven_ratio_bound(problem, true, true, plan.delta, 1.0);
   return result;
 }
 

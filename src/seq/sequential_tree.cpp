@@ -1,5 +1,7 @@
 #include "seq/sequential.hpp"
 
+#include "framework/certify.hpp"
+
 namespace treesched {
 
 namespace {
@@ -36,8 +38,9 @@ SeqResult solve_tree_unit_sequential(const Problem& problem) {
   result.solution = run.solution;
   result.stats = run.stats;
   result.profit = run.stats.profit;
-  const RaiseRule rule(RaiseRuleKind::kUnit, problem, config.raise_alpha);
-  result.ratio_bound = rule.ratio_bound(plan.delta, /*lambda=*/1.0);
+  result.ratio_bound =
+      proven_ratio_bound(problem, /*unit_ran=*/true, /*narrow_ran=*/false,
+                         plan.delta, /*lambda=*/1.0, config.raise_alpha);
   return result;
 }
 
@@ -53,11 +56,8 @@ SeqResult solve_tree_arbitrary_sequential(const Problem& problem) {
   result.solution = run.solution;
   result.stats = run.stats;
   result.profit = run.stats.profit;
-  const RaiseRule unit_rule(RaiseRuleKind::kUnit, problem, config.raise_alpha);
-  const RaiseRule narrow_rule(RaiseRuleKind::kNarrow, problem,
-                              config.raise_alpha);
-  result.ratio_bound = unit_rule.ratio_bound(plan.delta, 1.0) +
-                       narrow_rule.ratio_bound(plan.delta, 1.0);
+  result.ratio_bound = proven_ratio_bound(problem, true, true, plan.delta,
+                                          1.0, config.raise_alpha);
   return result;
 }
 

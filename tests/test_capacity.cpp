@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "seq/sequential.hpp"
 #include "test_util.hpp"
 
 namespace treesched {
@@ -38,10 +39,7 @@ TEST(CapacityProfile, LawsProduceExpectedSpread) {
     const Problem p = capacitated_tree_problem(3, law, 4.0);
     EXPECT_GE(p.min_capacity(), 1.0 - kEps) << to_string(law);
     EXPECT_LE(p.max_capacity(), 4.0 + kEps) << to_string(law);
-    EXPECT_FALSE(p.uniform_capacity()) << to_string(law);
   }
-  const Problem u = capacitated_tree_problem(3, CapacityLaw::kUniform, 1.0);
-  EXPECT_TRUE(u.uniform_capacity());
 }
 
 TEST(CapacityProfile, NbaAndNarrowChecks) {
@@ -87,6 +85,24 @@ TEST(NonuniformUnit, UniformCapacityReducesToPaper) {
   // rho = 1: the derived bound collapses to the paper's (Delta+1)/(1-eps)
   // with Delta <= 6.
   EXPECT_LE(run.ratio_bound, 7.0 / 0.9 + 1e-9);
+}
+
+TEST(NonuniformUnit, EveryEntryPointReportsTheSameRhoScaledBound) {
+  // Unit heights over capacities of spread 4: the theorem wrappers and
+  // the non-uniform solvers run the same kUnit rule on the same plan, so
+  // they report the same bound, rho included.
+  const Problem p = capacitated_tree_problem(2, CapacityLaw::kPowerClasses,
+                                             4.0);
+  const double rho = max_path_capacity_spread(p);
+  ASSERT_GT(rho, 1.0);
+  NonuniformOptions options;
+  EXPECT_EQ(solve_tree_unit_distributed(p, options.dist).ratio_bound,
+            solve_nonuniform_unit(p, options).ratio_bound);
+  const ProtocolOptions protocol;
+  EXPECT_EQ(run_tree_unit_protocol(p, protocol).ratio_bound,
+            run_nonuniform_protocol(p, protocol).ratio_bound);
+  // Two networks: the multi-network Appendix-A bound 3, scaled by rho.
+  EXPECT_DOUBLE_EQ(solve_tree_unit_sequential(p).ratio_bound, 3.0 * rho);
 }
 
 TEST(NonuniformUnit, WithinDerivedBoundAcrossSpreads) {

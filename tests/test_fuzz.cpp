@@ -845,15 +845,6 @@ TextImage line_image(const LineProblem& line) {
   return image;
 }
 
-// treesched-solution 1 C id^C
-TextImage solution_image(const Solution& solution) {
-  std::ostringstream os;
-  write_solution(os, solution);
-  TextImage image = tokenize(os.str());
-  image.counts = {2};
-  return image;
-}
-
 // `run` ends in a check_input diagnostic — never success, bad_alloc, a
 // length error or an abort.
 template <typename Run>
@@ -908,9 +899,9 @@ void expect_damage_rejected(const TextImage& image, const Read& read,
 }
 
 TEST(Fuzz, TextInputRejectsTruncationAndOversizeCounts) {
-  // The text formats are untrusted input: a damaged problem, line or
-  // solution file is rejected with a diagnostic before any count it
-  // carries drives an allocation or a loop.
+  // The text formats are untrusted input: a damaged problem or line file
+  // is rejected with a diagnostic before any count it carries drives an
+  // allocation or a loop.
   Rng rng(419);
   for (std::uint64_t seed = 419; seed < 422; ++seed) {
     const std::string what = "seed " + std::to_string(seed);
@@ -931,12 +922,6 @@ TEST(Fuzz, TextInputRejectsTruncationAndOversizeCounts) {
         line_image(make_random_line_problem(cfg, gen)),
         [](std::istream& is) { read_line_problem(is); }, rng,
         what + " line");
-
-    Solution solution;
-    solution.selected = {3, 1, 4, 1, 5};
-    expect_damage_rejected(
-        solution_image(solution),
-        [](std::istream& is) { read_solution(is); }, rng, what + " solution");
   }
   // Line headers whose lowered problem overflows the int32 vertex or
   // edge ids.  Explicit cases, not sweep values: large slot counts in

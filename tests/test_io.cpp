@@ -74,13 +74,12 @@ TEST(TextIo, LineProblemRoundTrip) {
   EXPECT_EQ(loaded.lower().num_instances(), line.lower().num_instances());
 }
 
-TEST(TextIo, SolutionRoundTrip) {
+TEST(TextIo, SolutionText) {
   Solution s;
   s.selected = {3, 1, 4, 1 + 10};
   std::stringstream buffer;
   write_solution(buffer, s);
-  const Solution loaded = read_solution(buffer);
-  EXPECT_EQ(loaded.selected, s.selected);
+  EXPECT_EQ(buffer.str(), "treesched-solution 1\n4\n3\n1\n4\n11\n");
 }
 
 TEST(TextIo, RejectsCorruptInput) {
@@ -88,8 +87,6 @@ TEST(TextIo, RejectsCorruptInput) {
   EXPECT_THROW(read_problem(bad1), std::invalid_argument);
   std::stringstream bad2("treesched-problem 99");
   EXPECT_THROW(read_problem(bad2), std::invalid_argument);
-  std::stringstream bad3("treesched-solution 1\n2\n5\n");  // truncated
-  EXPECT_THROW(read_solution(bad3), std::invalid_argument);
 }
 
 TEST(TextIo, FileHelpers) {

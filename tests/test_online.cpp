@@ -166,6 +166,32 @@ TEST(OnlineScheduler, WarmEqualsColdAcrossCompaction) {
                             "arm is not exercising the purge path";
 }
 
+// A batch that departs every live demand, residents included, leaves
+// nothing to compact to: the scheduler keeps the tombstones, assembles
+// an empty solution, and compacts on the next batch with arrivals.
+TEST(OnlineScheduler, EmptyingBatchDefersCompactionToTheNextArrivals) {
+  const Problem base = small_tree_problem(31, 24, 2, 1);
+  const std::vector<EventBatch> trace =
+      testutil::emptying_trace(base, 70, 3, 5);
+  const OnlineConfig config;
+  OnlineScheduler scheduler(base, config);
+  scheduler.step(trace[0]);
+  const OnlineBatchReport emptied = scheduler.step(trace[1]);
+  EXPECT_FALSE(emptied.compacted);
+  EXPECT_EQ(emptied.live_demands, 0);
+  EXPECT_EQ(emptied.live_instances, 0);
+  const OnlineSolveArtifacts empty = scheduler.assemble();
+  EXPECT_TRUE(empty.solution.selected.empty());
+  EXPECT_EQ(empty.profit, 0.0);
+  expect_parity(scheduler, config.solver, "emptied");
+
+  const OnlineBatchReport refilled = scheduler.step(trace[2]);
+  EXPECT_TRUE(refilled.compacted);
+  EXPECT_EQ(refilled.live_demands, 3);
+  EXPECT_EQ(scheduler.problem().num_demands(), 3);
+  expect_parity(scheduler, config.solver, "refilled");
+}
+
 // Cold mode re-solves everything every batch; it must agree with the
 // reference too (it shares the assemble path, not the engine entry).
 TEST(OnlineScheduler, ColdModeMatchesReference) {

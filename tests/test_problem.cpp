@@ -192,7 +192,6 @@ void expect_same_store(const Problem& a, const Problem& b) {
   EXPECT_EQ(a.min_path_length(), b.min_path_length());
   EXPECT_EQ(a.max_path_length(), b.max_path_length());
   // Summary statistics, bit for bit.
-  EXPECT_EQ(a.total_profit(), b.total_profit());
   EXPECT_EQ(a.min_profit(), b.min_profit());
   EXPECT_EQ(a.max_profit(), b.max_profit());
   EXPECT_EQ(a.min_height(), b.min_height());
@@ -334,17 +333,8 @@ TEST(Problem, SummaryStatistics) {
   EXPECT_DOUBLE_EQ(p.min_height(), 0.5);
   EXPECT_DOUBLE_EQ(p.max_height(), 1.0);
   EXPECT_FALSE(p.unit_height());
-  EXPECT_TRUE(p.uniform_capacity());
   EXPECT_EQ(p.max_path_length(), 3);
   EXPECT_EQ(p.min_path_length(), 1);
-  EXPECT_DOUBLE_EQ(p.total_profit(), 17.0);
-}
-
-TEST(Problem, CanCommunicateViaSharedResource) {
-  const Problem p = two_network_problem();
-  EXPECT_TRUE(p.can_communicate(0, 1));   // share network 0
-  EXPECT_TRUE(p.can_communicate(0, 2));
-  EXPECT_TRUE(p.can_communicate(1, 2));   // d1:{0}, d2:{0,1} -> share 0
 }
 
 TEST(Problem, ValidationErrors) {
@@ -396,7 +386,6 @@ TEST(Problem, CapacitiesStored) {
   EXPECT_DOUBLE_EQ(p.capacity(1), 5.0);
   EXPECT_DOUBLE_EQ(p.min_capacity(), 2.0);
   EXPECT_DOUBLE_EQ(p.max_capacity(), 5.0);
-  EXPECT_FALSE(p.uniform_capacity());
 }
 
 }  // namespace

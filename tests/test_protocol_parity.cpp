@@ -25,6 +25,7 @@
 #include "decomp/layered.hpp"
 #include "dist/luby_mis.hpp"
 #include "dist/scheduler.hpp"
+#include "framework/certify.hpp"
 #include "framework/dual_state.hpp"
 #include "framework/two_phase.hpp"
 #include "obs/trace.hpp"
@@ -458,7 +459,7 @@ TEST(ProtocolParity, WrapperBoundsAreFiniteAndOrdered) {
   EXPECT_GE(spread, 1.0);
   ASSERT_EQ(nu.run.passes.size(), 1u);
   EXPECT_GE(nu.ratio_bound,
-            proven_ratio_bound(RaiseRuleKind::kUnit,
+            proven_ratio_bound(nonuni, true, false,
                                nu.run.passes.front().delta,
                                1.0 - options.epsilon));
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "framework/certify.hpp"
 #include "framework/dual_state.hpp"
 
 namespace treesched {
@@ -95,10 +96,16 @@ TEST(RaiseRule, PriceFactors) {
 }
 
 TEST(RaiseRule, RatioBounds) {
-  const Problem p = capacitated_problem();
-  const RaiseRule unit(RaiseRuleKind::kUnit, p);
-  EXPECT_NEAR(unit.ratio_bound(6, 1.0 - 0.1), 7.0 / 0.9, 1e-12);
-  EXPECT_NEAR(unit.ratio_bound(3, 1.0 / 5.1), 4.0 * 5.1, 1e-12);  // PS 20+eps
+  // Equal capacities on every path: rho = 1, the paper's bounds.
+  std::vector<TreeNetwork> networks;
+  networks.push_back(TreeNetwork::line(6));
+  Problem p(6, std::move(networks));
+  p.add_demand(0, 5, 12.0, 0.4);
+  p.finalize();
+  EXPECT_NEAR(proven_ratio_bound(p, true, false, 6, 1.0 - 0.1), 7.0 / 0.9,
+              1e-12);
+  EXPECT_NEAR(proven_ratio_bound(p, true, false, 3, 1.0 / 5.1), 4.0 * 5.1,
+              1e-12);  // PS 20+eps
 }
 
 TEST(RaiseRule, DefaultXiMatchesPaper) {

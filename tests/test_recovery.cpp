@@ -365,6 +365,44 @@ TEST(Snapshot, CaptureEncodeDecodeRestoreRoundTrip) {
          "restored caches were not exercised";
 }
 
+// The store keeps the newest valid slot in memory: whole writes
+// alternate between the slots, a torn write leaves the newest slot where
+// it was (so the next write overwrites the torn one), and a store that
+// loads resumes from the slot it loaded.
+TEST(Snapshot, StoreWritesAlternateAndATornWriteKeepsTheNewestSlot) {
+  const Scenario s = make_scenario(ArrivalLaw::kPoisson, 67);
+  OnlineScheduler scheduler(s.base, s.config);
+  std::vector<std::vector<std::uint8_t>> images;
+  for (std::size_t b = 0; b < 5; ++b) {
+    scheduler.step(s.trace[b]);
+    images.push_back(encode_snapshot(scheduler.capture()));
+  }
+  const std::string base = temp_path("alternate.snap");
+  SnapshotStore store(base);
+  store.reset();
+  store.write(images[0]);
+  EXPECT_EQ(read_file(store.slot_a()), images[0]);
+  EXPECT_FALSE(std::filesystem::exists(store.slot_b()));
+  store.write(images[1]);
+  EXPECT_EQ(read_file(store.slot_b()), images[1]);
+  EXPECT_EQ(read_file(store.slot_a()), images[0]);
+  // Torn: only a prefix reaches slot a, and slot b stays the newest.
+  EXPECT_EQ(store.write(images[2], images[2].size() / 2),
+            images[2].size() / 2);
+  EXPECT_EQ(read_file(store.slot_a()).size(), images[2].size() / 2);
+  store.write(images[3]);
+  EXPECT_EQ(read_file(store.slot_a()), images[3]);
+  EXPECT_EQ(read_file(store.slot_b()), images[1]);
+
+  SnapshotStore reloaded(base);
+  SchedulerSnapshot newest;
+  ASSERT_TRUE(reloaded.load_newest(newest));
+  EXPECT_EQ(encode_snapshot(newest), images[3]);
+  reloaded.write(images[4]);
+  EXPECT_EQ(read_file(reloaded.slot_b()), images[4]);
+  EXPECT_EQ(read_file(reloaded.slot_a()), images[3]);
+}
+
 // A snapshot whose bytes are intact (the CRCs are recomputed on encode)
 // but whose caches the records do not back is rejected at restore with a
 // diagnostic: a stack row naming an instance outside its component would
@@ -729,6 +767,35 @@ TEST(CrashRecovery, UnappliableBatchIsRejectedBeforeTheJournal) {
       recovered.scheduler(),
       reference_at(s.base, s.config, s.trace, s.trace.size()),
       "recovered after the rejected batches");
+}
+
+// A journaled batch that departs every live demand must replay, and a
+// snapshot of the emptied state must restore: recovery lands on the
+// uninterrupted run's exact state either way.
+TEST(CrashRecovery, RecoversAfterABatchThatDepartsEveryDemand) {
+  const Problem base = small_tree_problem(31, 24, 2, 1);
+  const std::vector<EventBatch> trace =
+      testutil::emptying_trace(base, 70, 0, 5);
+  const OnlineConfig config;
+  const OnlineScheduler reference =
+      reference_at(base, config, trace, trace.size());
+  EXPECT_EQ(reference.live_demands(), 0);
+  for (const int every : {0, 1}) {
+    SCOPED_TRACE("snapshot_every " + std::to_string(every));
+    DurabilityConfig dur;
+    dur.journal_path = temp_path("emptying.wal");
+    dur.snapshot_every = every;
+    {
+      DurableOnlineService service(base, config, dur);
+      for (const EventBatch& batch : trace) service.step(batch);
+    }
+    RecoveryReport report;
+    const DurableOnlineService recovered =
+        DurableOnlineService::recover(base, config, dur, &report);
+    EXPECT_EQ(report.snapshot_loaded, every > 0);
+    EXPECT_TRUE(recovered.scheduler().capture() == reference.capture());
+    expect_scheduler_equal(recovered.scheduler(), reference, "recovered");
+  }
 }
 
 // Corrupting the newest snapshot slot must fall back to the older slot;

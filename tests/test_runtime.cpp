@@ -417,6 +417,11 @@ TEST(Faulty, ParseFaultPlanAcceptsSpecsAndRejectsGarbage) {
   EXPECT_THROW(parse_fault_plan("drop=2.0"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("drop=pigeons"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("gremlins=0.5"), std::invalid_argument);
+  // Counts and seeds are unsigned: a negative value is garbage, not a
+  // wrapped-around 2^64 - 1.
+  EXPECT_THROW(parse_fault_plan("budget=-1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("maxdelay=-1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("seed=-1"), std::invalid_argument);
   // Outcome rates are mutually exclusive slices of one draw: must sum <= 1.
   EXPECT_THROW(parse_fault_plan("drop=0.6,dup=0.6"), std::invalid_argument);
 }

@@ -85,15 +85,6 @@ TEST(Table, PrintsAlignedRows) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
-TEST(Table, CsvOutput) {
-  Table t;
-  t.set_header({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(Stopwatch, MeasuresNonNegativeTime) {
   Stopwatch sw;
   double sink = 0;

@@ -13,6 +13,7 @@
 #include "framework/two_phase.hpp"
 #include "model/problem.hpp"
 #include "model/solution.hpp"
+#include "online/event_stream.hpp"
 #include "workload/scenario.hpp"
 
 namespace treesched::testutil {
@@ -127,6 +128,34 @@ inline void expect_raises_follow_group_order(const LayeredPlan& plan,
                 run.stack_tags[r].group)
           << what << " row " << r << " instance " << id;
   }
+}
+
+// An online trace that empties the scheduler: one batch of `arrivals`
+// fresh demands (keys 0, 1, ...), then one batch that departs every live
+// demand — the base's residents (keys -1, -2, ...) and the arrivals —
+// then, when `refill` > 0, one batch of `refill` more arrivals.
+inline std::vector<EventBatch> emptying_trace(const Problem& base,
+                                              int arrivals, int refill,
+                                              std::uint64_t seed) {
+  DemandGenConfig cfg;
+  cfg.heights = HeightLaw::kBimodal;
+  const DemandSampler sampler(base, cfg);
+  Rng rng(seed);
+  DemandKey next_key = 0;
+  const auto arrive = [&](EventBatch& batch, int count) {
+    for (int k = 0; k < count; ++k)
+      batch.arrivals.push_back({next_key++, 0, sampler.next(rng)});
+  };
+  std::vector<EventBatch> trace(refill > 0 ? 3 : 2);
+  for (std::size_t b = 0; b < trace.size(); ++b)
+    trace[b].time = static_cast<double>(b + 1);
+  arrive(trace[0], arrivals);
+  for (DemandId d = 0; d < base.num_demands(); ++d)
+    trace[1].departures.push_back(-static_cast<DemandKey>(d) - 1);
+  for (DemandKey key = 0; key < arrivals; ++key)
+    trace[1].departures.push_back(key);
+  if (refill > 0) arrive(trace[2], refill);
+  return trace;
 }
 
 }  // namespace treesched::testutil
