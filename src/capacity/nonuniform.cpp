@@ -89,16 +89,26 @@ NonuniformResult solve_impl(const Problem& problem,
 
 }  // namespace
 
+void check_nonuniform_regime(const Problem& problem, RaiseRuleKind rule) {
+  const bool in_regime =
+      rule == RaiseRuleKind::kUnit
+          ? problem.unit_height() && problem.min_capacity() >= 1.0 - kEps
+          : all_instances_narrow(problem);
+  check_input(in_regime,
+              "non-uniform solver: the problem is outside its regimes (unit "
+              "heights with every capacity >= 1, or every height at most "
+              "half of each capacity on its path)");
+}
+
 NonuniformResult solve_nonuniform_unit(const Problem& problem,
                                        const NonuniformOptions& options) {
-  TS_REQUIRE(problem.unit_height());
-  TS_REQUIRE(problem.min_capacity() >= 1.0 - kEps);
+  check_nonuniform_regime(problem, RaiseRuleKind::kUnit);
   return solve_impl(problem, options, RaiseRuleKind::kUnit);
 }
 
 NonuniformResult solve_nonuniform_narrow(const Problem& problem,
                                          const NonuniformOptions& options) {
-  TS_REQUIRE(all_instances_narrow(problem));
+  check_nonuniform_regime(problem, RaiseRuleKind::kNarrow);
   return solve_impl(problem, options, RaiseRuleKind::kNarrow);
 }
 

@@ -47,6 +47,13 @@ struct NonuniformResult {
   int classes = 1;            // bottleneck classes present
 };
 
+// The regime of `rule` (header comment): kUnit needs unit heights and
+// every capacity >= 1, kNarrow every height at most half of each capacity
+// on its path.  Outside it, throws a check_input diagnostic naming both
+// regimes.  The solvers below and run_nonuniform_protocol state their
+// regime with it.
+void check_nonuniform_regime(const Problem& problem, RaiseRuleKind rule);
+
 // Unit-height demands over non-uniform capacities.
 NonuniformResult solve_nonuniform_unit(const Problem& problem,
                                        const NonuniformOptions& options = {});

@@ -107,9 +107,8 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
   };
   // Drains every inbox holding mail, applying raise propagations to the
   // local shards (the one message type that may be in flight at step
-  // ends).  This runs once per step, so it visits only the nodes with
-  // mail — an idle tuple's sweep is free — and the runtime recycles the
-  // inboxes, keeping the serialized backends' decode loop free of
+  // ends).  It visits only the nodes with mail, and the runtime recycles
+  // the inboxes, keeping the serialized backends' decode loop free of
   // steady-state allocation.
   const auto drain_and_apply = [&] {
     st.rt.drain_mail([&](int v, const std::vector<Message>& inbox) {
@@ -126,31 +125,68 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
   };
 
   // ---- Phase 1: raise, one fixed-length tuple at a time -------------------
-  // Every tuple is stepped, idle or not, but only a *raising* tuple is
-  // logged: its index in the fixed schedule, its sorted winners (a row of
-  // pass.raise_stack, the modeled engine's stack) and their raise
-  // amounts (which the degraded-mode certificate replays).  The log costs
-  // O(raises), however long the schedule.
+  // The processors run every tuple of the fixed schedule, but a tuple
+  // with no participant is silent: nobody draws, posts or raises, and no
+  // shard moves.  The simulator, which unlike a processor sees every
+  // shard, steps only the tuples with a participant and charges the
+  // silent ones' rounds through Runtime::advance_idle.  Once a step's
+  // scan finds nobody below the stage target, the rest of the stage is
+  // silent, and so is every later stage up to the first at which some
+  // member fails `unsatisfied` — next_failing_stage, the engine's search
+  // (framework/two_phase.hpp), finds it with one pass over the members.
+  // Only a *raising* tuple is logged: its index in the fixed schedule,
+  // its sorted winners (a row of pass.raise_stack, the modeled engine's
+  // stack) and their raise amounts (which the degraded-mode certificate
+  // replays).  A pass costs O(raising tuples + runs of silent stages),
+  // however long its schedule.
+  const std::int64_t tuple_rounds =
+      2 * static_cast<std::int64_t>(luby_budget) + 1;
+  const std::int64_t steps = pass.steps_per_stage;
+  const int stages = pass.stages_per_epoch;
+  // Charged rather than stepped, a schedule is bounded only by the round
+  // counter: keep a whole run's total (two passes) well inside int64.
+  check_input(static_cast<double>(plan.num_groups) * stages * steps *
+                      static_cast<double>(tuple_rounds + 1) <=
+                  0x1p61,
+              "protocol schedule overflows the round counter");
+  pass.tuples = static_cast<std::int64_t>(plan.num_groups) * stages * steps;
+  const auto stage_target = [&](int j) { return 1.0 - std::pow(pass.xi, j); };
+
   std::vector<std::vector<InstanceId>>& rows = pass.raise_stack;
   std::vector<std::vector<double>> amount_log;
   std::vector<std::int64_t> row_tuple;
+  std::vector<InstanceId> members;
   std::vector<int> participants;
   std::vector<InstanceId> winners;
   std::vector<double> increments;
-  std::int64_t tuple = 0;
+  std::int64_t charged = 0;  // tuples stepped or charged so far
+  std::int64_t stepped = 0;
+  // Charges the silent tuples before `tuple`.
+  const auto skip_to = [&](std::int64_t tuple) {
+    st.rt.advance_idle((tuple - charged) * tuple_rounds);
+    charged = tuple;
+  };
 
   for (int g = 0; g < plan.num_groups; ++g) {
-    const auto& members = plan.members[static_cast<std::size_t>(g)];
-    for (int j = 1; j <= pass.stages_per_epoch; ++j) {
-      const double target = 1.0 - std::pow(pass.xi, j);
+    members.clear();
+    for (InstanceId i : plan.members[static_cast<std::size_t>(g)])
+      if (active[static_cast<std::size_t>(i)]) members.push_back(i);
+    for (int j = next_failing_stage(members, 0, stages, stage_target,
+                                    unsatisfied);
+         j <= stages;
+         j = next_failing_stage(members, j, stages, stage_target,
+                                unsatisfied)) {
+      const double target = stage_target(j);
       TRACE_SPAN2("protocol", "stage", "epoch", g, "stage", j);
-      for (int s = 0; s < pass.steps_per_stage; ++s, ++tuple) {
+      skip_to((static_cast<std::int64_t>(g) * stages + j - 1) * steps);
+      std::int64_t s = 0;
+      for (; s < steps; ++s) {
         // Participants: the pass's group members still below the stage
         // target (a local test against the processor's own shard).
         participants.clear();
         for (InstanceId i : members)
-          if (active[static_cast<std::size_t>(i)] && unsatisfied(i, target))
-            participants.push_back(i);
+          if (unsatisfied(i, target)) participants.push_back(i);
+        if (participants.empty()) break;  // the rest of the stage is silent
         for (int v : participants) st.live[static_cast<std::size_t>(v)] = 1;
 
         // Luby MIS, exactly luby_budget iterations of 2 rounds each.
@@ -204,7 +240,7 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
         // non-uniform rules unchanged.
         std::sort(winners.begin(), winners.end());
         if (!winners.empty()) {
-          row_tuple.push_back(tuple);
+          row_tuple.push_back(charged);
           rows.push_back(winners);
           amount_log.emplace_back().reserve(winners.size());
         }
@@ -229,38 +265,44 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
         }
         st.rt.step();
         drain_and_apply();
+        ++charged;
+        ++stepped;
       }
       // Lemma 5.1: the fixed step budget must have satisfied the stage.
-      for (InstanceId i : members)
-        if (active[static_cast<std::size_t>(i)] && unsatisfied(i, target))
-          pass.schedule_ok = false;
+      if (s == steps)
+        for (InstanceId i : members)
+          if (unsatisfied(i, target)) pass.schedule_ok = false;
     }
   }
-  pass.tuples = tuple;
+  skip_to(pass.tuples);
+  pass_span.arg("tuples_stepped", stepped);
+  pass_span.arg("tuples_skipped", pass.tuples - stepped);
 
   // ---- Phase 2: reverse replay, 1 keep/drop round per tuple ---------------
-  // The tuple indices run backwards; a logged tuple posts its kept
-  // winners' keep notifications, an idle one is a silent round.
+  // The tuples run backwards; a logged tuple posts its kept winners' keep
+  // notifications, and the silent rounds between logged tuples are
+  // charged in one advance each.
   TRACE_SPAN("protocol", "phase2_replay");
   pass.solution = prune_stack(problem, rows);
   std::vector<char> kept(static_cast<std::size_t>(std::max(n, 1)), 0);
   for (InstanceId i : pass.solution.selected)
     kept[static_cast<std::size_t>(i)] = 1;
   std::vector<char> announced(static_cast<std::size_t>(std::max(n, 1)), 0);
-  std::size_t row = rows.size();
-  for (std::int64_t t = pass.tuples - 1; t >= 0; --t) {
-    if (row > 0 && row_tuple[row - 1] == t) {
-      for (InstanceId i : rows[--row]) {
-        if (!kept[static_cast<std::size_t>(i)]) continue;
-        if (announced[static_cast<std::size_t>(i)]) continue;
-        announced[static_cast<std::size_t>(i)] = 1;
-        for (int u : neighbors[static_cast<std::size_t>(i)])
-          st.rt.post(Message{i, u, kTagKeep, {}});
-      }
+  std::int64_t replayed = pass.tuples;  // tuples >= replayed are done
+  for (std::size_t row = rows.size(); row-- > 0;) {
+    st.rt.advance_idle(replayed - 1 - row_tuple[row]);
+    for (InstanceId i : rows[row]) {
+      if (!kept[static_cast<std::size_t>(i)]) continue;
+      if (announced[static_cast<std::size_t>(i)]) continue;
+      announced[static_cast<std::size_t>(i)] = 1;
+      for (int u : neighbors[static_cast<std::size_t>(i)])
+        st.rt.post(Message{i, u, kTagKeep, {}});
     }
     st.rt.step();
     st.rt.drain_mail([](int, const std::vector<Message>&) {});
+    replayed = row_tuple[row];
   }
+  st.rt.advance_idle(replayed);
 
   // Certification from the shards alone: every processor reports its own
   // satisfaction level; lambda is the minimum over the pass members.
@@ -329,7 +371,7 @@ ProtocolRunResult init_result(const Problem& problem, const LayeredPlan& plan,
 void finish_run(ProtocolRunResult& result, const ProtocolState& st) {
   // combine_rounds is a modeled charge (the converge-cast is not
   // executed on the runtime), added on top of the rounds the runtime
-  // actually stepped through.
+  // counted.
   result.rounds = st.rt.round() + result.combine_rounds;
   result.messages = st.rt.messages_sent();
   result.bytes = st.rt.bytes_sent();

@@ -40,9 +40,17 @@
 // Luby protocol plus 1 dual-propagation round, whether or not any work
 // remains — idle processors execute the rounds in silence.  Phase 2
 // replays the tuples in reverse, 1 round each (keep/drop notification).
-// Every tuple is stepped, but only a tuple whose MIS raised somebody is
-// stored (ProtocolPass::raise_stack), so a pass holds O(n + raises)
-// state however long its fixed schedule runs.
+// The simulator sees what no processor can: that a tuple has no
+// participant, so nobody draws, posts or raises in it.  It steps only
+// the tuples with a participant and charges each run of silent tuples
+// (the rest of a stage, the idle stages up to the next one at which
+// some member is unsatisfied, found by the engine's next_failing_stage,
+// and the replay rounds between logged tuples) in one
+// Runtime::advance_idle, which leaves every counter, inbox, random
+// stream and trace total exactly as stepping the rounds would.  Only a
+// tuple whose MIS raised somebody is stored (ProtocolPass::raise_stack),
+// so a pass holds O(n + raises) state and costs O(raising tuples + runs
+// of silent stages) time, however long its fixed schedule runs.
 // A two-pass run additionally charges the per-network better-of
 // combination an honest converge-cast (better_of_convergecast_rounds in
 // framework/two_phase.hpp: the profit totals cast up each tree, the

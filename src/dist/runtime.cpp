@@ -62,14 +62,7 @@ void Runtime::post(Message m) {
 }
 
 void Runtime::step() {
-  if (obs::tracing_enabled()) {
-    // An idle round reads no clock and records nothing: it only
-    // lengthens the current idle stretch (see note_round).
-    if (messages_sent_ == mark_messages_ && round_mark_ns_ >= 0)
-      ++idle_rounds_;
-    else
-      note_round();
-  }
+  if (obs::tracing_enabled()) note_boundary();
   ++round_;
   transport_->flush();
   // This round's receivers now hold mail (kFaulty may still have lost
@@ -83,6 +76,28 @@ void Runtime::step() {
     }
   }
   staged_.clear();
+}
+
+void Runtime::advance_idle(std::int64_t rounds) {
+  TS_REQUIRE(rounds >= 0 && staged_.empty());
+  if (rounds == 0) return;
+  if (obs::tracing_enabled()) {
+    // The first boundary is the one that may close a traffic round's
+    // span; after it, every boundary is idle.
+    note_boundary();
+    idle_rounds_ += rounds - 1;
+  }
+  round_ += rounds;
+  transport_->flush_idle(rounds);
+}
+
+void Runtime::note_boundary() {
+  // An idle round reads no clock and records nothing: it only
+  // lengthens the current idle stretch (see note_round).
+  if (messages_sent_ == mark_messages_ && round_mark_ns_ >= 0)
+    ++idle_rounds_;
+  else
+    note_round();
 }
 
 void Runtime::note_post(int tag, [[maybe_unused]] std::int64_t bytes) {
@@ -128,9 +143,9 @@ void Runtime::note_post(int tag, [[maybe_unused]] std::int64_t bytes) {
 void Runtime::note_round() {
   // Close the span of the round with traffic that just elapsed (mark ->
   // now) with the message/byte deltas it produced, then re-arm for the
-  // next one.  With the idle stretches (step() counts them, note_post
-  // closes them), every stepped round is accounted for: round spans +
-  // the idle spans' "rounds" == rounds stepped.  A mark of -1 means
+  // next one.  With the idle stretches (step() and advance_idle count
+  // them, note_post closes them), every round is accounted for: round
+  // spans + the idle spans' "rounds" == round().  A mark of -1 means
   // tracing was enabled mid-run: just arm.  The span name carries the
   // backend ("round", "round.serialized", ...), so a trace shows which
   // wire the rounds ran on.

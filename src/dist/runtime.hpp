@@ -63,9 +63,18 @@ class Runtime {
 
   // Advances the round boundary: every message posted since the previous
   // step() becomes visible in its receiver's inbox.  Driver-side only.
-  // Costs O(messages posted since the previous step + 1): an idle round
-  // is counted, never walked.
+  // Costs O(messages posted since the previous step + 1), so a round
+  // with nothing posted costs O(1) — but one call per round.
   void step();
+
+  // Advances `rounds` silent round boundaries at once: exactly the round
+  // count, inboxes, transport state and counters (FaultStats included:
+  // kFaulty's delayed originals tick and settle), and the same wire/idle
+  // trace accounting, as `rounds` step() calls with nothing posted.
+  // Costs O(frames in flight + 1) whatever `rounds` is.  Requires
+  // nothing posted since the last step(); rounds >= 0.  The protocol
+  // scheduler charges its silent tuples through it.
+  void advance_idle(std::int64_t rounds);
 
   // Removes and returns the inbox of `node` (messages delivered by past
   // step() calls, in posting order).  The returned vector comes from the
@@ -130,9 +139,12 @@ class Runtime {
   bool valid(int node) const { return node >= 0 && node < num_nodes(); }
   // Flight-recorder hooks (obs): per-tag message/byte counters, a span
   // per round that carried traffic, and one span per idle stretch.
+  // note_boundary accounts one round boundary; an idle one only
+  // lengthens the current stretch.
   // Called only while tracing is enabled; pure observation — no field of
   // the complexity accounting depends on them.
   void note_post(int tag, std::int64_t bytes);
+  void note_boundary();
   void note_round();
   void close_idle_stretch(std::int64_t end_ns);
 
@@ -149,7 +161,7 @@ class Runtime {
   // Trace marks: where the current round (or idle stretch) began (-1 =
   // tracing was off at the last boundary, so the next boundary only
   // re-arms), the counter values at the last traffic round's close, and
-  // the idle rounds stepped since.
+  // the idle rounds since.
   std::int64_t round_mark_ns_ = -1;
   std::int64_t mark_messages_ = 0;
   std::int64_t mark_bytes_ = 0;

@@ -4,7 +4,7 @@
 #include <limits>
 #include <utility>
 
-#include "capacity/capacity_profile.hpp"
+#include "capacity/nonuniform.hpp"
 #include "dist/luby_mis.hpp"
 #include "framework/certify.hpp"
 
@@ -189,13 +189,9 @@ ProtocolDistResult run_nonuniform_protocol(const Problem& problem,
                                            const ProtocolOptions& options,
                                            bool line, DecompKind decomp) {
   ProtocolOptions opt = options;
-  if (problem.unit_height()) {
-    TS_REQUIRE(problem.min_capacity() >= 1.0 - kEps);
-    opt.rule = RaiseRuleKind::kUnit;
-  } else {
-    TS_REQUIRE(all_instances_narrow(problem));
-    opt.rule = RaiseRuleKind::kNarrow;
-  }
+  opt.rule = problem.unit_height() ? RaiseRuleKind::kUnit
+                                   : RaiseRuleKind::kNarrow;
+  check_nonuniform_regime(problem, opt.rule);
   const LayeredPlan plan = line ? build_line_layered_plan(problem)
                                 : build_tree_layered_plan(problem, decomp);
   return finish_protocol(problem, run_distributed_protocol(problem, plan, opt),

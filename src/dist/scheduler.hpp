@@ -115,8 +115,9 @@ ProtocolDistResult run_line_arbitrary_protocol(
     const Problem& problem, const ProtocolOptions& options = {});
 
 // Non-uniform bandwidths, message-level (DESIGN.md Sec. 6 / the IPDPS
-// 2013 extension): kUnit for unit-height problems, kNarrow when every
-// instance is narrow (checked); the same bound as
+// 2013 extension): kUnit for unit-height problems, kNarrow otherwise,
+// each in its regime (check_nonuniform_regime, capacity/nonuniform.hpp,
+// throws a diagnostic outside it); the same bound as
 // solve_nonuniform_{unit,narrow} and, on unit heights, as
 // run_{tree,line}_unit_protocol.
 ProtocolDistResult run_nonuniform_protocol(

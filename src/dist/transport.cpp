@@ -1,5 +1,6 @@
 #include "dist/transport.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -215,6 +216,8 @@ class InProcTransport final : public Transport {
     in_flight_.clear();
   }
 
+  void flush_idle(std::int64_t) override { TS_DCHECK(in_flight_.empty()); }
+
   void drain(int node, std::vector<Message>& out) override {
     // Swap, don't copy: the recycled `out` donates its capacity as the
     // node's next inbox storage.
@@ -263,6 +266,8 @@ class SerializedTransport final : public Transport {
     }
     posted_.clear();
   }
+
+  void flush_idle(std::int64_t) override { TS_DCHECK(posted_.empty()); }
 
   // Decodes the node's delivered bytes into `out`, overwriting recycled
   // Message slots in place (payload capacity included) so a steady-state
@@ -330,7 +335,7 @@ class FaultyTransport final : public Transport {
       inner = TransportKind::kSerialized;
     plan_.inner = inner;
     inner_ = make_concrete(inner, num_nodes);
-    if (plan_.max_delay_rounds < 1) plan_.max_delay_rounds = 1;
+    plan_.max_delay_rounds = std::clamp(plan_.max_delay_rounds, 1, 64);
     if (plan_.retransmit_budget < 0) plan_.retransmit_budget = 0;
     for (DstBox& box : box_)
       box.next_seq.assign(static_cast<std::size_t>(num_nodes), 0);
@@ -360,8 +365,8 @@ class FaultyTransport final : public Transport {
   }
 
   void flush() override {
-    // Read only by the TRACE_COUNTERs below, which compile to nothing
-    // when tracing is compiled out.
+    // Read only by count_recovery's TRACE_COUNTERs, which compile to
+    // nothing when tracing is compiled out.
     [[maybe_unused]] const FaultStats before = stats_;
     // Visit only the listed boxes: those posted to this round and those
     // still holding delayed originals, whose countdowns must tick every
@@ -379,14 +384,34 @@ class FaultyTransport final : public Transport {
     }
     listed_.resize(keep);
     inner_->flush();
-    TRACE_COUNTER("wire.fault.retransmits",
-                  stats_.retransmits - before.retransmits);
-    TRACE_COUNTER("wire.fault.dup_dropped",
-                  stats_.dup_dropped - before.dup_dropped);
-    TRACE_COUNTER("wire.fault.corrupt_dropped",
-                  stats_.corrupt_dropped - before.corrupt_dropped);
-    TRACE_COUNTER("wire.fault.frames_lost",
-                  stats_.frames_lost - before.frames_lost);
+    count_recovery(before);
+  }
+
+  void flush_idle(std::int64_t rounds) override {
+    [[maybe_unused]] const FaultStats before = stats_;
+    // No box has a manifest, so each round only ticks the delayed
+    // originals: one that `rounds` boundaries reach settles as a stale
+    // duplicate, exactly as in deliver_box.
+    std::size_t keep = 0;
+    for (const int dst : listed_) {
+      DstBox& box = box_[static_cast<std::size_t>(dst)];
+      TS_DCHECK(box.manifest.empty());
+      std::size_t left = 0;
+      for (const int due : box.inflight) {
+        if (due > rounds)
+          box.inflight[left++] = due - static_cast<int>(rounds);
+        else
+          ++stats_.dup_dropped;
+      }
+      box.inflight.resize(left);
+      if (box.inflight.empty())
+        box.listed = false;
+      else
+        listed_[keep++] = dst;
+    }
+    listed_.resize(keep);
+    inner_->flush_idle(rounds);
+    count_recovery(before);
   }
 
   void drain(int node, std::vector<Message>& out) override {
@@ -434,6 +459,19 @@ class FaultyTransport final : public Transport {
   }
   static double u01(std::uint64_t h) {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
+  }
+
+  // The recovery work of the round boundaries since `before`, into the
+  // flight recorder's counters.
+  void count_recovery([[maybe_unused]] const FaultStats& before) const {
+    TRACE_COUNTER("wire.fault.retransmits",
+                  stats_.retransmits - before.retransmits);
+    TRACE_COUNTER("wire.fault.dup_dropped",
+                  stats_.dup_dropped - before.dup_dropped);
+    TRACE_COUNTER("wire.fault.corrupt_dropped",
+                  stats_.corrupt_dropped - before.corrupt_dropped);
+    TRACE_COUNTER("wire.fault.frames_lost",
+                  stats_.frames_lost - before.frames_lost);
   }
 
   // Copies the frame, flips 1-3 distinct bits, and runs the real

@@ -41,8 +41,10 @@
 // parity suites hold them to exact (==) agreement.  Every backend is
 // single-driver, and a flush() costs O(messages it moves + 1): it visits
 // only the destinations posted to since the previous flush (kFaulty also
-// the ones holding delayed frames), never every box, so the long idle
-// stretches of the protocols' fixed schedules cost next to nothing.
+// the ones holding delayed frames), never every box.  A run of k rounds
+// with nothing posted is one flush_idle(k), O(frames in flight + 1), so
+// the long idle stretches of the protocols' fixed schedules cost the
+// same whatever their length.
 //
 // A future socket/MPI backend implements this same interface; the codec
 // below is its wire format, and the kFaulty recovery sublayer (frame
@@ -134,7 +136,7 @@ struct FaultPlan {
   double delay = 0.0;      // frame slips 1..max_delay_rounds rounds;
                            // recovered by retransmit, the late original
                            // arrives as a stale duplicate
-  int max_delay_rounds = 2;
+  int max_delay_rounds = 2;  // clamped to [1, 64]
   // Retransmit attempts per missing frame before the transport declares
   // the frame lost and flags the run degraded.
   int retransmit_budget = 8;
@@ -216,6 +218,13 @@ class Transport {
   // drainable at its destination.  Driver-side only, on every backend,
   // and O(messages moved + 1): an idle round touches no box.
   virtual void flush() = 0;
+
+  // `rounds` round boundaries with nothing posted: exactly the state,
+  // counters and trace counters of that many flush() calls, in
+  // O(frames in flight + 1).  Requires nothing posted since the last
+  // flush.  Only kFaulty holds anything across an idle round (delayed
+  // originals, which tick and settle as stale duplicates).
+  virtual void flush_idle(std::int64_t rounds) = 0;
 
   // Fills `out` with node's delivered-but-undrained messages, in posting
   // order, and empties the inbox.  `out` arrives in an arbitrary

@@ -436,31 +436,6 @@ void TwoPhaseEngine::refresh_stale_lhs(std::span<const InstanceId> ids,
   }
 }
 
-int TwoPhaseEngine::next_failing_stage(const StageSchedule& sched,
-                                       const RaiseRule& rule, int stage) {
-  // One pass tests each member at next - 1; only a member that fails
-  // there can move next, to its first failing stage, found by bisection
-  // between `stage` (where the scan saw it pass) and next - 1.
-  int next = sched.stages_per_epoch + 1;
-  double last = next - 1 > stage ? stage_target(sched, next - 1) : 0.0;
-  for (InstanceId i : members_) {
-    if (next - 1 == stage) break;
-    if (!unsatisfied(i, rule, last)) continue;
-    int passes = stage;
-    int fails = next - 1;
-    while (fails - passes > 1) {
-      const int mid = passes + (fails - passes) / 2;
-      if (unsatisfied(i, rule, stage_target(sched, mid)))
-        fails = mid;
-      else
-        passes = mid;
-    }
-    next = fails;
-    if (next - 1 > stage) last = stage_target(sched, next - 1);
-  }
-  return next;
-}
-
 void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
                                      SolveResult& result) {
   SolveStats& stats = result.stats;
@@ -497,7 +472,10 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
       if (unsat_.empty()) {
         // Stages j .. next - 1 are idle in the central reference too: it
         // only counts them (under lockstep, budget idle steps apiece).
-        const int next = next_failing_stage(sched, rule, j);
+        const int next = next_failing_stage(
+            members_, j, sched.stages_per_epoch,
+            [&](int stage) { return stage_target(sched, stage); },
+            [&](InstanceId i, double t) { return unsatisfied(i, rule, t); });
         const std::int64_t idle = next - j;
         stats.stages += idle;
         if (config_.lockstep) {

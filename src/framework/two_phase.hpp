@@ -65,8 +65,10 @@
 // pow's rounding error (well under 2^-50 relative): class_stage_params
 // admits only classes with 1 - xi >= 2^-40.  Under its finite-int stage
 // count rule that margin binds only when eps > 0.998.  The message-level
-// protocol keeps stepping every stage: the paper's processors cannot
-// test global emptiness.
+// protocol (dist/protocol_scheduler.hpp) jumps with the same search,
+// next_failing_stage below: its processors still run every stage of the
+// fixed schedule, since they cannot test global emptiness, but the
+// simulator charges the silent ones without stepping them.
 #pragma once
 
 #include <memory>
@@ -330,11 +332,6 @@ class TwoPhaseEngine {
   // the lanes gain nothing.
   void refresh_stale_lhs(std::span<const InstanceId> ids,
                          const RaiseRule& rule);
-  // After an idle scan of `stage`: the first later stage at which some
-  // member fails `unsatisfied`, or stages_per_epoch + 1 when none does
-  // (see "Stage cost" in the header comment).
-  int next_failing_stage(const StageSchedule& sched, const RaiseRule& rule,
-                         int stage);
   // Marks stale the cached LHS of every instance that reads a variable a
   // raise of i writes — alpha(a_i) and beta on i's critical edges.
   // Instances outside the current group or the active set are not read
@@ -442,6 +439,37 @@ StageParams derive_stage_params(const Problem& problem,
 // class without a finite schedule.
 StageParams class_stage_params(RaiseRuleKind rule, int delta, double h_min,
                                double epsilon, double xi_override = 0.0);
+
+// The first stage in (stage, last] at which some member fails —
+// fails(i, target(j)) holds — or last + 1 when none does.  `fails` must
+// be monotone in the stage (see "Stage cost" above: a member that fails
+// at j fails at every later stage, and no LHS moves during the search).
+// One pass tests each member at the current bound's last stage; only a
+// member that fails there can lower the bound, to its first failing
+// stage, found by bisection.  The engine calls it after an idle scan,
+// the message-level protocol after every stage it runs.
+template <typename Target, typename Fails>
+int next_failing_stage(std::span<const InstanceId> members, int stage,
+                       int last, const Target& target, const Fails& fails) {
+  int next = last + 1;
+  double bound = next - 1 > stage ? target(next - 1) : 0.0;
+  for (InstanceId i : members) {
+    if (next - 1 == stage) break;
+    if (!fails(i, bound)) continue;
+    int passes = stage;
+    int fails_at = next - 1;
+    while (fails_at - passes > 1) {
+      const int mid = passes + (fails_at - passes) / 2;
+      if (fails(i, target(mid)))
+        fails_at = mid;
+      else
+        passes = mid;
+    }
+    next = fails_at;
+    if (next - 1 > stage) bound = target(next - 1);
+  }
+  return next;
+}
 
 // Reverse greedy pruning of the raise stack (phase 2 of the framework).
 Solution prune_stack(const Problem& problem,

@@ -1,6 +1,8 @@
 #include "online/durable_service.hpp"
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 #include "common/prelude.hpp"
 #include "common/rng.hpp"
@@ -61,8 +63,10 @@ CrashPlan parse_crash_plan(const std::string& spec) {
     if (key == "point") {
       plan.point = parse_crash_point(value);
     } else if (key == "batch") {
-      plan.batch =
-          static_cast<std::uint32_t>(parse_spec_u64("crash plan", key, value));
+      const std::uint64_t batch = parse_spec_u64("crash plan", key, value);
+      check_input(batch <= std::numeric_limits<std::uint32_t>::max(),
+                  "crash plan: batch " + value + " is past 2^32 - 1");
+      plan.batch = static_cast<std::uint32_t>(batch);
     } else if (key == "seed") {
       plan.seed = parse_spec_u64("crash plan", key, value);
     } else {

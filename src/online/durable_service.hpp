@@ -67,8 +67,8 @@ struct CrashPlan {
 // Parses "point=mid-append|after-append|after-apply|mid-snapshot|
 // after-snapshot,batch=N,seed=S" (any order; batch and seed optional).
 // The empty string is the unarmed plan.  Throws std::invalid_argument on
-// unknown keys, unknown point names or unparsable values — this is the
-// TREESCHED_CRASH / --crash= format.
+// unknown keys, unknown point names, unparsable values or a batch past
+// 2^32 - 1 — this is the TREESCHED_CRASH / --crash= format.
 CrashPlan parse_crash_plan(const std::string& spec);
 
 // Thrown when an armed plan fires: the simulated kill -9.  Whatever the

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "seq/sequential.hpp"
 #include "test_util.hpp"
@@ -177,6 +180,52 @@ TEST(NonuniformUnit, HigherCapacityAdmitsMoreDemands) {
   const NonuniformResult run = solve_nonuniform_unit(p, options);
   require_feasible(p, run.solution);
   EXPECT_NEAR(run.profit, 3.0, 1e-9);
+}
+
+// The "treesched:" diagnostic `solve` throws, or "" when it returns.
+template <typename Solve>
+std::string diagnostic_of(const Solve& solve) {
+  try {
+    solve();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(NonuniformRegime, EveryEntryPointRejectsOutOfRegimeInputs) {
+  // Outside both regimes (unit heights with every capacity >= 1, or
+  // every height at most half of each capacity on its path) the two
+  // solvers and the message-level protocol throw a diagnostic, which the
+  // CLI turns into exit 1, instead of aborting.
+  const Problem bimodal = capacitated_tree_problem(
+      4, CapacityLaw::kUniform, 1.0, HeightLaw::kBimodal);
+  ASSERT_FALSE(bimodal.unit_height());
+  ASSERT_FALSE(all_instances_narrow(bimodal));
+  const Problem thin = [] {
+    std::vector<TreeNetwork> networks;
+    networks.push_back(TreeNetwork::line(5));
+    Problem p(5, std::move(networks));
+    p.set_uniform_capacity(0.5);
+    p.add_demand(0, 4, 1.0);
+    p.add_demand(1, 3, 2.0);
+    p.finalize();
+    return p;
+  }();
+  ASSERT_TRUE(thin.unit_height());
+
+  for (const Problem* p : {&bimodal, &thin}) {
+    const std::string unit =
+        diagnostic_of([&] { solve_nonuniform_unit(*p); });
+    const std::string narrow =
+        diagnostic_of([&] { solve_nonuniform_narrow(*p); });
+    const std::string wire =
+        diagnostic_of([&] { run_nonuniform_protocol(*p); });
+    for (const std::string& what : {unit, narrow, wire}) {
+      EXPECT_EQ(what.rfind("treesched: non-uniform solver:", 0), 0u) << what;
+      EXPECT_NE(what.find("regimes"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

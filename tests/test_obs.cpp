@@ -17,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "decomp/layered.hpp"
+#include "dist/protocol_scheduler.hpp"
 #include "dist/runtime.hpp"
 #include "dist/scheduler.hpp"
 #include "framework/two_phase.hpp"
@@ -381,6 +382,52 @@ TEST(ObsTrace, WireSpansAccountForEveryRoundStepped) {
   EXPECT_GT(stretches, 0);
   EXPECT_GT(idle, traffic);  // the schedule is mostly idle
   EXPECT_EQ(obs::trace_stats().overwritten, 0);
+}
+
+TEST(ObsTrace, PassSpansCountSteppedAndSkippedTuples) {
+  // Each protocol/pass span says how many tuples of its fixed schedule
+  // the pass stepped and how many it charged silent, which together
+  // make the pass's tuples; a protocol/stage span is recorded only for a
+  // stage that stepped, so there are at most as many as stepped tuples.
+  TraceReset guard;
+  const Problem p = small_tree_problem(12, 32, 2, 18, HeightLaw::kBimodal);
+  const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
+  ProtocolOptions options;
+  options.epsilon = 0.25;
+  options.seed = 3;
+  obs::enable_tracing();
+  const ProtocolRunResult run = run_height_split_protocol(p, plan, options);
+  obs::disable_tracing();
+  ASSERT_EQ(run.passes.size(), 2u);
+
+  std::vector<obs::SpanRecord> passes;
+  std::int64_t stages = 0;
+  for (const obs::SpanRecord& rec : obs::collect_spans()) {
+    if (std::string(rec.category) != "protocol") continue;
+    if (std::string(rec.name) == "pass") passes.push_back(rec);
+    if (std::string(rec.name) == "stage") ++stages;
+  }
+  std::sort(passes.begin(), passes.end(),
+            [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
+              return a.seq < b.seq;
+            });
+  ASSERT_EQ(passes.size(), run.passes.size());
+  std::int64_t all_stepped = 0;
+  for (std::size_t k = 0; k < passes.size(); ++k) {
+    std::int64_t stepped = -1, skipped = -1;
+    for (int a = 0; a < obs::kSpanArgs; ++a) {
+      if (passes[k].arg_key[a] == nullptr) continue;
+      const std::string key = passes[k].arg_key[a];
+      if (key == "tuples_stepped") stepped = passes[k].arg_val[a];
+      if (key == "tuples_skipped") skipped = passes[k].arg_val[a];
+    }
+    EXPECT_GT(stepped, 0) << "pass " << k;
+    EXPECT_GT(skipped, stepped) << "pass " << k;  // mostly silent
+    EXPECT_EQ(stepped + skipped, run.passes[k].tuples) << "pass " << k;
+    all_stepped += stepped;
+  }
+  EXPECT_GT(stages, 0);
+  EXPECT_LE(stages, all_stepped);
 }
 
 TEST(ObsTrace, EpochSpansCountScannedAndSkippedStages) {

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "dist/scheduler.hpp"
 #include "test_util.hpp"
 
@@ -174,6 +177,47 @@ TEST(Protocol, TwoPassAccountingIdentity) {
             run.discovery_rounds + pass_rounds + run.combine_rounds);
   EXPECT_TRUE(run.schedule_ok);
   EXPECT_GE(run.lambda_observed, 1.0 - options.epsilon - 1e-6);
+}
+
+TEST(Protocol, DelayedFrameRunMatchesRecordedCounters) {
+  // A masked fault plan whose delayed originals are still in flight when
+  // the protocol charges a run of silent tuples: the charge must tick and
+  // settle them exactly as stepping the silent rounds one by one did.
+  // The expected values were recorded from the implementation that
+  // stepped every round of the fixed schedule, before silent tuples were
+  // charged in one advance.  dup_dropped is the field a charge that
+  // forgot the in-flight countdowns would move.
+  TreeScenarioSpec spec;
+  spec.num_vertices = 24;
+  spec.num_networks = 2;
+  spec.demands.num_demands = 12;
+  spec.demands.heights = HeightLaw::kBimodal;
+  spec.demands.height_min = 0.4;
+  spec.demands.profit_max = 50.0;
+  spec.seed = 31;
+  const Problem p = make_tree_problem(spec);
+  const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
+  ProtocolOptions options;
+  options.epsilon = 0.35;
+  options.seed = 5;
+  options.transport = TransportKind::kSerialized;
+  options.faults = parse_fault_plan(
+      "drop=0.05,dup=0.05,corrupt=0.02,reorder=0.1,delay=0.2,maxdelay=3,"
+      "seed=17");
+  const ProtocolRunResult run = run_height_split_protocol(p, plan, options);
+  ASSERT_FALSE(run.degraded);
+  ASSERT_EQ(run.passes.size(), 2u);
+  EXPECT_EQ(run.passes[0].tuples + run.passes[1].tuples, 224 + 1536);
+  EXPECT_EQ(run.rounds, 45773);
+  EXPECT_EQ(run.messages, 446);
+  EXPECT_EQ(run.bytes, 19328);
+  // posted, delivered, dropped, duplicated, corrupted, delayed,
+  // reordered, retransmits, dup_dropped, corrupt_dropped,
+  // corrupt_undetected, lost.
+  EXPECT_EQ(testutil::fault_fields(run.fault),
+            (std::vector<std::int64_t>{446, 446, 21, 19, 7, 96, 18, 130, 115,
+                                       9, 0, 0}));
+  EXPECT_EQ(run.solution.selected, (std::vector<InstanceId>{18, 13, 23}));
 }
 
 TEST(Protocol, ArbitraryHeightsWithinTheoremBound) {

@@ -209,6 +209,12 @@ TEST(CrashPlan, ParsesSpecStrings) {
   EXPECT_THROW(parse_crash_plan("batch=x"), std::invalid_argument);
   EXPECT_THROW(parse_crash_plan("frequency=2"), std::invalid_argument);
   EXPECT_THROW(parse_crash_plan("batch"), std::invalid_argument);
+
+  // The batch field is 32 bits wide: a larger value is rejected, never
+  // wrapped onto an early batch.
+  EXPECT_EQ(parse_crash_plan("batch=4294967295").batch, 4294967295u);
+  EXPECT_THROW(parse_crash_plan("batch=4294967296"), std::invalid_argument);
+  EXPECT_THROW(parse_crash_plan("batch=4294967297"), std::invalid_argument);
 }
 
 // --- journal ---------------------------------------------------------------

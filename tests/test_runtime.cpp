@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dist/conflict_graph.hpp"
 #include "dist/luby_mis.hpp"
 #include "dist/transport.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "test_util.hpp"
 
 namespace treesched {
@@ -635,6 +642,138 @@ TEST(Faulty, DelayedFramesSettleWithoutFurtherTraffic) {
   EXPECT_EQ(rt.fault_stats()->frames_delayed, 5);
   EXPECT_EQ(rt.fault_stats()->frames_delivered, 5);
   EXPECT_EQ(rt.fault_stats()->retransmits, 5);
+}
+
+// One script, run with its silent rounds either stepped one by one or
+// charged through advance_idle: posts and a round of traffic, silent
+// runs of 1, 2 and 4 rounds, one more round of traffic, drained, and a
+// trailing silent run of 3 rounds.  `trace_late` turns the flight
+// recorder on after the first round, as a run traced from mid-way.
+struct IdleScript {
+  std::vector<std::int64_t> rounds;  // round() after each silent run
+  std::vector<std::vector<std::int64_t>> faults;  // and the FaultStats
+  std::vector<int> visited;           // the drained nodes, in order
+  std::vector<Message> delivered;     // their inboxes
+};
+IdleScript run_idle_script(TransportKind kind, const FaultPlan* plan,
+                           bool advance, bool trace_late = false) {
+  IdleScript out;
+  Runtime rt(6, kind, plan);
+  for (int v = 1; v < 6; ++v) rt.connect(0, v);
+  for (int v = 1; v < 5; ++v) rt.post(Message{0, v, v, {1.0 * v}});
+  rt.post(Message{0, 4, 9, {}});
+  rt.step();
+  if (trace_late) obs::enable_tracing();
+  const auto silent = [&](int rounds) {
+    if (advance)
+      rt.advance_idle(rounds);
+    else
+      for (int r = 0; r < rounds; ++r) rt.step();
+    out.rounds.push_back(rt.round());
+    if (const FaultStats* stats = rt.fault_stats())
+      out.faults.push_back(testutil::fault_fields(*stats));
+  };
+  for (int rounds : {1, 2, 4}) silent(rounds);
+  rt.post(Message{0, 2, 20, {2.5}});
+  rt.post(Message{5, 0, 50, {}});
+  rt.step();
+  rt.drain_mail([&](int v, const std::vector<Message>& inbox) {
+    out.visited.push_back(v);
+    out.delivered.insert(out.delivered.end(), inbox.begin(), inbox.end());
+  });
+  silent(3);
+  return out;
+}
+
+#ifndef TREESCHED_TRACING_DISABLED
+// The wire spans of a traced run of the script, in recording order: a
+// traffic round as {false, messages}, an idle stretch as {true, rounds};
+// plus the flight recorder's dup_dropped counter and the final round().
+struct TracedScript {
+  std::vector<std::pair<bool, std::int64_t>> spans;
+  std::int64_t dup_dropped = 0;
+  std::int64_t rounds = 0;
+};
+TracedScript run_traced_idle_script(TransportKind kind, const FaultPlan* plan,
+                                    bool advance, bool trace_late) {
+  obs::reset_trace();
+  obs::MetricsRegistry::global().reset();
+  if (!trace_late) obs::enable_tracing();
+  TracedScript out;
+  out.rounds = run_idle_script(kind, plan, advance, trace_late).rounds.back();
+  obs::disable_tracing();
+  std::vector<obs::SpanRecord> wire;
+  for (const obs::SpanRecord& rec : obs::collect_spans())
+    if (std::string(rec.category) == "wire") wire.push_back(rec);
+  std::sort(wire.begin(), wire.end(),
+            [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
+              return a.seq < b.seq;
+            });
+  for (const obs::SpanRecord& rec : wire)
+    out.spans.emplace_back(std::string(rec.name) == "idle", rec.arg_val[0]);
+  out.dup_dropped = obs::MetricsRegistry::global()
+                        .counter("wire.fault.dup_dropped")
+                        .value();
+  obs::reset_trace();
+  obs::MetricsRegistry::global().reset();
+  return out;
+}
+#endif
+
+TEST(Transport, IdleAdvanceEqualsSilentSteps) {
+  // advance_idle(k) is k step()s with nothing posted, on every backend.
+  // On kFaulty every frame is delayed 1..4 rounds (the plan of
+  // Faulty.DelayedFramesSettleWithoutFurtherTraffic), so delayed
+  // originals are in flight across each advance and must tick and settle
+  // inside it exactly where the stepped twin settles them.
+  FaultPlan plan;
+  plan.delay = 1.0;
+  plan.max_delay_rounds = 4;
+  plan.seed = 11;
+  for (TransportKind kind : kEveryBackend) {
+    SCOPED_TRACE(to_string(kind));
+    const FaultPlan* faults = kind == TransportKind::kFaulty ? &plan : nullptr;
+    const IdleScript stepped = run_idle_script(kind, faults, false);
+    const IdleScript advanced = run_idle_script(kind, faults, true);
+    EXPECT_EQ(advanced.rounds, (std::vector<std::int64_t>{2, 4, 8, 12}));
+    EXPECT_EQ(advanced.rounds, stepped.rounds);
+    EXPECT_EQ(advanced.faults, stepped.faults);
+    EXPECT_EQ(advanced.visited, (std::vector<int>{1, 2, 3, 4, 0}));
+    EXPECT_EQ(advanced.visited, stepped.visited);
+    EXPECT_TRUE(same_messages(advanced.delivered, stepped.delivered));
+    ASSERT_EQ(advanced.delivered.size(), 7u);
+    if (faults != nullptr) {
+      // The settle points fall inside the advances: dup_dropped (field
+      // 8) after each silent run.
+      std::vector<std::int64_t> settled;
+      for (const std::vector<std::int64_t>& fields : advanced.faults)
+        settled.push_back(fields[8]);
+      EXPECT_EQ(settled, (std::vector<std::int64_t>{0, 3, 5, 7}));
+    } else {
+      EXPECT_TRUE(advanced.faults.empty());
+    }
+
+#ifndef TREESCHED_TRACING_DISABLED
+    // Traced, the two twins record the same traffic-round and idle
+    // spans and the same recorder counters, also when tracing starts
+    // mid-run (the first boundary after it only arms the recorder).
+    // Traced from the start, the spans account for every round.
+    for (const bool late : {false, true}) {
+      SCOPED_TRACE(late ? "traced from round 2" : "traced throughout");
+      const TracedScript traced_steps =
+          run_traced_idle_script(kind, faults, false, late);
+      const TracedScript traced =
+          run_traced_idle_script(kind, faults, true, late);
+      EXPECT_EQ(traced.spans, traced_steps.spans);
+      EXPECT_EQ(traced.dup_dropped, traced_steps.dup_dropped);
+      if (late) continue;
+      std::int64_t accounted = 0;
+      for (const auto& [idle, value] : traced.spans)
+        accounted += idle ? value : 1;
+      EXPECT_EQ(accounted, traced.rounds);
+    }
+#endif
+  }
 }
 
 TEST(Faulty, RecoveryPathReusesRecycledBuffers) {

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "capacity/capacity_profile.hpp"
 #include "decomp/layered.hpp"
+#include "dist/transport.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "framework/dual_state.hpp"
 #include "framework/raise_rule.hpp"
@@ -50,6 +53,15 @@ inline Problem small_line_problem(std::uint64_t seed, int slots = 24,
   spec.line.profit_max = 50.0;
   spec.seed = seed;
   return make_line_problem(spec);
+}
+
+// Every FaultStats field in declaration order, for EXPECT_EQ comparisons
+// whose failures name the values.
+inline std::vector<std::int64_t> fault_fields(const FaultStats& s) {
+  return {s.frames_posted,   s.frames_delivered, s.frames_dropped,
+          s.frames_duplicated, s.frames_corrupted, s.frames_delayed,
+          s.frames_reordered, s.retransmits,      s.dup_dropped,
+          s.corrupt_dropped, s.corrupt_undetected, s.frames_lost};
 }
 
 // Instance i's routing path as a vector, for EXPECT_EQ comparisons.
