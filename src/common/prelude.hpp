@@ -64,8 +64,17 @@ inline constexpr double kEps = 1e-7;
 #endif
 
 // Throwing check for user-facing input validation (parsers, builders).
+// A literal message binds to the const char* overload, which builds the
+// exception's string only when the check fails, so a check on a hot
+// builder path (one per lowered placement) allocates nothing; a composed
+// message arrives as a std::string.
+inline void check_input(bool ok, const char* message) {
+  if (!ok) [[unlikely]]
+    throw std::invalid_argument(std::string("treesched: ") + message);
+}
 inline void check_input(bool ok, const std::string& message) {
-  if (!ok) throw std::invalid_argument("treesched: " + message);
+  if (!ok) [[unlikely]]
+    throw std::invalid_argument("treesched: " + message);
 }
 
 }  // namespace treesched

@@ -32,9 +32,12 @@ TreeNetwork::TreeNetwork(VertexId num_vertices,
     edge_index_.emplace(edge_key(u, v), e);
   }
 
-  // BFS from vertex 0: parents, depths, connectivity check.
+  // BFS from vertex 0: parents, depths, run tops, connectivity check.  A
+  // child joins its parent's run when its parent edge's id is one more
+  // than the parent's (the root has no parent edge to continue).
   parent_.assign(static_cast<std::size_t>(n_), kNoVertex);
   parent_edge_.assign(static_cast<std::size_t>(n_), kNoEdge);
+  run_top_.assign(static_cast<std::size_t>(n_), 0);
   depth_.assign(static_cast<std::size_t>(n_), -1);
   std::vector<VertexId> queue;
   queue.reserve(static_cast<std::size_t>(n_));
@@ -43,10 +46,13 @@ TreeNetwork::TreeNetwork(VertexId num_vertices,
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const VertexId v = queue[head];
     for (const Adj& a : adj_[static_cast<std::size_t>(v)]) {
-      if (depth_[static_cast<std::size_t>(a.to)] < 0) {
-        depth_[static_cast<std::size_t>(a.to)] = depth_[v] + 1;
-        parent_[static_cast<std::size_t>(a.to)] = v;
-        parent_edge_[static_cast<std::size_t>(a.to)] = a.edge;
+      const auto c = static_cast<std::size_t>(a.to);
+      if (depth_[c] < 0) {
+        depth_[c] = depth_[v] + 1;
+        parent_[c] = v;
+        parent_edge_[c] = a.edge;
+        run_top_[c] = v != 0 && a.edge == parent_edge_[v] + 1 ? run_top_[v]
+                                                               : a.to;
         queue.push_back(a.to);
       }
     }
@@ -112,10 +118,8 @@ VertexId TreeNetwork::median(VertexId a, VertexId b, VertexId c) const {
   return x;
 }
 
-void TreeNetwork::write_path_edges(VertexId u, VertexId v,
-                                   std::span<EdgeId> out) const {
-  check_vertex(u);
-  check_vertex(v);
+std::vector<EdgeId> TreeNetwork::path_edges(VertexId u, VertexId v) const {
+  std::vector<EdgeId> out(static_cast<std::size_t>(dist(u, v)));
   // Climb the deeper endpoint to the other's depth, then both together
   // until they meet at the LCA: u's edges fill `out` from the front, v's
   // from the back.
@@ -139,12 +143,7 @@ void TreeNetwork::write_path_edges(VertexId u, VertexId v,
     v = parent_[v];
   }
   TS_REQUIRE(front == back);
-}
-
-std::vector<EdgeId> TreeNetwork::path_edges(VertexId u, VertexId v) const {
-  std::vector<EdgeId> path(static_cast<std::size_t>(dist(u, v)));
-  write_path_edges(u, v, path);
-  return path;
+  return out;
 }
 
 std::vector<VertexId> TreeNetwork::path_vertices(VertexId u, VertexId v) const {

@@ -4,7 +4,8 @@
 //
 //  - LCA queries (binary lifting, O(log n));
 //  - path extraction between any two vertices (the routing of a demand
-//    instance is the unique tree path between its end-points);
+//    instance is the unique tree path between its end-points), edge by
+//    edge or as runs of consecutive edge ids;
 //  - the *median* of three vertices: the unique vertex lying on all three
 //    pairwise paths.  median(u, a, b) is exactly the "bending point" of the
 //    path a~b with respect to u (paper, Section 4.4), and median(u1, u2, z)
@@ -15,6 +16,7 @@
 // edge ids for the dual variables beta(e).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -70,15 +72,18 @@ class TreeNetwork {
   // The unique vertex on all three pairwise paths of {a, b, c}.
   VertexId median(VertexId a, VertexId b, VertexId c) const;
 
-  // Writes the edges of the u~v path into `out`, ordered from u towards
-  // v.  `out` must hold exactly dist(u, v) entries.  The walk climbs from
-  // both endpoints and fills `out` from both ends, so it needs no LCA
-  // query and allocates nothing.  O(path length).
-  void write_path_edges(VertexId u, VertexId v, std::span<EdgeId> out) const;
-
-  // Edges of the u~v path, ordered from u towards v: write_path_edges
-  // into a vector of the right size.
+  // Edges of the u~v path, ordered from u towards v.  O(path length).
   std::vector<EdgeId> path_edges(VertexId u, VertexId v) const;
+
+  // Calls f(first, last) once per run [first, last] of consecutive edge
+  // ids on the u~v path.  The runs cover the path's edges exactly once,
+  // in no particular order, and two of them may be id-adjacent, so a
+  // caller that wants maximal runs sorts and merges them.  The walk
+  // climbs a run at a time (see run_top_), so a path of the line network,
+  // whose edge i joins vertices i and i + 1, is one run found in O(1).
+  // O(runs on the path); no LCA query, no allocation.
+  template <typename F>
+  void for_each_path_run(VertexId u, VertexId v, F&& f) const;
 
   // Vertices of the u~v path, ordered from u towards v (inclusive).
   std::vector<VertexId> path_vertices(VertexId u, VertexId v) const;
@@ -101,11 +106,24 @@ class TreeNetwork {
     return e;
   }
 
+  // The endpoint of e farther from the root.
+  VertexId lower_end(EdgeId e) const {
+    const VertexId a = edge_u_[static_cast<std::size_t>(e)];
+    return parent_edge_[static_cast<std::size_t>(a)] == e
+               ? a
+               : edge_v_[static_cast<std::size_t>(e)];
+  }
+
   VertexId n_ = 0;
   std::vector<VertexId> edge_u_, edge_v_;
   std::vector<std::vector<Adj>> adj_;
   std::vector<VertexId> parent_;
   std::vector<EdgeId> parent_edge_;
+  // run_top_[v]: the highest vertex t on the climb from v (v included)
+  // whose parent edges, from t down to v, have ids that rise by one per
+  // level, so climbing from v to parent(t) crosses one run of consecutive
+  // ids.  The root is its own top.
+  std::vector<VertexId> run_top_;
   std::vector<int> depth_;
   int log_ = 1;
   std::vector<std::vector<VertexId>> up_;  // up_[k][v]: 2^k-th ancestor
@@ -113,5 +131,48 @@ class TreeNetwork {
 
   static std::uint64_t edge_key(VertexId u, VertexId v);
 };
+
+template <typename F>
+void TreeNetwork::for_each_path_run(VertexId u, VertexId v, F&& f) const {
+  check_vertex(u);
+  check_vertex(v);
+  const auto at = [](VertexId x) { return static_cast<std::size_t>(x); };
+  // Climbs x by the first m edges of its run, whose top is `top`: the ids
+  // parent_edge_[x] - m + 1 .. parent_edge_[x].  Returns the vertex
+  // reached, the parent of the top when m uses up the run.
+  const auto climb = [&](VertexId x, VertexId top, int m) {
+    const EdgeId e = parent_edge_[at(x)];
+    f(static_cast<EdgeId>(e - m + 1), e);
+    if (m == 1) return parent_[at(x)];
+    return m == depth_[at(x)] - depth_[at(top)] + 1 ? parent_[at(top)]
+                                                    : lower_end(e - m);
+  };
+  // The deeper endpoint climbs to the other's depth.
+  for (int d = depth_[at(u)] - depth_[at(v)]; d > 0;) {
+    const VertexId top = run_top_[at(u)];
+    const int m = std::min(depth_[at(u)] - depth_[at(top)] + 1, d);
+    u = climb(u, top, m);
+    d -= m;
+  }
+  for (int d = depth_[at(v)] - depth_[at(u)]; d > 0;) {
+    const VertexId top = run_top_[at(v)];
+    const int m = std::min(depth_[at(v)] - depth_[at(top)] + 1, d);
+    v = climb(v, top, m);
+    d -= m;
+  }
+  // Two climbers at equal depth first meet at their LCA w.  At most one
+  // of their runs continues past w, since both would have to give the
+  // child of w the id after w's parent edge; so stepping both by the
+  // shorter run never passes w, and they meet at the top of one's run.
+  while (u != v) {
+    const VertexId tu = run_top_[at(u)];
+    const VertexId tv = run_top_[at(v)];
+    const int m = std::min(depth_[at(u)] - depth_[at(tu)],
+                           depth_[at(v)] - depth_[at(tv)]) +
+                  1;
+    u = climb(u, tu, m);
+    v = climb(v, tv, m);
+  }
+}
 
 }  // namespace treesched

@@ -192,26 +192,27 @@ class IdRuns {
   std::span<const Id> entries_;
 };
 
-// Appends the runs of `ids` (ascending, distinct, non-negative) to `out`
-// in the encoding above, as a list of its own: the first run never merges
-// into entries already in `out`.
-inline void append_runs(std::span<const IdRuns::Id> ids,
+// Appends `runs` (ascending, disjoint, non-negative) to `out` in the
+// encoding above, as a list of its own: the first run never merges into
+// entries already in `out`.  Id-adjacent runs merge, so every stored run
+// is maximal.
+inline void append_runs(std::span<const IdRuns::Run> runs,
                         std::vector<IdRuns::Id>& out) {
-  if (ids.empty()) return;
-  // Every id is written at the cursor w: a run's first id as itself, any
-  // later id as its complement, which the next id of the same run
-  // overwrites.  Selects, not branches: on a tree path a run of two turns
-  // up at random.
+  // Each run's first id and the complement of its last go to the cursor;
+  // the cursor passes the complement only when the run has two or more
+  // ids, so a lone id's complement is overwritten.  Selects, not
+  // branches: on a tree path a run of two turns up at random.
   std::size_t w = out.size();
-  out.resize(w + ids.size());
+  out.resize(w + 2 * runs.size());
   IdRuns::Id* const dst = out.data();
-  bool follows = false;  // ids[k] == ids[k - 1] + 1
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    const bool next_follows =
-        k + 1 < ids.size() && ids[k + 1] == ids[k] + 1;
-    dst[w] = follows ? ~ids[k] : ids[k];
-    w += !(follows && next_follows);
-    follows = next_follows;
+  for (std::size_t k = 0; k < runs.size();) {
+    const IdRuns::Id first = runs[k].first;
+    IdRuns::Id last = runs[k].last;
+    for (++k; k < runs.size() && runs[k].first == last + 1; ++k)
+      last = runs[k].last;
+    dst[w] = first;
+    dst[w + 1] = ~last;
+    w += 1 + (last != first);
   }
   out.resize(w);
 }

@@ -92,6 +92,7 @@ Problem LineProblem::lower() const {
   for (int q = 0; q < num_resources_; ++q)
     networks.push_back(TreeNetwork::line(num_slots_ + 1));
   Problem problem(num_slots_ + 1, std::move(networks));
+  problem.reserve_instances(instances);
 
   for (const LineDemand& ld : demands_) {
     // Endpoints recorded on the Demand are the earliest placement; the

@@ -20,11 +20,12 @@
 //    networks (checked by the constructor);
 //  - kMaxLineInstances: the placements, i.e. demand instances;
 //  - kMaxLinePathEntries: the summed path lengths of the placements, i.e.
-//    the (instance, edge) pairs that lower() walks while it builds the
-//    path store and the edge index, and that every engine LHS walk and
-//    feasibility check steps through.  The stores themselves hold runs
-//    (model/id_runs.hpp), far fewer entries: at most two per placement
-//    and one or two per run of consecutive ids in a bucket.
+//    the (instance, edge) pairs that every engine LHS walk and
+//    feasibility check steps through.  lower() itself does not walk
+//    them: the stores hold runs (model/id_runs.hpp), at most two entries
+//    per placement and one or two per run of consecutive ids in a bucket,
+//    and finalize() writes a placement's path as one run and indexes it
+//    by the slots it gains and drops against the previous placement.
 //
 // They also keep every vertex, edge and instance id inside int32.  All
 // three sit far above every shape the tests and benches build; the largest,

@@ -88,86 +88,184 @@ InstanceId Problem::add_instance(DemandId d, NetworkId network, VertexId u,
 }
 
 std::int64_t Problem::write_new_paths() {
-  // Each path is walked into a scratch buffer, shifted to global ids,
-  // sorted (a path comes out ordered from u to v; on a line it is already
-  // ascending) and appended as runs.  The store holds runs only: no
-  // buffer of all the ids is ever built.
+  // Each path leaves its network as runs of consecutive edge ids, shifted
+  // to global ids, sorted by first id when the climb did not yield them
+  // ascending (a line path is one run) and appended, merged where
+  // id-adjacent.  No id is visited one at a time.
   std::int64_t ids = 0;
-  std::vector<EdgeId> walk;
+  // A first build sizes the offsets exactly; a reopen()ed problem grows
+  // them geometrically.
+  if (path_offset_.size() == 1) path_offset_.reserve(instances_.size() + 1);
+  std::vector<IdRuns::Run> runs;
+  const auto by_first = [](IdRuns::Run a, IdRuns::Run b) {
+    return a.first < b.first;
+  };
   for (std::size_t i = path_offset_.size() - 1; i < instances_.size(); ++i) {
     const DemandInstance& inst = instances_[i];
-    const TreeNetwork& net = network(inst.network);
-    walk.resize(static_cast<std::size_t>(net.dist(inst.u, inst.v)));
-    net.write_path_edges(inst.u, inst.v, walk);
     const EdgeId offset = edge_offset_[static_cast<std::size_t>(inst.network)];
-    for (EdgeId& e : walk) e += offset;
-    if (!std::is_sorted(walk.begin(), walk.end()))
-      std::sort(walk.begin(), walk.end());
-    append_runs(walk, path_entries_);
+    runs.clear();
+    network(inst.network)
+        .for_each_path_run(inst.u, inst.v, [&](EdgeId first, EdgeId last) {
+          runs.push_back({first + offset, last + offset});
+          ids += last - first + 1;
+        });
+    if (!std::is_sorted(runs.begin(), runs.end(), by_first))
+      std::sort(runs.begin(), runs.end(), by_first);
+    append_runs(runs, path_entries_);
     path_offset_.push_back(static_cast<std::int64_t>(path_entries_.size()));
-    ids += static_cast<std::int64_t>(walk.size());
   }
   return ids;
 }
 
+// Calls only_a(lo, hi) for every maximal interval of ids in `a` but not in
+// `b`, and only_b(lo, hi) for every one in `b` but not in `a`, skipping
+// their intersection: one merge over the runs of both lists.  Returns
+// whether the intersection is non-empty.
+template <typename OnlyA, typename OnlyB>
+static bool for_each_difference(IdRuns a, IdRuns b, OnlyA&& only_a,
+                                OnlyB&& only_b) {
+  bool shared = false;
+  const IdRuns::Runs ra = a.runs();
+  const IdRuns::Runs rb = b.runs();
+  auto i = ra.begin();
+  auto j = rb.begin();
+  // x and y: what is left of runs *i and *j.
+  IdRuns::Run x, y;
+  if (i != ra.end()) x = *i;
+  if (j != rb.end()) y = *j;
+  while (i != ra.end() && j != rb.end()) {
+    if (x.last < y.first) {
+      only_a(x.first, x.last);
+      if (++i != ra.end()) x = *i;
+      continue;
+    }
+    if (y.last < x.first) {
+      only_b(y.first, y.last);
+      if (++j != rb.end()) y = *j;
+      continue;
+    }
+    // The runs overlap: the part before the later first id is one-sided,
+    // and the common part, up to the earlier last id, is skipped.
+    if (x.first < y.first) only_a(x.first, y.first - 1);
+    if (y.first < x.first) only_b(y.first, x.first - 1);
+    shared = true;
+    const IdRuns::Id common_last = std::min(x.last, y.last);
+    x.first = y.first = common_last + 1;
+    if (x.last == common_last && ++i != ra.end()) x = *i;
+    if (y.last == common_last && ++j != rb.end()) y = *j;
+  }
+  if (i != ra.end()) {
+    only_a(x.first, x.last);
+    while (++i != ra.end()) only_a((*i).first, (*i).last);
+  }
+  if (j != rb.end()) {
+    only_b(y.first, y.last);
+    while (++j != rb.end()) only_b((*j).first, (*j).last);
+  }
+  return shared;
+}
+
 void Problem::index_new_paths(InstanceId first) {
   // The CSR edge -> instances index, extended by the instances from
-  // `first` on in two passes over their (instance, edge) pairs in id
-  // order.  Each pass carries, per edge, the last id of its bucket and
-  // whether that id closes a run of two or more: an id that follows the
-  // last one extends the bucket's last run (one more entry when that run
-  // was a lone id, none otherwise), any other id opens a lone one.  The
-  // first pass counts the new entries per bucket; the prefix sum (with
-  // the old bucket sizes) lays out the grown array, every old bucket
-  // moves up once, and the second pass writes the entries at the bucket
-  // ends.  New ids are the largest, so every bucket stays ascending, and
-  // its runs come out as a fresh build's.  A first build has no old
-  // buckets, so this is a counting sort into an exactly sized array; a
-  // reopen()ed problem grows it geometrically.
+  // `first` on in two passes in id order.  Each maximal run of ids in a
+  // bucket is a stretch of consecutive instances whose paths all hold the
+  // edge, so the passes step from path(i - 1) to path(i) over their
+  // symmetric difference alone: a run opens on each edge of
+  // path(i) \ path(i - 1), writing its first id, and closes on each edge
+  // of path(i - 1) \ path(i), writing the complement of i - 1 when the
+  // run holds two or more ids.  Edges on both paths are skipped, so a
+  // line placement that slides by one slot costs two edges.  Consecutive
+  // paths whose id ranges are disjoint (another network, or far apart on
+  // a tree) are closed and opened whole, without the merge.  The first
+  // pass counts the new entries per bucket; the prefix sum (with the old
+  // bucket sizes) lays out the grown array, every old bucket moves up
+  // once, and the second pass writes the entries at the bucket ends.  New
+  // ids are the largest, so every bucket stays ascending, and its runs
+  // come out as a fresh build's.  A first build has no old buckets, so
+  // this is a counting sort into an exactly sized array; a reopen()ed
+  // problem grows it geometrically.
   const auto edges = static_cast<std::size_t>(total_edges_);
   if (edge_index_offset_.empty()) edge_index_offset_.assign(edges + 1, 0);
+  const InstanceId end = num_instances();
+  if (first == end) return;
   const auto old_size = [&](std::size_t e) {
     return edge_index_offset_[e + 1] - edge_index_offset_[e];
   };
-  // Per edge: the last id of its bucket (kNoTail when empty, which no
-  // id's predecessor equals) and whether it closes a run.  An old bucket
-  // can only be extended by instance `first`, whose predecessor is the
-  // largest old id, so only the old buckets on path(first) need their
-  // last entry loaded.
-  constexpr InstanceId kNoTail = -2;
-  std::vector<InstanceId> tail(edges, kNoTail);
-  std::vector<char> in_run(edges, 0);
-  const auto load_old_tails = [&](auto&& last_entry) {
-    if (first == num_instances()) return;
+  // run_first[e]: the first id of the run open on edge e, for the edges
+  // of the path last stepped onto.
+  std::vector<InstanceId> run_first(edges);
+  // A reopen()ed problem continues the old runs on the edges that the
+  // last old path, path(first - 1), shares with path(first); the old
+  // bucket of such an edge e ends at old_end(e) with first - 1 or its
+  // complement.  retract(e) takes back a stored complement, which the
+  // run's close rewrites.
+  const auto load_open_runs = [&](auto&& old_end, auto&& retract) {
+    if (first == 0) return;
+    const IdRuns last_old = path(first - 1);
     path(first).for_each_id([&](EdgeId e) {
+      if (!last_old.contains(e)) return;
       const auto k = static_cast<std::size_t>(e);
-      if (old_size(k) == 0) return;
-      const InstanceId x =
-          edge_entries_[static_cast<std::size_t>(last_entry(k))];
-      tail[k] = x < 0 ? ~x : x;
-      in_run[k] = x < 0;
+      const std::int64_t last = old_end(k) - 1;
+      const InstanceId x = edge_entries_[static_cast<std::size_t>(last)];
+      if (x < 0) {
+        run_first[k] = edge_entries_[static_cast<std::size_t>(last - 1)];
+        retract(k);
+      } else {
+        run_first[k] = x;
+      }
     });
   };
-  // Calls step(e, i, extends) for every new (instance, edge) pair in id
-  // order, keeping tail and in_run current; `extends` says whether i
-  // follows the bucket's last id.
-  const auto sweep = [&](auto&& step) {
-    for (InstanceId i = first; i < num_instances(); ++i) {
-      path(i).for_each_id([&](EdgeId e) {
-        const auto k = static_cast<std::size_t>(e);
-        const bool extends = tail[k] == i - 1;
-        step(k, i, extends);
-        in_run[k] = extends;
-        tail[k] = i;
-      });
+  // Calls open(e, i) when a run on edge e starts at instance i and
+  // close(e, l) when one ends at l, in id order.  path(first - 1) stands
+  // before path(first) only to skip the continued runs; its own runs are
+  // complete.  Closing a run that holds l alone writes nothing, so the
+  // closes are skipped while every run open on path(i - 1) is such a run
+  // (`lone`: path(i - 1) shares no edge with path(i - 2)); on a tree
+  // whose consecutive paths share nothing, no close is made.
+  const auto sweep = [&](auto&& open, auto&& close) {
+    const auto open_all = [&](InstanceId i) {
+      path(i).for_each_id([&](EdgeId e) { open(e, i); });
+    };
+    bool lone = true;
+    for (InstanceId i = first; i < end; ++i) {
+      if (i == 0) {
+        open_all(i);
+        continue;
+      }
+      const IdRuns prev = path(i - 1);
+      const IdRuns cur = path(i);
+      const bool closes = i > first && !lone;
+      if (prev.back() < cur.front() || cur.back() < prev.front()) {
+        if (closes) prev.for_each_id([&](EdgeId e) { close(e, i - 1); });
+        open_all(i);
+        lone = true;
+        continue;
+      }
+      const auto open_range = [&](IdRuns::Id lo, IdRuns::Id hi) {
+        for (EdgeId e = lo; e <= hi; ++e) open(e, i);
+      };
+      const auto close_range = [&](IdRuns::Id lo, IdRuns::Id hi) {
+        if (closes)
+          for (EdgeId e = lo; e <= hi; ++e) close(e, i - 1);
+      };
+      lone = !for_each_difference(prev, cur, close_range, open_range);
     }
+    if (!lone) path(end - 1).for_each_id([&](EdgeId e) { close(e, end - 1); });
   };
 
-  load_old_tails([&](std::size_t e) { return edge_index_offset_[e + 1] - 1; });
   std::vector<std::int64_t> offset(edges + 1, 0);
-  sweep([&](std::size_t e, InstanceId, bool extends) {
-    if (!extends || !in_run[e]) ++offset[e + 1];
-  });
+  load_open_runs([&](std::size_t e) { return edge_index_offset_[e + 1]; },
+                 [&](std::size_t e) { --offset[e + 1]; });
+  sweep(
+      [&](EdgeId e, InstanceId i) {
+        const auto k = static_cast<std::size_t>(e);
+        run_first[k] = i;
+        ++offset[k + 1];
+      },
+      [&](EdgeId e, InstanceId l) {
+        const auto k = static_cast<std::size_t>(e);
+        offset[k + 1] += l != run_first[k];
+      });
   for (std::size_t e = 0; e < edges; ++e)
     offset[e + 1] += offset[e] + old_size(e);
   edge_entries_.resize(static_cast<std::size_t>(offset[edges]));
@@ -180,19 +278,23 @@ void Problem::index_new_paths(InstanceId first) {
                        at(edge_index_offset_[e + 1]),
                        at(offset[e] + old_size(e)));
   // The old offsets become the write cursors: each bucket's first slot
-  // past its old entries.  The tails restart from the moved buckets.
-  std::fill(tail.begin(), tail.end(), kNoTail);
-  load_old_tails(
-      [&](std::size_t e) { return offset[e] + old_size(e) - 1; });
+  // past its old entries.
   for (std::size_t e = 0; e < edges; ++e)
     edge_index_offset_[e] = offset[e] + old_size(e);
-  sweep([&](std::size_t e, InstanceId i, bool extends) {
-    std::int64_t& cursor = edge_index_offset_[e];
-    if (extends && in_run[e])
-      edge_entries_[static_cast<std::size_t>(cursor - 1)] = ~i;
-    else
-      edge_entries_[static_cast<std::size_t>(cursor++)] = extends ? ~i : i;
-  });
+  load_open_runs([&](std::size_t e) { return edge_index_offset_[e]; },
+                 [&](std::size_t e) { --edge_index_offset_[e]; });
+  sweep(
+      [&](EdgeId e, InstanceId i) {
+        const auto k = static_cast<std::size_t>(e);
+        run_first[k] = i;
+        edge_entries_[static_cast<std::size_t>(edge_index_offset_[k]++)] = i;
+      },
+      [&](EdgeId e, InstanceId l) {
+        const auto k = static_cast<std::size_t>(e);
+        if (l != run_first[k])
+          edge_entries_[static_cast<std::size_t>(edge_index_offset_[k]++)] =
+              ~l;
+      });
   edge_index_offset_ = std::move(offset);
 }
 

@@ -16,7 +16,10 @@
 // lists as runs of consecutive ids (model/id_runs.hpp): a line placement
 // occupies contiguous slots, so its path is one run, and the placements of
 // one demand that cover an edge have consecutive ids, so a bucket is a few
-// runs.
+// runs.  finalize() builds both without visiting the ids one by one: a
+// path leaves its network as runs (TreeNetwork::for_each_path_run), and
+// the index steps from each path to the next over their symmetric
+// difference.
 //
 // Global edge ids concatenate the local edge ranges of the networks:
 // global = offset(network) + local.  The dual variable vector beta is
@@ -87,6 +90,11 @@ class Problem {
   // path.
   InstanceId add_instance(DemandId d, NetworkId network, VertexId u,
                           VertexId v);
+  // Makes room for `count` more add_instance() calls in one allocation,
+  // for a builder that knows its placement count up front.
+  void reserve_instances(std::int64_t count) {
+    instances_.reserve(instances_.size() + static_cast<std::size_t>(count));
+  }
 
   // Freezes the problem: expands instances (if none were added manually),
   // writes the paths of the new instances into the path store, and extends
@@ -102,13 +110,14 @@ class Problem {
   // Existing demand and instance ids, routing paths and access sets are
   // preserved; only the appended demands are expanded, their paths
   // appended to the store and their ids appended to the indexes.  A
-  // reopen-append-finalize cycle therefore costs O(new instances + their
-  // path lengths) plus one move of the old edge index entries and
-  // O(edges) of per-edge passes, instead of a full
-  // re-materialization.  The stored runs come out entry for entry as a
-  // fresh build's: an appended id extends its bucket's last run when it
-  // follows it.  This is the online scheduler's per-batch path: between
-  // compactions its record set is append-only.
+  // reopen-append-finalize cycle therefore costs O(new instances + the
+  // runs their paths climb + the edges in which consecutive new paths
+  // differ) plus one move of the old edge index entries and O(edges) of
+  // per-edge passes, instead of a full re-materialization.  The stored
+  // runs come out entry for entry as a fresh build's: an appended id
+  // extends its bucket's last run when it follows it.  This is the online
+  // scheduler's per-batch path: between compactions its record set is
+  // append-only.
   void reopen();
 
   // --- topology ----------------------------------------------------------

@@ -201,39 +201,87 @@ void expect_same_store(const Problem& a, const Problem& b) {
   EXPECT_EQ(a.max_capacity(), b.max_capacity());
 }
 
+// Two resources of 16 slots.  The placements are lowered demand by
+// demand, resource by resource, so consecutive paths switch network
+// (access {0, 1}) and, between consecutive demands on one resource,
+// overlap in every way: one slot more on the left (d0 -> d1), one
+// containing the other (d2 -> d3 and d3 -> d4), and a shift to the left
+// (d5 -> d6).
+Problem switching_line_problem() {
+  LineProblem line(16, 2);
+  line.add_demand(0, 7, 3, 4.0);
+  line.add_demand(4, 11, 4, 3.0);
+  line.set_access(1, {1});
+  line.add_demand(2, 9, 2, 2.0, 0.5);
+  line.add_demand(6, 15, 5, 5.0);
+  line.set_access(3, {1});
+  line.add_demand(12, 14, 1, 1.0);
+  line.set_access(4, {1});
+  line.add_demand(10, 15, 6, 6.0);
+  line.add_demand(8, 13, 4, 2.0);
+  line.set_access(6, {1});
+  return line.lower();
+}
+
+// A tree problem on caterpillars: the spine's edges are one run, so
+// paths along it are runs and the legs add lone ids.
+Problem caterpillar_problem(std::uint64_t seed) {
+  return testutil::small_tree_problem(seed, 24, 2, 12, HeightLaw::kUnit,
+                                      TreeShape::kCaterpillar);
+}
+
 TEST(Problem, PathStoreEqualsThePerInstanceWalk) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("tree seed " + std::to_string(seed));
     const Problem p = testutil::small_tree_problem(seed, 24, 2, 12);
     expect_store_matches_walk(p);
   }
-  SCOPED_TRACE("line");
-  expect_store_matches_walk(testutil::small_line_problem(7));
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("caterpillar seed " + std::to_string(seed));
+    expect_store_matches_walk(caterpillar_problem(seed));
+  }
+  {
+    SCOPED_TRACE("line");
+    expect_store_matches_walk(testutil::small_line_problem(7));
+  }
+  SCOPED_TRACE("line switching resources");
+  expect_store_matches_walk(switching_line_problem());
 }
 
 TEST(Problem, ReopenAppendFinalizeEqualsAFreshBuild) {
   for (const int batches : {1, 2, 5}) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      SCOPED_TRACE("tree seed " + std::to_string(seed) + ", " +
-                   std::to_string(batches) + " batches");
-      // Capacities from 0.5 to 4 and heights from 0.1 to 1, so the
-      // statistics the late set_capacity() and the appends move differ
-      // from the defaults.
-      TreeScenarioSpec spec;
-      spec.num_vertices = 24;
-      spec.demands.num_demands = 12;
-      spec.demands.heights = HeightLaw::kUniformRange;
-      spec.demands.profit_max = 50.0;
-      spec.capacities = CapacityLaw::kPowerClasses;
-      spec.capacity_base = 0.5;
-      spec.capacity_spread = 8.0;
-      spec.seed = seed;
-      const Problem fresh = make_tree_problem(spec);
-      expect_same_store(rebuilt_in_batches(fresh, /*manual=*/false, batches),
+    const std::string in = ", " + std::to_string(batches) + " batches";
+    for (const TreeShape shape :
+         {TreeShape::kRandomAttachment, TreeShape::kCaterpillar}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(std::string(to_string(shape)) + " seed " +
+                     std::to_string(seed) + in);
+        // Capacities from 0.5 to 4 and heights from 0.1 to 1, so the
+        // statistics the late set_capacity() and the appends move differ
+        // from the defaults.
+        TreeScenarioSpec spec;
+        spec.shape = shape;
+        spec.num_vertices = 24;
+        spec.demands.num_demands = 12;
+        spec.demands.heights = HeightLaw::kUniformRange;
+        spec.demands.profit_max = 50.0;
+        spec.capacities = CapacityLaw::kPowerClasses;
+        spec.capacity_base = 0.5;
+        spec.capacity_spread = 8.0;
+        spec.seed = seed;
+        const Problem fresh = make_tree_problem(spec);
+        expect_same_store(
+            rebuilt_in_batches(fresh, /*manual=*/false, batches), fresh);
+      }
+    }
+    {
+      SCOPED_TRACE("line" + in);
+      const Problem fresh = testutil::small_line_problem(7);
+      expect_same_store(rebuilt_in_batches(fresh, /*manual=*/true, batches),
                         fresh);
     }
-    SCOPED_TRACE("line, " + std::to_string(batches) + " batches");
-    const Problem fresh = testutil::small_line_problem(7);
+    SCOPED_TRACE("line switching resources" + in);
+    const Problem fresh = switching_line_problem();
     expect_same_store(rebuilt_in_batches(fresh, /*manual=*/true, batches),
                       fresh);
   }
@@ -282,8 +330,22 @@ void expect_compact_store(const Problem& p, bool line) {
 }
 
 TEST(Problem, StoresMaximalRunsNoLongerThanTheIds) {
-  SCOPED_TRACE("tree");
-  expect_compact_store(testutil::small_tree_problem(4, 24, 2, 12), false);
+  {
+    SCOPED_TRACE("tree");
+    expect_compact_store(testutil::small_tree_problem(4, 24, 2, 12), false);
+  }
+  {
+    SCOPED_TRACE("caterpillar");
+    const Problem caterpillar = caterpillar_problem(4);
+    expect_compact_store(caterpillar, false);
+    expect_compact_store(rebuilt_in_batches(caterpillar, false, 5), false);
+  }
+  {
+    SCOPED_TRACE("line switching resources");
+    const Problem switching = switching_line_problem();
+    expect_compact_store(switching, true);
+    expect_compact_store(rebuilt_in_batches(switching, true, 5), true);
+  }
   SCOPED_TRACE("line");
   const Problem line =
       testutil::small_line_problem(7, 24, 2, 8, HeightLaw::kUnit, 3.0);

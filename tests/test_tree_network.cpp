@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "workload/tree_gen.hpp"
@@ -121,6 +125,112 @@ TEST(TreeNetwork, Figure6PaperQueries) {
       }
     }
   }
+}
+
+// --- paths as runs ---------------------------------------------------------
+
+using Runs = std::vector<std::pair<EdgeId, EdgeId>>;
+
+// Merges id-adjacent runs of an ascending, disjoint run list.
+Runs merged(Runs runs) {
+  Runs out;
+  for (const auto& r : runs) {
+    if (!out.empty() && r.first == out.back().second + 1)
+      out.back().second = r.second;
+    else
+      out.push_back(r);
+  }
+  return out;
+}
+
+// The runs for_each_path_run yields, as it yields them.
+Runs path_runs(const TreeNetwork& t, VertexId u, VertexId v) {
+  Runs runs;
+  t.for_each_path_run(u, v, [&](EdgeId first, EdgeId last) {
+    runs.emplace_back(first, last);
+  });
+  return runs;
+}
+
+// The maximal runs of the sorted path_edges.
+Runs runs_of_path_edges(const TreeNetwork& t, VertexId u, VertexId v) {
+  std::vector<EdgeId> ids = t.path_edges(u, v);
+  std::sort(ids.begin(), ids.end());
+  Runs runs;
+  for (const EdgeId e : ids) runs.emplace_back(e, e);
+  return merged(runs);
+}
+
+// For every ordered pair, u == v included: the query's runs are
+// well-formed and disjoint, and sorted and merged they are the maximal
+// runs of the path's edges.
+void expect_path_runs_match_path_edges(const TreeNetwork& t) {
+  for (VertexId u = 0; u < t.num_vertices(); ++u) {
+    for (VertexId v = 0; v < t.num_vertices(); ++v) {
+      Runs runs = path_runs(t, u, v);
+      std::sort(runs.begin(), runs.end());
+      for (std::size_t k = 0; k < runs.size(); ++k) {
+        EXPECT_LE(runs[k].first, runs[k].second) << u << "~" << v;
+        if (k > 0) {
+          EXPECT_GT(runs[k].first, runs[k - 1].second) << u << "~" << v;
+        }
+      }
+      EXPECT_EQ(merged(runs), runs_of_path_edges(t, u, v)) << u << "~" << v;
+    }
+  }
+}
+
+TEST(TreeNetwork, PathRunsMatchPathEdgesOnEveryShape) {
+  for (const TreeShape shape : kAllTreeShapes) {
+    for (const std::uint64_t seed : {1, 2}) {
+      SCOPED_TRACE(std::string(to_string(shape)) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      expect_path_runs_match_path_edges(make_tree(shape, 40, rng));
+    }
+  }
+  expect_path_runs_match_path_edges(figure6_tree());
+}
+
+TEST(TreeNetwork, LinePathIsOneRun) {
+  const TreeNetwork line = TreeNetwork::line(12);
+  for (VertexId u = 0; u < 12; ++u) {
+    for (VertexId v = 0; v < 12; ++v) {
+      if (u == v) continue;
+      EXPECT_EQ(path_runs(line, u, v),
+                (Runs{{std::min(u, v), std::max(u, v) - 1}}))
+          << u << "~" << v;
+    }
+  }
+}
+
+TEST(TreeNetwork, LineNumberedFromTheFarEndClimbsLoneRuns) {
+  // Edge i joins vertices 10 - i and 11 - i: rooted at 0, the parent
+  // edge ids fall by one per level down, so no climb continues a run and
+  // every edge comes out alone; merged, a path is still one run.
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId i = 0; i < 11; ++i) edges.emplace_back(10 - i, 11 - i);
+  const TreeNetwork t(12, std::move(edges));
+  expect_path_runs_match_path_edges(t);
+  for (VertexId u = 0; u < 12; ++u) {
+    for (VertexId v = 0; v < 12; ++v) {
+      const Runs runs = path_runs(t, u, v);
+      EXPECT_EQ(static_cast<int>(runs.size()), t.dist(u, v));
+      for (const auto& r : runs) EXPECT_EQ(r.first, r.second);
+    }
+  }
+}
+
+TEST(TreeNetwork, RunsOfTwoClimbsMergeIntoOne) {
+  // Two arms hang off the root: 0-1-2 on edges 0 and 1, 0-3-4 on edges 2
+  // and 3.  The climbs from 2 and 4 yield [0, 1] and [2, 3], which merge
+  // into the one maximal run [0, 3].
+  const TreeNetwork t(5, {{0, 1}, {1, 2}, {0, 3}, {3, 4}});
+  Runs runs = path_runs(t, 2, 4);
+  std::sort(runs.begin(), runs.end());
+  EXPECT_EQ(runs, (Runs{{0, 1}, {2, 3}}));
+  EXPECT_EQ(merged(runs), (Runs{{0, 3}}));
+  expect_path_runs_match_path_edges(t);
 }
 
 // Property sweep: path arithmetic on random trees of all shapes.
